@@ -24,6 +24,7 @@ from .errors import (
     CrookedError,
     DegreeMismatch,
     InfeasibleSize,
+    InvalidInput,
     InvalidModulus,
     MalformedFile,
     NotApnWarning,
@@ -73,7 +74,7 @@ def _load(path: str) -> funcfile.FunctionFile:
 def cmd_construct(args) -> int:
     try:
         ctx = FieldCtx(args.n, int(args.modulus, 16) if args.modulus else None)
-    except (InvalidModulus, UnsupportedDegree) as e:
+    except (InvalidModulus, UnsupportedDegree, ValueError) as e:
         print(str(e), file=sys.stderr)
         return EXIT_INVALID_PARAMS
     seed = args.seed or 0
@@ -83,6 +84,11 @@ def cmd_construct(args) -> int:
             m = families.build_gold(ctx, args.s)
             prov["s"] = args.s
         elif args.family == "ref7":
+            bad = families.validate_ref7(ctx, args.n // 2, args.s)
+            if bad:
+                for line in bad:
+                    print(line)
+                return EXIT_INVALID_PARAMS
             c = _resolve_elem(ctx, args.c or "primitive", seed)
             d = _resolve_elem(ctx, args.d or "primitive", seed)
             m = families.build_ref7(ctx, args.n // 2, args.s, c, d)
@@ -112,6 +118,9 @@ def cmd_construct(args) -> int:
             )
     except NotGold as e:
         print(str(e))
+        return EXIT_INVALID_PARAMS
+    except (ValueError, InvalidInput) as e:  # a bad --c, --d, --K or --r value
+        print(str(e), file=sys.stderr)
         return EXIT_INVALID_PARAMS
     except DegreeMismatch as e:
         print(str(e), file=sys.stderr)
@@ -153,15 +162,18 @@ def _params_from_provenance(ff: funcfile.FunctionFile):
     if fam not in ("thm1", "thm2"):
         return None
     cls = families.Thm1Params if fam == "thm1" else families.Thm2Params
-    return cls(
-        m=int(prov["m"]),
-        s=int(prov["s"]),
-        t=int(prov["t"]),
-        K=tuple(prov["K"]),
-        c=int(prov["c"], 16),
-        d=int(prov["d"], 16),
-        r=tuple(int(v, 16) for v in prov.get("r", [])),
-    )
+    try:
+        return cls(
+            m=int(prov["m"]),
+            s=int(prov["s"]),
+            t=int(prov["t"]),
+            K=tuple(prov["K"]),
+            c=int(prov["c"], 16),
+            d=int(prov["d"], 16),
+            r=tuple(int(v, 16) for v in prov.get("r", [])),
+        )
+    except (KeyError, TypeError, ValueError) as e:
+        raise MalformedFile(f"{fam} provenance lacks or garbles {e}") from None
 
 
 def cmd_verify(args) -> int:
@@ -212,6 +224,9 @@ def cmd_verify(args) -> int:
             else:
                 print(f"unknown check {check!r}", file=sys.stderr)
                 return EXIT_INVALID_PARAMS
+    except MalformedFile as e:
+        print(str(e), file=sys.stderr)
+        return EXIT_MALFORMED
     except InfeasibleSize as e:
         print(str(e), file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -283,9 +298,17 @@ def cmd_search(args) -> int:
         return EXIT_INVALID_PARAMS
     try:
         ctx = FieldCtx(args.n, int(args.modulus, 16) if args.modulus else None)
-    except (InvalidModulus, UnsupportedDegree) as e:
+    except (InvalidModulus, UnsupportedDegree, ValueError) as e:
         print(str(e), file=sys.stderr)
         return EXIT_INVALID_PARAMS
+    m = args.n // 2
+    if m % 2 == 0:
+        consequence = (
+            "no first-family tuple is APN (see Thm1Params)"
+            if args.family == "thm1"
+            else "the second family is empty (each d with d^(q+1) = 1 is a (2^s+2^t)-power)"
+        )
+        print(f"warning: m = {m} is even: {consequence}", file=sys.stderr)
     hits = families.search_params(ctx, args.family, budget=args.budget, seed=args.seed or 0)
     for p in hits:
         rec = {
@@ -329,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--summary", action="store_true", help="omit per-direction witnesses")
     v.add_argument("--trials", type=int, default=10_000)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--threads", type=int, default=1, help="worker bound; results are thread-count independent")
     v.set_defaults(func=cmd_verify)
 
     i = sub.add_parser("invariants", help="compare CCZ invariants")

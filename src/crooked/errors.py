@@ -25,12 +25,8 @@ class NotAUnit(CrookedError):
     """Operation requires a nonzero field element."""
 
 
-class UndefinedGcd(CrookedError):
-    """gcd(0, 0) requested."""
-
-
 class InvalidInput(CrookedError):
-    """Malformed argument (zero polynomial, bad exponent set, ...)."""
+    """Malformed argument (bad exponent, out-of-range index, ...)."""
 
 
 class InvalidDirection(CrookedError):

@@ -8,11 +8,11 @@ import random
 import warnings
 from dataclasses import dataclass
 from math import gcd
-from typing import List, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
-from .errors import DegreeMismatch, NotApnWarning, NotGold
+from . import gf2mat
+from .errors import DegreeMismatch, InvalidInput, NotApnWarning, NotGold
 from .field import FieldCtx
-from .polyops import linearized_is_bijective
 from .vbf import Multinomial, from_multinomial, multinomial
 
 
@@ -71,6 +71,24 @@ FamilyParams = Union[Thm1Params, Thm2Params]
 def _r_padded(p: FamilyParams) -> Tuple[int, ...]:
     r = tuple(p.r)
     return r + (0,) * (p.m - 1 - len(r))
+
+
+def linearized_is_bijective(ctx: FieldCtx, K: Sequence[int]) -> bool:
+    """True iff y -> sum_{k in K} y^(2^k) is a bijection of GF(2^n).
+
+    Decided by the GF(2) rank of the map's matrix over the polynomial basis;
+    rank n means trivial kernel, which is the condition the family
+    constructions need from K.
+    """
+    if any(k < 0 or k >= ctx.n for k in K):
+        raise InvalidInput(f"K indices must lie in [0, {ctx.n - 1}]")
+    cols = []
+    for j in range(ctx.n):
+        img = 0
+        for k in K:
+            img ^= ctx.pow(1 << j, 1 << k)
+        cols.append(img)
+    return gf2mat.rank_bits(cols, ctx.n) == ctx.n
 
 
 def _validate_shared(ctx: FieldCtx, p: FamilyParams) -> List[str]:
@@ -185,32 +203,31 @@ def build_gold(ctx: FieldCtx, s: int) -> Multinomial:
     return multinomial(ctx, [(1, (1 << s) + 1)])
 
 
+def validate_ref7(ctx: FieldCtx, m: int, s: int) -> List[str]:
+    """Violated hypotheses of the three-term family (m and s odd)."""
+    if ctx.n != 2 * m:
+        raise DegreeMismatch(f"ctx degree {ctx.n} != 2m = {2 * m}")
+    return [f"{name} = {v} is even" for name, v in (("m", m), ("s", s)) if v % 2 == 0]
+
+
 def build_ref7(ctx: FieldCtx, m: int, s: int, c: int, d: int) -> Multinomial:
     """The earlier three-term family on GF(2^{2m}) with m and s odd:
     f = c*x^(q+1) + d*x^(2^s+1) + d^q*x^(q(2^s+1)); coded directly from its
-    own formula as an independent cross-check of the t = 0, K = {0} case."""
-    if ctx.n != 2 * m:
-        raise DegreeMismatch(f"ctx degree {ctx.n} != 2m = {2 * m}")
+    own formula as an independent cross-check of the t = 0, K = {0} case.
+    Raises ValueError when m or s is even."""
+    bad = validate_ref7(ctx, m, s)
+    if bad:
+        raise ValueError("invalid three-term parameters: " + "; ".join(bad))
     q = 1 << m
     e = (1 << s) + 1
     return multinomial(ctx, [(c, q + 1), (d, e), (ctx.pow(d, q), q * e)])
 
 
 def gold_representatives(n: int) -> List[int]:
-    """Gold exponents s with gcd(s, n) = 1, one per cyclotomic class
-    (orbits of s under doubling mod n, with s and n-s identified)."""
-    seen = set()
-    reps = []
-    for s in range(1, n):
-        if gcd(s, n) != 1 or s in seen:
-            continue
-        reps.append(s)
-        for sign in (s, (n - s) % n):
-            v = sign
-            for _ in range(n):
-                seen.add(v)
-                v = (2 * v) % n
-    return reps
+    """One Gold exponent s per CCZ class of x^(2^s+1): 1 <= s <= n/2 with
+    gcd(s, n) = 1. s and n-s give the same class, and these s are pairwise
+    CCZ-inequivalent (Budaghyan, Carlet & Pott, IEEE TIT 2006)."""
+    return [s for s in range(1, n // 2 + 1) if gcd(s, n) == 1]
 
 
 def _k_candidates(ctx: FieldCtx) -> List[Tuple[int, ...]]:

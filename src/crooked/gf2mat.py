@@ -1,125 +1,56 @@
 """GF(2) linear algebra on int bitsets and bit-packed numpy arrays.
 
 Row vectors are plain Python ints: bit j of a row is the entry in column j.
-The packed uint64 routines exist for the large development matrices
-(2^{2n} square); the int-bitset routines serve everything else and double
-as an independent cross-check in the tests.
+`echelon` is the one elimination over int bitsets; ranks, nullspaces and
+solutions are read off its result. The packed uint64 routines exist for the
+large development matrices (2^{2n} square).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
-from .errors import InvalidInput
 
+def echelon(rows: Iterable[int], cols: int, stop: Optional[int] = None) -> Dict[int, int]:
+    """Reduced row echelon form of the span of `rows`, as {pivot column: row}.
 
-@dataclass(frozen=True)
-class Gf2Matrix:
-    """Bit matrix over GF(2); rows[i] is an int bitset of length cols."""
-
-    rows: tuple
-    cols: int
-
-    def __post_init__(self):
-        for r in self.rows:
-            if r >> self.cols:
-                raise InvalidInput("row wider than declared column count")
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-
-def rank_bits(rows: Sequence[int], cols: int) -> int:
-    """Rank over GF(2) of rows given as int bitsets; input untouched."""
-    basis: List[int] = []   # pivot rows, one per leading bit
-    pivots: List[int] = []  # leading bit positions, descending insertion order
-    rank = 0
-    for r in rows:
-        v = r
-        for p, b in zip(pivots, basis):
+    Pivots are taken among the low `cols` bits, and each pivot column is set
+    in its own row only. Bits above `cols` ride along unpivoted: tag row i
+    with 1 << (cols + i) and each result row records the input rows it sums.
+    Reduction ends once `stop` pivots are found.
+    """
+    low = (1 << cols) - 1
+    red: Dict[int, int] = {}
+    for v in rows:
+        for p, r in red.items():
             if (v >> p) & 1:
-                v ^= b
-        if v:
-            pivots.append(v.bit_length() - 1)
-            basis.append(v)
-            rank += 1
-            if rank == cols:
+                v ^= r
+        if v & low:
+            p = (v & low).bit_length() - 1
+            for q in red:
+                if (red[q] >> p) & 1:
+                    red[q] ^= v
+            red[p] = v
+            if len(red) == stop:
                 break
-    return rank
+    return red
 
 
-def gf2_rank(m: Gf2Matrix) -> int:
-    return rank_bits(m.rows, m.cols)
+def rank_bits(rows: Iterable[int], cols: int) -> int:
+    """Rank over GF(2) of rows given as int bitsets."""
+    return len(echelon(rows, cols))
 
 
-def nullspace_bits(rows: Sequence[int], cols: int) -> List[int]:
-    """Basis of {x : <row, x> = 0 for every row}, parity inner product."""
-    # Reduce to row echelon form, tracking pivot columns.
-    work = [r for r in rows if r]
-    echelon: List[int] = []
-    pivot_cols: List[int] = []
-    for r in work:
-        v = r
-        for p, b in zip(pivot_cols, echelon):
-            if (v >> p) & 1:
-                v ^= b
-        if v:
-            pivot_cols.append(v.bit_length() - 1)
-            echelon.append(v)
-    free_cols = [j for j in range(cols) if j not in pivot_cols]
-    basis = []
-    for j in free_cols:
-        x = 1 << j
-        # Back-substitute: choose pivot coordinates so every row annihilates x.
-        for p, b in sorted(zip(pivot_cols, echelon)):
-            if bin(b & x).count("1") & 1:
-                x ^= 1 << p
-        basis.append(x)
-    return basis
-
-
-def solve_bits(rows: Sequence[int], cols: int, rhs: int) -> Optional[int]:
-    """One solution x of the system <rows[i], x> = bit i of rhs, or None."""
-    mask = (1 << cols) - 1
-    aug = [r | (((rhs >> i) & 1) << cols) for i, r in enumerate(rows)]
-    echelon: List[int] = []
-    pivot_cols: List[int] = []
-    for r in aug:
-        v = r
-        for p, b in zip(pivot_cols, echelon):
-            if (v >> p) & 1:
-                v ^= b
-        data = v & mask
-        if data:
-            pivot_cols.append(data.bit_length() - 1)
-            echelon.append(v)
-        elif v:
-            return None  # inconsistent: 0 = 1
-    x = 0
-    # Ascending pivot order: a row's non-pivot bits all sit below its pivot,
-    # so those coordinates of x are already final when the pivot is assigned.
-    for p, b in sorted(zip(pivot_cols, echelon)):
-        val = (b >> cols) & 1
-        val ^= bin((b & mask & ~(1 << p)) & x).count("1") & 1
-        if val:
-            x |= 1 << p
-    return x
-
-
-def mat_apply(columns: Sequence[int], x: int) -> int:
-    """Apply the linear map whose j-th column (image of e_j) is columns[j]."""
-    y = 0
-    j = 0
-    while x:
-        if x & 1:
-            y ^= columns[j]
-        x >>= 1
-        j += 1
-    return y
+def nullspace_bits(red: Dict[int, int], cols: int) -> List[int]:
+    """Basis of {x : <row, x> = 0 for every row}, parity inner product, from
+    an `echelon` result: one vector per free column, in ascending order."""
+    return [
+        (1 << j) | sum(1 << p for p, r in red.items() if (r >> j) & 1)
+        for j in range(cols)
+        if j not in red
+    ]
 
 
 def pack_rows(bool_rows: np.ndarray) -> np.ndarray:

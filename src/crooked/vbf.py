@@ -17,7 +17,7 @@ from .field import FieldCtx
 EXHAUSTIVE_MAX_N = 16
 
 _parity_cache: Dict[int, np.ndarray] = {}
-_trace_solver_cache: Dict[Tuple[int, int], Tuple[Tuple[int, ...], int]] = {}
+_trace_inverse_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
 
 
 def parity_table(n: int) -> np.ndarray:
@@ -60,11 +60,6 @@ def multinomial(ctx: FieldCtx, terms: Iterable[Tuple[int, int]]) -> Multinomial:
         merged[e] = merged.get(e, 0) ^ coeff
     out = tuple(sorted(((c, e) for e, c in merged.items() if c), key=lambda t: t[1]))
     return Multinomial(ctx, out)
-
-
-def is_quadratic(m: Multinomial) -> bool:
-    """All exponents of binary weight 2 (or weight-2 after reduction)."""
-    return all(bin(e).count("1") == 2 for _, e in m.terms)
 
 
 class TruthTable:
@@ -137,17 +132,6 @@ def is_apn(f: TruthTable) -> bool:
     return delta == 2
 
 
-def is_apn_quadratic(f: TruthTable) -> bool:
-    """APN shortcut valid for quadratic f (f(0) = 0): for every direction the
-    bilinear derivative f(x)+f(x+a)+f(a) vanishes at exactly two points."""
-    order = f.ctx.order
-    for a in range(1, order):
-        dv = derivative_values(f, a)
-        if int(np.count_nonzero(dv == dv[0])) != 2:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class HyperplaneWitness:
     """The set equals {y : trace(b*y) = eps}."""
@@ -156,65 +140,53 @@ class HyperplaneWitness:
     eps: int
 
 
-def _trace_form_solver(ctx: FieldCtx) -> Tuple[Tuple[int, ...], int]:
-    """Rows of the trace Gram matrix M[i] with bit j = tr(e_i * e_j)."""
+def _trace_form_inverse(ctx: FieldCtx) -> Tuple[int, ...]:
+    """inv[p] = the b with trace(b*y) = bit p of y for every y.
+
+    Row i of the trace Gram matrix is component_mask(e_i); its echelon form,
+    tagged by row, expresses each unit functional through those rows.
+    """
     key = (ctx.n, ctx.modulus)
-    cached = _trace_solver_cache.get(key)
-    if cached is None:
-        rows = []
-        for i in range(ctx.n):
-            r = 0
-            for j in range(ctx.n):
-                if ctx.trace(ctx.mul(1 << i, 1 << j)):
-                    r |= 1 << j
-            rows.append(r)
-        cached = (tuple(rows), ctx.n)
-        _trace_solver_cache[key] = cached
-    return cached
+    inv = _trace_inverse_cache.get(key)
+    if inv is None:
+        n = ctx.n
+        rows = [ctx.component_mask(1 << i) | (1 << (n + i)) for i in range(n)]
+        red = gf2mat.echelon(rows, n)  # full rank: the trace form is nondegenerate
+        inv = tuple(red[p] >> n for p in range(n))
+        _trace_inverse_cache[key] = inv
+    return inv
 
 
 def _functional_to_trace(ctx: FieldCtx, w: int) -> int:
     """The unique b with trace(b*y) = parity(w & y) for every y."""
-    rows, n = _trace_form_solver(ctx)
-    b = gf2mat.solve_bits(rows, n, w)
-    assert b is not None  # trace form is nondegenerate
+    b = 0
+    for p, row in enumerate(_trace_form_inverse(ctx)):
+        if (w >> p) & 1:
+            b ^= row
     return b
 
 
 def hyperplane_of(ctx: FieldCtx, s: Iterable[int]) -> Optional[HyperplaneWitness]:
-    """Witness (b, eps) when s is an affine hyperplane {y : tr(b*y) = eps}."""
-    elems = np.fromiter(set(int(y) for y in s), dtype=np.uint32)
+    """Witness (b, eps) when the set of elements of s (repeats allowed) is an
+    affine hyperplane {y : tr(b*y) = eps}."""
+    vals = np.asarray(s if isinstance(s, np.ndarray) else list(s), dtype=np.int64)
+    elems = np.flatnonzero(np.bincount(vals, minlength=ctx.order))  # distinct, sorted
     n = ctx.n
     if elems.size != 1 << (n - 1):
         return None
-    y0 = int(elems.min())
-    shifted = elems ^ np.uint32(y0)
-    # Distinct elements of full size force rank >= n-1; find a spanning basis.
-    basis = []
-    pivots = []
-    for y in shifted:
-        v = int(y)
-        for p, bvec in zip(pivots, basis):
-            if (v >> p) & 1:
-                v ^= bvec
-        if v:
-            pivots.append(v.bit_length() - 1)
-            basis.append(v)
-            if len(basis) == n:
-                return None  # spans everything: not a hyperplane
-            if len(basis) == n - 1:
-                break
-    if len(basis) < n - 1:
-        return None
-    null = gf2mat.nullspace_bits(basis, n)
-    w = null[0]
+    y0 = int(elems[0])
+    shifted = np.sort(elems ^ y0)
+    # The smallest element at or above each power of two: one element per
+    # leading bit present. A linear hyperplane has n-1 leading bits, so these
+    # elements span it and its normal w is the one nullspace vector.
+    firsts = np.searchsorted(shifted, 1 << np.arange(n))
+    reps = shifted[np.minimum(firsts, shifted.size - 1)].tolist()
+    w = gf2mat.nullspace_bits(gf2mat.echelon(reps, n, stop=n - 1), n)[0]
+    # The set has the size of w's hyperplane, so lying inside it means being it.
     par = parity_table(n)
-    sh_par = par[shifted & np.uint32(w)]
-    if sh_par.any():
-        return None  # some element escapes the candidate hyperplane
-    b = _functional_to_trace(ctx, w)
-    eps = int(par[y0 & w])
-    return HyperplaneWitness(b=b, eps=eps)
+    if par[shifted & w].any():
+        return None
+    return HyperplaneWitness(b=_functional_to_trace(ctx, w), eps=int(par[y0 & w]))
 
 
 @dataclass
@@ -234,7 +206,7 @@ def is_crooked(f: TruthTable) -> CrookedReport:
         return CrookedReport(False, {}, failed_apn=True)
     witnesses: Dict[int, HyperplaneWitness] = {}
     for a in range(1, f.ctx.order):
-        wit = hyperplane_of(f.ctx, np.unique(derivative_values(f, a)))
+        wit = hyperplane_of(f.ctx, derivative_values(f, a))
         if wit is None:
             return CrookedReport(False, witnesses, failed_at=a)
         witnesses[a] = wit

@@ -54,6 +54,21 @@ def naive_rank(matrix: List[List[int]]) -> int:
     return rank
 
 
+def f2_is_irreducible_by_trial_division(p: int) -> bool:
+    """Irreducibility over F_2 of the polynomial with bitmask p, by long
+    division through every polynomial of degree 1 .. deg(p) // 2."""
+    deg = p.bit_length() - 1
+    if deg < 1:
+        return False
+    for d in range(1 << 1, 1 << (deg // 2 + 1)):
+        r = p
+        while r.bit_length() >= d.bit_length():
+            r ^= d << (r.bit_length() - d.bit_length())
+        if r == 0:
+            return False
+    return True
+
+
 def bits_to_lists(rows: List[int], cols: int) -> List[List[int]]:
     return [[(r >> j) & 1 for j in range(cols)] for r in rows]
 

@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from crooked import cli, funcfile, vbf
 from crooked.field import field_create
 
@@ -152,3 +154,78 @@ def test_construct_flagship_warns_not_apn(tmp_path, capsys):
 def test_construct_odd_half_degree_no_warning():
     proc = run_cli("construct", "--family", "thm1", "--n", "6", "--auto", expect=0)
     assert proc.stderr == ""
+
+
+def _thm1_file_without_m(path):
+    assert cli.main(["construct", "--family", "thm1", "--n", "6", "--auto",
+                     "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    del doc["provenance"]["m"]
+    path.write_text(json.dumps(doc))
+
+
+# argv (NO_M stands for a thm1 file whose provenance lacks m), exit code,
+# the stream that carries the one-line message, and a part of that line.
+NO_M = "<no-m>"
+EXIT_CASES = [
+    (("construct", "--family", "thm1", "--n", "6", "--c", "zz"), 2, "err", "'zz'"),
+    (("construct", "--family", "thm1", "--n", "6", "--d", "zz"), 2, "err", "'zz'"),
+    (("construct", "--family", "thm1", "--n", "6", "--K", "0,a"), 2, "err", "'a'"),
+    (("construct", "--family", "thm1", "--n", "6", "--r", "zz,0"), 2, "err", "'zz'"),
+    (("construct", "--family", "gold", "--n", "6", "--modulus", "zz"), 2, "err", "'zz'"),
+    (("search", "--family", "thm1", "--n", "6", "--modulus", "zz"), 2, "err", "'zz'"),
+    (("construct", "--family", "ref7", "--n", "6", "--c", "1ff"), 2, "err", "outside GF(2^6)"),
+    (("construct", "--family", "ref7", "--n", "12"), 2, "out", "m = 6 is even"),
+    (("construct", "--family", "ref7", "--n", "6", "--s", "2"), 2, "out", "s = 2 is even"),
+    (("verify", "--in", NO_M, "--checks", "identity"), 3, "err", "'m'"),
+]
+
+
+@pytest.mark.parametrize("argv, code, stream, part", EXIT_CASES,
+                         ids=[" ".join(row[0]) for row in EXIT_CASES])
+def test_documented_exit_codes(argv, code, stream, part, tmp_path, capsys):
+    if NO_M in argv:
+        _thm1_file_without_m(tmp_path / "no-m.json")
+        capsys.readouterr()
+        argv = tuple(str(tmp_path / "no-m.json") if a == NO_M else a for a in argv)
+    assert cli.main(list(argv)) == code
+    got = capsys.readouterr()
+    message, other = (got.err, got.out) if stream == "err" else (got.out, got.err)
+    assert len(message.splitlines()) == 1 and part in message and other == ""
+
+
+def test_search_even_m_warns():
+    # m = 4: every first-family tuple is non-APN and the second family is
+    # empty; stdout and the exit code are as without the warning.
+    thm1 = run_cli("search", "--family", "thm1", "--n", "8", "--budget", "2", "--seed", "1",
+                   expect=0)
+    assert len(thm1.stdout.splitlines()) == 2
+    assert thm1.stderr.splitlines() == [
+        "warning: m = 4 is even: no first-family tuple is APN (see Thm1Params)",
+        "# 2 valid tuple(s)",
+    ]
+    thm2 = run_cli("search", "--family", "thm2", "--n", "8", "--budget", "2", expect=0)
+    assert thm2.stdout == ""
+    warning, count = thm2.stderr.splitlines()
+    assert warning.startswith("warning: m = 4 is even: the second family is empty")
+    assert count == "# 0 valid tuple(s)"
+    odd = run_cli("search", "--family", "thm1", "--n", "6", "--budget", "1", expect=0)
+    assert odd.stderr == "# 1 valid tuple(s)\n"
+
+
+# sha256 of `verify --checks apn,crooked --json` stdout, hyperplane witnesses
+# included, as computed before the GF(2) elimination was rewritten.
+VERIFY_SHA256 = {
+    ("gold", "--n", "10", "--s", "1"):
+        "31e9b62166d469169d578fcf3e833adba226cfe8c26f4ccb83e0b317c6b2b3f9",
+    ("thm1", "--n", "6", "--auto", "--seed", "1"):
+        "82db512de8151766a10ae7e4ca9824478e0709ac9191820b41a83a0854d75b92",
+}
+
+
+@pytest.mark.parametrize("flags", list(VERIFY_SHA256), ids=" ".join)
+def test_verify_witnesses_pinned(flags, tmp_path):
+    path = tmp_path / "f.json"
+    run_cli("construct", "--family", *flags, "--out", str(path), expect=0)
+    proc = run_cli("verify", "--in", str(path), "--checks", "apn,crooked", "--json", expect=0)
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == VERIFY_SHA256[flags]

@@ -1,8 +1,8 @@
 import pytest
 
-from crooked import polyops
 from crooked.errors import InvalidModulus, InvalidSubfield, NotAUnit, UndefinedPower, UnsupportedDegree
 from crooked.field import FieldCtx, field_create, smallest_irreducible, trial_factor
+from helpers import f2_is_irreducible_by_trial_division
 
 
 def test_create_gf4_default_modulus():
@@ -50,13 +50,11 @@ def test_default_modulus_is_smallest():
 
 
 def test_modulus_agrees_with_general_irreducibility_test():
-    # The modulus, read as a polynomial over the prime field, passes the
-    # generic irreducibility test used for extension-field polynomials.
-    gf2 = field_create(1)
-    for n in (2, 3, 5, 8):
-        ctx = field_create(n)
-        p = polyops.poly(gf2, [(ctx.modulus >> i) & 1 for i in range(n + 1)])
-        assert polyops.is_irreducible_over(gf2, p)
+    # The default modulus has no factor of degree 1..n/2 over F_2, by trial
+    # division independent of the field module's Rabin test.
+    for n in (2, 3, 5, 8, 12):
+        assert f2_is_irreducible_by_trial_division(field_create(n).modulus)
+    assert not f2_is_irreducible_by_trial_division(0b10101)  # (x^2+x+1)^2
 
 
 def test_mul_examples_gf4():

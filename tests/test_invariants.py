@@ -13,7 +13,10 @@ from helpers import bits_to_lists, ea_transform, naive_rank, random_invertible, 
 def test_rank_bits_examples():
     assert gf2mat.rank_bits([1, 2, 4, 8], 4) == 4
     assert gf2mat.rank_bits([0b111, 0b111, 0b111], 3) == 1
-    assert gf2mat.gf2_rank(gf2mat.Gf2Matrix(rows=(0b11, 0b10), cols=2)) == 2
+    assert gf2mat.rank_bits([0b11, 0b10], 2) == 2
+    # Reduced form: each pivot column is set in its own row only.
+    assert gf2mat.echelon([0b11, 0b10], 2) == {1: 0b10, 0: 0b01}
+    assert gf2mat.echelon([1, 2, 4, 8], 4, stop=2) == {0: 1, 1: 2}
 
 
 def test_rank_bits_vs_naive_random():
@@ -39,13 +42,28 @@ def test_nullspace_and_solve():
     for _ in range(10):
         n = 8
         rows = [rng.randrange(1, 1 << n) for _ in range(5)]
-        for v in gf2mat.nullspace_bits(rows, n):
+        null = gf2mat.nullspace_bits(gf2mat.echelon(rows, n), n)
+        assert len(null) == n - naive_rank(bits_to_lists(rows, n))
+        assert gf2mat.rank_bits(null, n) == len(null)
+        for v in null:
             assert all(bin(r & v).count("1") % 2 == 0 for r in rows)
-        rhs = rng.randrange(1 << 5)
-        x = gf2mat.solve_bits(rows, n, rhs)
-        if x is not None:
-            for i, r in enumerate(rows):
-                assert bin(r & x).count("1") % 2 == (rhs >> i) & 1
+        # Solve sum_i x_i rows[i] = target through the row tags.
+        x = rng.randrange(1 << 5)
+        target = 0
+        for i, r in enumerate(rows):
+            if (x >> i) & 1:
+                target ^= r
+        tagged = [r | (1 << (n + i)) for i, r in enumerate(rows)]
+        red = gf2mat.echelon(tagged, n)
+        sol = 0
+        for p, r in red.items():
+            if (target >> p) & 1:
+                sol ^= r >> n
+        got = 0
+        for i, r in enumerate(rows):
+            if (sol >> i) & 1:
+                got ^= r
+        assert got == target
 
 
 def test_gamma_delta_rank_vs_naive_n3():

@@ -1,5 +1,7 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
 
 from crooked import vbf
@@ -96,15 +98,6 @@ def test_is_apn():
     assert not vbf.is_apn(_table(ctx4, lambda x: x))
 
 
-@pytest.mark.parametrize("n", [3, 4, 6, 8, 10])
-def test_quadratic_shortcut_agrees(n):
-    ctx = field_create(n)
-    rng = random.Random(n * 7)
-    for _ in range(4):
-        f = vbf.from_multinomial(random_quadratic(ctx, rng))
-        assert vbf.is_apn(f) == vbf.is_apn_quadratic(f)
-
-
 def test_hyperplane_witness_gf4():
     ctx = field_create(2)
     w = vbf.hyperplane_of(ctx, {0, 1})
@@ -129,6 +122,21 @@ def test_hyperplane_witness_consistency_exhaustive():
             w = vbf.hyperplane_of(ctx, s)
             assert w is not None
             assert {y for y in range(16) if ctx.trace(ctx.mul(w.b, y)) == w.eps} == s
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_hyperplane_of_matches_enumeration(n):
+    # Every subset of hyperplane size, against the 2(2^n - 1) affine
+    # hyperplanes listed by brute force.
+    ctx = field_create(n)
+    flats = {
+        frozenset(y for y in range(ctx.order) if ctx.trace(ctx.mul(b, y)) == eps):
+            vbf.HyperplaneWitness(b=b, eps=eps)
+        for b in range(1, ctx.order)
+        for eps in (0, 1)
+    }
+    for s in itertools.combinations(range(ctx.order), ctx.order // 2):
+        assert vbf.hyperplane_of(ctx, np.array(s)) == flats.get(frozenset(s))
 
 
 def test_gold_derivatives_are_hyperplanes():
