@@ -14,7 +14,6 @@ from crooked.families import (
     build_thm1,
     build_thm2,
     gold_representatives,
-    linearized_is_bijective,
     proof_identity_check,
     search_params,
     validate_thm1,
@@ -145,32 +144,6 @@ def test_gold_representatives():
     }
     for n, reps in expected.items():
         assert gold_representatives(n) == reps, n
-
-
-def test_linearized_trivial_cases():
-    ctx = field_create(6)
-    assert linearized_is_bijective(ctx, (0,))  # identity
-    assert linearized_is_bijective(ctx, (1,))  # Frobenius
-    for n in (2, 4, 6):
-        c = field_create(n)
-        assert not linearized_is_bijective(c, (0, 1))  # kernel F_2
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 10, 12])
-def test_linearized_matches_kernel_enumeration(n):
-    ctx = field_create(n)
-    subsets = [(k,) for k in range(n)] + [
-        (a, b) for a in range(n) for b in range(a + 1, n)
-    ]
-    def image(y, K):
-        acc = 0
-        for k in K:
-            acc ^= ctx.pow(y, 1 << k) if y else 0
-        return acc
-
-    for K in subsets:
-        kernel = [y for y in range(ctx.order) if image(y, K) == 0]
-        assert linearized_is_bijective(ctx, K) == (kernel == [0])
 
 
 def test_ref7_matches_thm1_special_case():

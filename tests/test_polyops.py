@@ -1,122 +1,19 @@
-import itertools
+"""The linearized polynomial sum_{k in K} y^(2^k) over GF(2^n): bijectivity
+against its kernel, found by enumeration."""
 
 import pytest
 
-from crooked import polyops
-from crooked.errors import InvalidInput, UndefinedGcd
+from crooked.families import linearized_is_bijective
 from crooked.field import field_create
-
-
-def _p(ctx, *coeffs):
-    return polyops.poly(ctx, coeffs)
-
-
-def test_gcd_with_zero_is_monic():
-    ctx = field_create(2)
-    p = _p(ctx, 0b10, 0b11)  # w + (w+1)x
-    g = polyops.poly_gcd(p, _p(ctx))
-    assert g.coeffs[-1] == 1
-    assert g.degree == 1
-
-
-def test_gcd_char2_square():
-    gf2 = field_create(1)
-    g = polyops.poly_gcd(_p(gf2, 1, 0, 1), _p(gf2, 1, 1))  # x^2+1, x+1
-    assert g.coeffs == (1, 1)
-
-
-def test_gcd_of_zero_zero():
-    ctx = field_create(2)
-    with pytest.raises(UndefinedGcd):
-        polyops.poly_gcd(_p(ctx), _p(ctx))
-
-
-def _divisors(ctx, p):
-    """All monic divisors of p up to half degree, by brute-force trial division."""
-    out = []
-    half = p.degree // 2
-    for deg in range(1, half + 1):
-        for coeffs in itertools.product(range(ctx.order), repeat=deg):
-            cand = polyops.poly(ctx, list(coeffs) + [1])
-            if polyops.poly_mod(p, cand).is_zero:
-                out.append(cand.coeffs)
-    return out
-
-
-def test_gcd_against_divisor_enumeration():
-    ctx = field_create(2)
-    a = _p(ctx, 1, 1, 1)      # x^2+x+1
-    b = _p(ctx, 1, 0, 0, 1)   # x^3+1
-    g = polyops.poly_gcd(a, b)
-    # common divisors found by enumeration must all divide g, and g divides both
-    assert polyops.poly_mod(a, g).is_zero
-    assert polyops.poly_mod(b, g).is_zero
-    for d_coeffs in set(_divisors(ctx, a)) & set(_divisors(ctx, b)):
-        d = polyops.poly(ctx, d_coeffs)
-        assert polyops.poly_mod(g, d).is_zero
-
-
-def test_powmod_examples():
-    gf2 = field_create(1)
-    f = _p(gf2, 1, 1, 1)
-    assert polyops.poly_powmod(polyops.poly_x(gf2), 1, f).coeffs == (0, 1)
-    # x^4 = x mod x^2+x+1 (elements of F_4 satisfy x^4 = x)
-    assert polyops.poly_powmod(polyops.poly_x(gf2), 4, f).coeffs == (0, 1)
-
-
-def test_powmod_degree_one_modulus():
-    ctx = field_create(2)
-    f = _p(ctx, 0b10, 1)  # x + w
-    r = polyops.poly_powmod(polyops.poly_x(ctx), 4, f)
-    assert r.degree <= 0
-    assert r(0) == ctx.pow(0b10, 4)  # image of the root w
-
-
-def test_irreducible_examples():
-    gf2 = field_create(1)
-    assert polyops.is_irreducible_over(gf2, _p(gf2, 1, 1, 1))       # x^2+x+1
-    assert not polyops.is_irreducible_over(gf2, _p(gf2, 0, 1, 0, 1))  # x^3+x
-    ctx4 = field_create(2)
-    assert not polyops.is_irreducible_over(ctx4, _p(ctx4, 1, 1, 1))  # splits in F_4
-
-
-def test_irreducible_constant_and_zero():
-    ctx = field_create(2)
-    assert not polyops.is_irreducible_over(ctx, _p(ctx, 1))
-    assert _p(ctx, 1).degree == 0  # callers can single out the unit case
-    with pytest.raises(InvalidInput):
-        polyops.is_irreducible_over(ctx, _p(ctx))
-
-
-@pytest.mark.parametrize("n", [1, 2])
-def test_irreducible_matches_factor_search(n):
-    ctx = field_create(n)
-    max_deg = 5 if n == 1 else 3
-    for deg in range(1, max_deg + 1):
-        for coeffs in itertools.product(range(ctx.order), repeat=deg):
-            p = polyops.poly(ctx, list(coeffs) + [1])
-            has_factor = bool(_divisors(ctx, p)) if p.degree >= 2 else False
-            assert polyops.is_irreducible_over(ctx, p) == (not has_factor)
-
-
-def test_irreducible_implies_no_roots():
-    for n in (2, 3):
-        ctx = field_create(n)
-        for K in [(0, 2), (1, 2), (0, 1, 2)]:
-            p = polyops.exponent_poly(ctx, K)
-            if p.degree >= 2 and polyops.is_irreducible_over(ctx, p):
-                assert all(p(x) != 0 for x in range(ctx.order))
 
 
 def test_linearized_trivial_cases():
     ctx = field_create(6)
-    assert polyops.linearized_is_bijective(ctx, (0,))  # identity
-    assert polyops.linearized_is_bijective(ctx, (1,))  # Frobenius
-    with pytest.raises(InvalidInput):
-        polyops.ExponentSet((0, 1))
+    assert linearized_is_bijective(ctx, (0,))  # identity
+    assert linearized_is_bijective(ctx, (1,))  # Frobenius
     for n in (2, 4, 6):
         c = field_create(n)
-        assert not polyops.linearized_is_bijective(c, (0, 1))  # kernel F_2
+        assert not linearized_is_bijective(c, (0, 1))  # kernel F_2
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 10, 12])
@@ -133,25 +30,4 @@ def test_linearized_matches_kernel_enumeration(n):
 
     for K in subsets:
         kernel = [y for y in range(ctx.order) if image(y, K) == 0]
-        assert polyops.linearized_is_bijective(ctx, K) == (kernel == [0])
-
-
-def test_irreducible_exponent_poly_implies_bijective():
-    # Whenever the exponent-set polynomial is irreducible of degree >= 1
-    # and K != {0,1}, the associated linearized map has trivial kernel.
-    for n in (2, 3, 4, 6):
-        ctx = field_create(n)
-        for K in [(k,) for k in range(n)] + [
-            (a, b) for a in range(n) for b in range(a + 1, n) if (a, b) != (0, 1)
-        ]:
-            p = polyops.exponent_poly(ctx, K)
-            if p.degree >= 1 and polyops.is_irreducible_over(ctx, p):
-                assert polyops.linearized_is_bijective(ctx, K)
-
-
-def test_exponent_set_validation():
-    with pytest.raises(InvalidInput):
-        polyops.ExponentSet(())
-    with pytest.raises(InvalidInput):
-        polyops.ExponentSet((2, 1))
-    assert polyops.ExponentSet((0, 3)).K == (0, 3)
+        assert linearized_is_bijective(ctx, K) == (kernel == [0])
