@@ -263,7 +263,8 @@ def cmd_invariants(args) -> int:
     except (OSError, MalformedFile, CrookedError) as e:
         print(str(e), file=sys.stderr)
         return EXIT_MALFORMED
-    depth = "spectra+ranks" if args.depth == "ranks" else "spectra"
+    with_ranks = args.depth == "ranks"
+    depth = "spectra+ranks" if with_ranks else "spectra"
     targets = []
     if args.against == "gold-all":
         for s in families.gold_representatives(f.ctx.n):
@@ -276,14 +277,16 @@ def cmd_invariants(args) -> int:
         except (OSError, MalformedFile, CrookedError) as e:
             print(str(e), file=sys.stderr)
             return EXIT_MALFORMED
+        if g.ctx != f.ctx:
+            print("functions live over different fields", file=sys.stderr)
+            return EXIT_MISMATCH
         targets.append((args.against, g))
     docs = []
     try:
+        left = invariants.function_invariants(f, with_ranks)
         for label, g in targets:
-            docs.append(_invariants_doc(invariants.compare(f, g, depth), label))
-    except DegreeMismatch as e:
-        print(str(e), file=sys.stderr)
-        return EXIT_MISMATCH
+            right = invariants.function_invariants(g, with_ranks)
+            docs.append(_invariants_doc(invariants.compare(left, right, depth), label))
     except InfeasibleSize as e:
         print(str(e), file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -88,7 +88,7 @@ def linearized_is_bijective(ctx: FieldCtx, K: Sequence[int]) -> bool:
         for k in K:
             img ^= ctx.pow(1 << j, 1 << k)
         cols.append(img)
-    return gf2mat.rank_bits(cols, ctx.n) == ctx.n
+    return gf2mat.rank_bits(cols) == ctx.n
 
 
 def _validate_shared(ctx: FieldCtx, p: FamilyParams) -> List[str]:
@@ -99,6 +99,8 @@ def _validate_shared(ctx: FieldCtx, p: FamilyParams) -> List[str]:
         bad.append("requires s > t >= 0")
     elif gcd(p.s - p.t, ctx.n) != 1:
         bad.append("gcd(s-t, n) != 1")
+    if p.s >= ctx.n:
+        bad.append(f"requires s < n = {ctx.n}")
     K = tuple(p.K)
     if not K:
         bad.append("K is empty")
@@ -204,17 +206,20 @@ def build_gold(ctx: FieldCtx, s: int) -> Multinomial:
 
 
 def validate_ref7(ctx: FieldCtx, m: int, s: int) -> List[str]:
-    """Violated hypotheses of the three-term family (m and s odd)."""
+    """Violated hypotheses of the three-term family (m and s odd, 1 <= s < n)."""
     if ctx.n != 2 * m:
         raise DegreeMismatch(f"ctx degree {ctx.n} != 2m = {2 * m}")
-    return [f"{name} = {v} is even" for name, v in (("m", m), ("s", s)) if v % 2 == 0]
+    bad = [f"{name} = {v} is even" for name, v in (("m", m), ("s", s)) if v % 2 == 0]
+    if not 1 <= s < ctx.n:
+        bad.append(f"s = {s} is outside [1, n-1] = [1, {ctx.n - 1}]")
+    return bad
 
 
 def build_ref7(ctx: FieldCtx, m: int, s: int, c: int, d: int) -> Multinomial:
     """The earlier three-term family on GF(2^{2m}) with m and s odd:
     f = c*x^(q+1) + d*x^(2^s+1) + d^q*x^(q(2^s+1)); coded directly from its
     own formula as an independent cross-check of the t = 0, K = {0} case.
-    Raises ValueError when m or s is even."""
+    Raises ValueError when validate_ref7 reports a violation."""
     bad = validate_ref7(ctx, m, s)
     if bad:
         raise ValueError("invalid three-term parameters: " + "; ".join(bad))

@@ -8,10 +8,14 @@ context can be shared freely across workers.
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import gcd
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .errors import InvalidModulus, InvalidSubfield, NotAUnit, UndefinedPower, UnsupportedDegree
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_DEGREE = 24
 _TABLE_DEGREE = 16  # log/antilog tables kept up to this degree
@@ -229,13 +233,35 @@ class FieldCtx:
             return a == 1
         return all(self.pow(a, self.mult_order // p) != 1 for p, _ in self.order_facts)
 
-    def component_mask(self, a: int) -> int:
-        """Bitmask w with parity(w & y) = trace(a*y) for every y."""
-        w = 0
-        for j in range(self.n):
-            if self.trace(self.mul(a, 1 << j)):
-                w |= 1 << j
-        return w
+    @cached_property
+    def trace_masks(self) -> np.ndarray:
+        """masks[a] = the bitmask w with parity(w & y) = trace(a*y) for every y.
+
+        Bit i of masks[x^j] is trace(x^(i+j)); masks is linear in a, so the
+        rest of the table is XORs of those n basis masks. Built on first use.
+        """
+        # Imported here so that importing this module alone stays numpy-free:
+        # pipebench draws its inputs with it, and each benchmark worker's
+        # peak RSS includes that parent process's resident set.
+        import numpy as np
+
+        n = self.n
+        traces = []  # traces[k] = trace(x^k)
+        v = 1
+        for _ in range(2 * n - 1):
+            traces.append(self.trace(v))
+            v = self.mul(v, 2)
+        masks = np.zeros(self.order, dtype=np.uint32)
+        for j in range(n):
+            basis = sum(traces[i + j] << i for i in range(n))
+            masks[1 << j : 2 << j] = masks[: 1 << j] ^ np.uint32(basis)
+        return masks
+
+    @cached_property
+    def trace_masks_inverse(self) -> np.ndarray:
+        """inverse[w] = the a with trace_masks[a] = w. trace_masks is a
+        permutation, as the trace form is nondegenerate, so argsort inverts it."""
+        return self.trace_masks.argsort().astype(self.trace_masks.dtype)
 
 
 def field_create(n: int, modulus: Optional[int] = None) -> FieldCtx:

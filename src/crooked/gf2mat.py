@@ -1,9 +1,9 @@
 """GF(2) linear algebra on int bitsets and bit-packed numpy arrays.
 
 Row vectors are plain Python ints: bit j of a row is the entry in column j.
-`echelon` is the one elimination over int bitsets; ranks, nullspaces and
-solutions are read off its result. The packed uint64 routines exist for the
-large development matrices (2^{2n} square).
+`echelon` is the one elimination over int bitsets; ranks and nullspaces are
+read off its result. The packed uint64 routines exist for the large
+development matrices (2^{2n} square).
 """
 
 from __future__ import annotations
@@ -13,22 +13,19 @@ from typing import Dict, Iterable, List, Optional
 import numpy as np
 
 
-def echelon(rows: Iterable[int], cols: int, stop: Optional[int] = None) -> Dict[int, int]:
+def echelon(rows: Iterable[int], stop: Optional[int] = None) -> Dict[int, int]:
     """Reduced row echelon form of the span of `rows`, as {pivot column: row}.
 
-    Pivots are taken among the low `cols` bits, and each pivot column is set
-    in its own row only. Bits above `cols` ride along unpivoted: tag row i
-    with 1 << (cols + i) and each result row records the input rows it sums.
-    Reduction ends once `stop` pivots are found.
+    A row's pivot is its leading bit, and each pivot column is set in its own
+    row only. Reduction ends once `stop` pivots are found.
     """
-    low = (1 << cols) - 1
     red: Dict[int, int] = {}
     for v in rows:
         for p, r in red.items():
             if (v >> p) & 1:
                 v ^= r
-        if v & low:
-            p = (v & low).bit_length() - 1
+        if v:
+            p = v.bit_length() - 1
             for q in red:
                 if (red[q] >> p) & 1:
                     red[q] ^= v
@@ -38,9 +35,9 @@ def echelon(rows: Iterable[int], cols: int, stop: Optional[int] = None) -> Dict[
     return red
 
 
-def rank_bits(rows: Iterable[int], cols: int) -> int:
+def rank_bits(rows: Iterable[int]) -> int:
     """Rank over GF(2) of rows given as int bitsets."""
-    return len(echelon(rows, cols))
+    return len(echelon(rows))
 
 
 def nullspace_bits(red: Dict[int, int], cols: int) -> List[int]:

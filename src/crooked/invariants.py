@@ -11,9 +11,9 @@ from typing import List, Optional
 import numpy as np
 
 from . import gf2mat
-from .errors import DegreeMismatch, InfeasibleSize
+from .errors import InfeasibleSize
 from .spectral import walsh_spectrum
-from .vbf import TruthTable, differential_spectrum
+from .vbf import TruthTable, derivative_values, differential_spectrum
 
 RANK_MAX_N = 7  # development matrices are 2^(2n) square
 
@@ -29,13 +29,9 @@ def graph_points(f: TruthTable) -> np.ndarray:
 def difference_points(f: TruthTable) -> np.ndarray:
     """D_f = {(a, f(x)+f(x+a)) : a != 0} packed as a*2^n + value."""
     n = f.ctx.n
-    order = f.ctx.order
-    xs = np.arange(order, dtype=np.uint32)
-    pts = set()
-    for a in range(1, order):
-        dv = np.unique(f.values ^ f.values[xs ^ np.uint32(a)])
-        pts.update(((a << n) | int(v)) for v in dv)
-    return np.fromiter(sorted(pts), dtype=np.uint32)
+    return np.concatenate(
+        [(a << n) | np.unique(derivative_values(f, a)) for a in range(1, f.ctx.order)]
+    )
 
 
 def development_rank(two_n: int, points: np.ndarray) -> int:
@@ -83,12 +79,11 @@ class InvariantReport:
     depth: str
     verdict: str  # "distinguished" | "indistinguishable-by-computed-invariants"
 
-    @property
-    def distinguished(self) -> bool:
-        return self.verdict == "distinguished"
-
 
 def function_invariants(f: TruthTable, with_ranks: bool) -> FunctionInvariants:
+    # Ranks first, so that their size cap refuses before any spectrum is built.
+    g_rank = gamma_rank(f) if with_ranks else None
+    d_rank = delta_rank(f) if with_ranks else None
     delta, dspec = differential_spectrum(f)
     summary = walsh_spectrum(f)
     return FunctionInvariants(
@@ -96,26 +91,21 @@ def function_invariants(f: TruthTable, with_ranks: bool) -> FunctionInvariants:
         diff_spectrum=dspec,
         extended_walsh=summary.extended,
         nl=summary.nl,
-        gamma_rank=gamma_rank(f) if with_ranks else None,
-        delta_rank=delta_rank(f) if with_ranks else None,
+        gamma_rank=g_rank,
+        delta_rank=d_rank,
     )
 
 
-def compare(fa: TruthTable, fb: TruthTable, depth: str = "spectra") -> InvariantReport:
-    """Invariant comparison; "distinguished" proves CCZ-inequivalence (hence
-    EA-inequivalence), while the other verdict is explicitly inconclusive."""
+def compare(
+    left: FunctionInvariants, right: FunctionInvariants, depth: str = "spectra"
+) -> InvariantReport:
+    """Invariant comparison of two functions over the same field, each
+    computed by `function_invariants` to `depth`; "distinguished" proves
+    CCZ-inequivalence (hence EA-inequivalence), while the other verdict is
+    explicitly inconclusive."""
     if depth not in ("spectra", "spectra+ranks"):
         raise ValueError(f"unknown depth {depth!r}")
-    if fa.ctx != fb.ctx:
-        raise DegreeMismatch("functions live over different fields")
-    with_ranks = depth == "spectra+ranks"
-    left = function_invariants(fa, with_ranks)
-    right = function_invariants(fb, with_ranks)
-    differs = (
-        left.diff_spectrum != right.diff_spectrum
-        or left.extended_walsh != right.extended_walsh
-        or (with_ranks and left.gamma_rank != right.gamma_rank)
-        or (with_ranks and left.delta_rank != right.delta_rank)
-    )
-    verdict = "distinguished" if differs else "indistinguishable-by-computed-invariants"
+    # delta and nl are read off diff_spectrum and extended_walsh, so the
+    # records differ exactly when a spectrum or a rank does.
+    verdict = "distinguished" if left != right else "indistinguishable-by-computed-invariants"
     return InvariantReport(left=left, right=right, depth=depth, verdict=verdict)

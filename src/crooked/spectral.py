@@ -1,6 +1,6 @@
 """Walsh transform machinery: per-component spectra via the fast
 Walsh-Hadamard butterfly, full-spectrum summaries, nonlinearity, and the
-almost-bent / bent-component predicates."""
+almost-bent predicate."""
 
 from __future__ import annotations
 
@@ -38,34 +38,15 @@ def component_signs(f: TruthTable, a: int) -> np.ndarray:
     """(-1)^(tr(a*f(x))) as an int64 vector indexed by x."""
     if a == 0 or a >= f.ctx.order:
         raise InvalidDirection(f"component a={a} invalid")
-    mask = f.ctx.component_mask(a)
     par = parity_table(f.ctx.n)
-    return 1 - 2 * par[f.values & np.uint32(mask)].astype(np.int64)
-
-
-_mask_cache: dict = {}
-
-
-def _mask_table(ctx) -> np.ndarray:
-    """masks[w] with parity(masks[w] & x) = tr(w*x); linear in w."""
-    key = (ctx.n, ctx.modulus)
-    t = _mask_cache.get(key)
-    if t is None:
-        t = np.zeros(ctx.order, dtype=np.uint32)
-        for j in range(ctx.n):
-            t[1 << j] = ctx.component_mask(1 << j)
-        for w in range(1, ctx.order):
-            low = w & -w
-            t[w] = t[low] ^ t[w ^ low]
-        _mask_cache[key] = t
-    return t
+    return 1 - 2 * par[f.values & f.ctx.trace_masks[a]].astype(np.int64)
 
 
 def walsh_component(f: TruthTable, a: int) -> WalshComponent:
     # The butterfly pairs x with masks under the plain bit inner product;
     # reindex so that values[omega] matches the tr(omega*x) character.
     plain = fwht(component_signs(f, a))
-    return WalshComponent(a=a, values=plain[_mask_table(f.ctx)])
+    return WalshComponent(a=a, values=plain[f.ctx.trace_masks])
 
 
 @dataclass(frozen=True)
@@ -100,23 +81,3 @@ def is_ab(f: TruthTable) -> bool:
     v = 1 << ((n + 1) // 2)
     return set(walsh_spectrum(f).gamma) == {0, v, -v}
 
-
-def classify_components(f: TruthTable) -> dict:
-    """Count bent / semibent / other components over all a != 0.
-
-    Bent means every Walsh value has magnitude 2^(n/2) (even n only);
-    semibent means values lie in {0, +-2^((n+2)/2)}.
-    """
-    n = f.ctx.n
-    counts = {"bent": 0, "semibent": 0, "other": 0}
-    bent_mag = 1 << (n // 2) if n % 2 == 0 else None
-    semi_mag = 1 << ((n + 2) // 2)
-    for a in range(1, f.ctx.order):
-        mags = set(np.abs(walsh_component(f, a).values).tolist())
-        if bent_mag is not None and mags == {bent_mag}:
-            counts["bent"] += 1
-        elif mags <= {0, semi_mag}:
-            counts["semibent"] += 1
-        else:
-            counts["other"] += 1
-    return counts

@@ -17,7 +17,6 @@ from .field import FieldCtx
 EXHAUSTIVE_MAX_N = 16
 
 _parity_cache: Dict[int, np.ndarray] = {}
-_trace_inverse_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
 
 
 def parity_table(n: int) -> np.ndarray:
@@ -105,11 +104,6 @@ def derivative_values(f: TruthTable, a: int) -> np.ndarray:
     return f.values ^ f.values[xs ^ np.uint32(a)]
 
 
-def derivative_set(f: TruthTable, a: int) -> frozenset:
-    """Image set {f(x) + f(x+a)} of the direction-a derivative."""
-    return frozenset(int(v) for v in np.unique(derivative_values(f, a)))
-
-
 def differential_spectrum(f: TruthTable) -> Tuple[int, Counter]:
     """(delta, multiset of solution counts over all (a != 0, b) pairs)."""
     n = f.ctx.n
@@ -140,32 +134,6 @@ class HyperplaneWitness:
     eps: int
 
 
-def _trace_form_inverse(ctx: FieldCtx) -> Tuple[int, ...]:
-    """inv[p] = the b with trace(b*y) = bit p of y for every y.
-
-    Row i of the trace Gram matrix is component_mask(e_i); its echelon form,
-    tagged by row, expresses each unit functional through those rows.
-    """
-    key = (ctx.n, ctx.modulus)
-    inv = _trace_inverse_cache.get(key)
-    if inv is None:
-        n = ctx.n
-        rows = [ctx.component_mask(1 << i) | (1 << (n + i)) for i in range(n)]
-        red = gf2mat.echelon(rows, n)  # full rank: the trace form is nondegenerate
-        inv = tuple(red[p] >> n for p in range(n))
-        _trace_inverse_cache[key] = inv
-    return inv
-
-
-def _functional_to_trace(ctx: FieldCtx, w: int) -> int:
-    """The unique b with trace(b*y) = parity(w & y) for every y."""
-    b = 0
-    for p, row in enumerate(_trace_form_inverse(ctx)):
-        if (w >> p) & 1:
-            b ^= row
-    return b
-
-
 def hyperplane_of(ctx: FieldCtx, s: Iterable[int]) -> Optional[HyperplaneWitness]:
     """Witness (b, eps) when the set of elements of s (repeats allowed) is an
     affine hyperplane {y : tr(b*y) = eps}."""
@@ -181,12 +149,12 @@ def hyperplane_of(ctx: FieldCtx, s: Iterable[int]) -> Optional[HyperplaneWitness
     # elements span it and its normal w is the one nullspace vector.
     firsts = np.searchsorted(shifted, 1 << np.arange(n))
     reps = shifted[np.minimum(firsts, shifted.size - 1)].tolist()
-    w = gf2mat.nullspace_bits(gf2mat.echelon(reps, n, stop=n - 1), n)[0]
+    w = gf2mat.nullspace_bits(gf2mat.echelon(reps, stop=n - 1), n)[0]
     # The set has the size of w's hyperplane, so lying inside it means being it.
     par = parity_table(n)
     if par[shifted & w].any():
         return None
-    return HyperplaneWitness(b=_functional_to_trace(ctx, w), eps=int(par[y0 & w]))
+    return HyperplaneWitness(b=int(ctx.trace_masks_inverse[w]), eps=int(par[y0 & w]))
 
 
 @dataclass

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from crooked import cli, funcfile, vbf
+from crooked import cli, funcfile, invariants, vbf
 from crooked.field import field_create
 
 
@@ -177,6 +177,9 @@ EXIT_CASES = [
     (("construct", "--family", "ref7", "--n", "6", "--c", "1ff"), 2, "err", "outside GF(2^6)"),
     (("construct", "--family", "ref7", "--n", "12"), 2, "out", "m = 6 is even"),
     (("construct", "--family", "ref7", "--n", "6", "--s", "2"), 2, "out", "s = 2 is even"),
+    (("construct", "--family", "ref7", "--n", "6", "--s", "99"), 2, "out", "s = 99 is outside"),
+    (("construct", "--family", "thm1", "--n", "6", "--s", "7", "--t", "0", "--K", "0",
+      "--c", "primitive", "--d", "primitive"), 2, "out", "requires s < n = 6"),
     (("verify", "--in", NO_M, "--checks", "identity"), 3, "err", "'m'"),
 ]
 
@@ -213,19 +216,53 @@ def test_search_even_m_warns():
     assert odd.stderr == "# 1 valid tuple(s)\n"
 
 
-# sha256 of `verify --checks apn,crooked --json` stdout, hyperplane witnesses
-# included, as computed before the GF(2) elimination was rewritten.
-VERIFY_SHA256 = {
-    ("gold", "--n", "10", "--s", "1"):
-        "31e9b62166d469169d578fcf3e833adba226cfe8c26f4ccb83e0b317c6b2b3f9",
-    ("thm1", "--n", "6", "--auto", "--seed", "1"):
-        "82db512de8151766a10ae7e4ca9824478e0709ac9191820b41a83a0854d75b92",
+# sha256 of the stdout of each command on the constructed file: the verify
+# with its hyperplane witnesses as computed before the GF(2) elimination was
+# rewritten, and the Walsh spectrum and the Gold comparison as computed
+# before the trace form moved into the field context.
+PINNED_SHA256 = {
+    ("gold", "--n", "10", "--s", "1"): {
+        ("verify", "--checks", "apn,crooked", "--json"):
+            "31e9b62166d469169d578fcf3e833adba226cfe8c26f4ccb83e0b317c6b2b3f9",
+        ("verify", "--checks", "walsh", "--json"):
+            "b9949673a831fd9f9daf3e1b50cfe55741a82674a0124ab2cde39f808ff8e410",
+        ("invariants", "--against", "gold-all", "--json"):
+            "858d42c6703d4043de48acd74cf22f994f443d6fb21f098167c33c1c10624644",
+    },
+    ("thm1", "--n", "6", "--auto", "--seed", "1"): {
+        ("verify", "--checks", "apn,crooked", "--json"):
+            "82db512de8151766a10ae7e4ca9824478e0709ac9191820b41a83a0854d75b92",
+        ("verify", "--checks", "walsh", "--json"):
+            "a2d8aa61f78a3a8097dbd15c283ac1c711f1b904e35156d8a247812530e046de",
+        ("invariants", "--against", "gold-all", "--json"):
+            "65a0b2d844e28f54c7fb9bdae43c1dbd255ac186ca5e7ddb4897e970c6c931f2",
+    },
 }
 
 
-@pytest.mark.parametrize("flags", list(VERIFY_SHA256), ids=" ".join)
+@pytest.mark.parametrize("flags", list(PINNED_SHA256), ids=" ".join)
 def test_verify_witnesses_pinned(flags, tmp_path):
     path = tmp_path / "f.json"
     run_cli("construct", "--family", *flags, "--out", str(path), expect=0)
-    proc = run_cli("verify", "--in", str(path), "--checks", "apn,crooked", "--json", expect=0)
-    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == VERIFY_SHA256[flags]
+    for (command, *rest), digest in PINNED_SHA256[flags].items():
+        proc = run_cli(command, "--in", str(path), *rest, expect=0)
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest, rest
+
+
+def test_invariants_refuses_before_any_spectrum(tmp_path, monkeypatch, capsys):
+    # A field mismatch (exit 5) and the rank cap (exit 4) are reported
+    # before either function's spectra are computed.
+    def no_spectrum(f):
+        raise AssertionError("a spectrum was computed")
+
+    monkeypatch.setattr(invariants, "differential_spectrum", no_spectrum)
+    monkeypatch.setattr(invariants, "walsh_spectrum", no_spectrum)
+    big, small = tmp_path / "big.json", tmp_path / "small.json"
+    assert cli.main(["construct", "--family", "gold", "--n", "8", "--out", str(big)]) == 0
+    assert cli.main(["construct", "--family", "gold", "--n", "4", "--out", str(small)]) == 0
+    capsys.readouterr()
+    assert cli.main(["invariants", "--in", str(big), "--against", str(small)]) == 5
+    assert capsys.readouterr().err == "functions live over different fields\n"
+    argv = ["invariants", "--in", str(big), "--against", "gold-all", "--depth", "ranks"]
+    assert cli.main(argv) == 4
+    assert capsys.readouterr().err == "gamma rank capped at n=7\n"

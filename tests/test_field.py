@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 
 from crooked.errors import InvalidModulus, InvalidSubfield, NotAUnit, UndefinedPower, UnsupportedDegree
@@ -182,8 +185,19 @@ def test_trial_factor():
 
 
 def test_component_mask_matches_trace():
-    ctx = field_create(5)
-    for a in (1, 7, 19):
-        mask = ctx.component_mask(a)
-        for y in range(ctx.order):
-            assert bin(mask & y).count("1") & 1 == ctx.trace(ctx.mul(a, y))
+    for n in (2, 3, 5, 8):
+        ctx = field_create(n)
+        assert "trace_masks" not in vars(ctx)  # built on first use only
+        masks, inverse = ctx.trace_masks, ctx.trace_masks_inverse
+        for a in range(ctx.order):
+            mask = int(masks[a])
+            for y in range(ctx.order):
+                assert bin(mask & y).count("1") & 1 == ctx.trace(ctx.mul(a, y))
+            assert inverse[mask] == a
+
+
+def test_field_import_stays_numpy_free():
+    # pipebench draws its inputs with the field module alone, and each
+    # benchmark worker's peak RSS includes that process's resident set.
+    code = "import sys, crooked.field; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -33,6 +34,18 @@ def test_fwht_equals_direct_definition(n):
             w = spectral.walsh_component(f, a).values
             for omega in range(ctx.order):
                 assert w[omega] == naive_walsh(f, a, omega)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_walsh_spectrum_matches_naive(n):
+    ctx = field_create(n)
+    rng = random.Random(n * 7)
+    f = _table(ctx, lambda x: rng.randrange(ctx.order))
+    values = [naive_walsh(f, a, omega) for a in range(1, ctx.order) for omega in range(ctx.order)]
+    s = spectral.walsh_spectrum(f)
+    assert s.gamma == Counter(values)
+    assert s.extended == Counter(abs(v) for v in values)
+    assert s.nl == (1 << (n - 1)) - max(abs(v) for v in values) // 2
 
 
 def test_parseval_and_balance_identity():
@@ -78,16 +91,6 @@ def test_is_ab():
     assert not spectral.is_ab(aff)
     ctx4 = field_create(4)
     assert not spectral.is_ab(vbf.from_multinomial(vbf.multinomial(ctx4, [(1, 3)])))
-
-
-def test_classify_components():
-    ctx4 = field_create(4)
-    aff = _table(ctx4, lambda x: ctx4.mul(6, x))
-    assert spectral.classify_components(aff)["other"] == 15
-    gold = vbf.from_multinomial(vbf.multinomial(ctx4, [(1, 3)]))
-    counts = spectral.classify_components(gold)
-    assert counts["other"] == 0
-    assert counts["bent"] + counts["semibent"] == 15
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])

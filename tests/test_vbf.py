@@ -15,6 +15,11 @@ def _table(ctx, fn):
     return vbf.TruthTable(ctx, [fn(x) for x in range(ctx.order)])
 
 
+def _image(f, a):
+    """The sorted image set of the direction-a derivative."""
+    return np.unique(vbf.derivative_values(f, a)).tolist()
+
+
 def test_multinomial_merges_and_reduces():
     ctx = field_create(3)
     m = vbf.multinomial(ctx, [(3, 2), (3, 2)])
@@ -48,13 +53,13 @@ def test_derivative_sets():
     ctx = field_create(3)
     lin = _table(ctx, lambda x: ctx.mul(5, x))
     for a in range(1, 8):
-        assert vbf.derivative_set(lin, a) == {ctx.mul(5, a)}
+        assert _image(lin, a) == [ctx.mul(5, a)]
     cube = vbf.from_multinomial(vbf.multinomial(ctx, [(1, 3)]))
-    assert len(vbf.derivative_set(cube, 1)) == 4
+    assert len(_image(cube, 1)) == 4
     const = _table(ctx, lambda x: 6)
-    assert vbf.derivative_set(const, 3) == {0}
+    assert _image(const, 3) == [0]
     with pytest.raises(InvalidDirection):
-        vbf.derivative_set(cube, 0)
+        vbf.derivative_values(cube, 0)
 
 
 def test_differential_spectrum_examples():
@@ -143,7 +148,7 @@ def test_gold_derivatives_are_hyperplanes():
     ctx = field_create(3)
     f = vbf.from_multinomial(build_gold(ctx, 1))
     for a in range(1, 8):
-        assert vbf.hyperplane_of(ctx, vbf.derivative_set(f, a)) is not None
+        assert vbf.hyperplane_of(ctx, _image(f, a)) is not None
 
 
 def test_is_crooked_gold_n3():
@@ -169,7 +174,7 @@ def test_constant_shift_preserves_derivative_sets():
         c = rng.randrange(1, ctx.order)
         g = vbf.TruthTable(ctx, (f.values ^ c).tolist())
         for a in range(1, ctx.order, max(1, ctx.order // 16)):
-            assert vbf.derivative_set(f, a) == vbf.derivative_set(g, a)
+            assert _image(f, a) == _image(g, a)
 
 
 def test_quadratic_apn_iff_crooked():
