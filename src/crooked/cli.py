@@ -45,12 +45,12 @@ def _counter_to_list(c: Counter) -> list:
     return [[int(v), int(m)] for v, m in sorted(c.items())]
 
 
-def _emit(doc: dict, as_json: bool, out=sys.stdout):
+def _emit(doc: dict, as_json: bool):
     if as_json:
-        out.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
     else:
         for k in sorted(doc):
-            out.write(f"{k}: {doc[k]}\n")
+            print(f"{k}: {doc[k]}")
 
 
 def _resolve_elem(ctx: FieldCtx, text: str, seed: int) -> int:
@@ -105,17 +105,7 @@ def cmd_construct(args) -> int:
                 m = builder(ctx, params)
             for w in caught:
                 print(f"warning: {w.message}", file=sys.stderr)
-            prov.update(
-                {
-                    "m": params.m,
-                    "s": params.s,
-                    "t": params.t,
-                    "K": list(params.K),
-                    "c": format(params.c, "x"),
-                    "d": format(params.d, "x"),
-                    "r": [format(v, "x") for v in params.r],
-                }
-            )
+            prov.update(_family_provenance(params))
     except NotGold as e:
         print(str(e))
         return EXIT_INVALID_PARAMS
@@ -156,14 +146,29 @@ def _family_params(ctx, args, seed):
     return sorted(bad) if bad else params
 
 
+def _family_provenance(p: families.FamilyParams) -> dict:
+    """The parameter keys of a family tuple, as construct and search write them."""
+    return {
+        "m": p.m,
+        "s": p.s,
+        "t": p.t,
+        "K": list(p.K),
+        "c": format(p.c, "x"),
+        "d": format(p.d, "x"),
+        "r": [format(v, "x") for v in p.r],
+    }
+
+
 def _params_from_provenance(ff: funcfile.FunctionFile):
+    """The family tuple a thm1/thm2 file records, None for any other file;
+    MalformedFile when a key is missing or garbled, or disagrees with the field."""
     prov = ff.provenance
     fam = prov.get("family")
     if fam not in ("thm1", "thm2"):
         return None
     cls = families.Thm1Params if fam == "thm1" else families.Thm2Params
     try:
-        return cls(
+        p = cls(
             m=int(prov["m"]),
             s=int(prov["s"]),
             t=int(prov["t"]),
@@ -174,6 +179,11 @@ def _params_from_provenance(ff: funcfile.FunctionFile):
         )
     except (KeyError, TypeError, ValueError) as e:
         raise MalformedFile(f"{fam} provenance lacks or garbles {e}") from None
+    if 2 * p.m != ff.n:
+        raise MalformedFile(f"{fam} provenance has m = {p.m}, but n = {ff.n} is not 2m")
+    if any(v >> ff.n for v in (p.c, p.d, *p.r)):
+        raise MalformedFile(f"{fam} provenance has an element outside GF(2^{ff.n})")
+    return p
 
 
 def cmd_verify(args) -> int:
@@ -216,9 +226,7 @@ def cmd_verify(args) -> int:
                 if params is None:
                     print("identity check needs thm1/thm2 provenance", file=sys.stderr)
                     return EXIT_MALFORMED
-                good = families.proof_identity_check(
-                    ff.ctx(), params, trials=args.trials, seed=args.seed or 0
-                )
+                good = families.proof_identity_check(f, params)
                 report["identity"] = good
                 ok &= good
             else:
@@ -314,16 +322,7 @@ def cmd_search(args) -> int:
         print(f"warning: m = {m} is even: {consequence}", file=sys.stderr)
     hits = families.search_params(ctx, args.family, budget=args.budget, seed=args.seed or 0)
     for p in hits:
-        rec = {
-            "family": args.family,
-            "m": p.m,
-            "s": p.s,
-            "t": p.t,
-            "K": list(p.K),
-            "c": format(p.c, "x"),
-            "d": format(p.d, "x"),
-            "r": [format(v, "x") for v in p.r],
-        }
+        rec = {"family": args.family, **_family_provenance(p)}
         print(json.dumps(rec, sort_keys=True, separators=(",", ":")))
     print(f"# {len(hits)} valid tuple(s)", file=sys.stderr)
     return EXIT_OK
@@ -353,8 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--checks", default="apn,crooked")
     v.add_argument("--json", action="store_true")
     v.add_argument("--summary", action="store_true", help="omit per-direction witnesses")
-    v.add_argument("--trials", type=int, default=10_000)
-    v.add_argument("--seed", type=int, default=0)
     v.set_defaults(func=cmd_verify)
 
     i = sub.add_parser("invariants", help="compare CCZ invariants")

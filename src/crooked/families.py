@@ -13,7 +13,7 @@ from typing import List, Sequence, Tuple, Union
 from . import gf2mat
 from .errors import DegreeMismatch, InvalidInput, NotApnWarning, NotGold
 from .field import FieldCtx
-from .vbf import Multinomial, from_multinomial, multinomial
+from .vbf import Multinomial, TruthTable, multinomial
 
 
 @dataclass(frozen=True)
@@ -304,48 +304,24 @@ def _try_thm2(ctx, m, s, t, K, c, d):
     return p if not validate_thm2(ctx, p) else None
 
 
-def proof_identity_check(
-    ctx: FieldCtx, p: FamilyParams, trials: int = 10_000, seed: int = 0
-) -> bool:
-    """Check the proofs' cancellation identities on the built function.
+def proof_identity_check(f: TruthTable, p: FamilyParams) -> bool:
+    """Check the proofs' cancellation identity on the truth table f.
 
-    With F(x) = f(x) + f(x+a) + f(a) and q = 2^m:
-      first family:  F(x) + F(x)^q = (c + c^q)(x^q a + x a^q)
-                     and globally f(x) + f(x)^q = (c + c^q) x^(q+1);
-      second family: F(x) + d F(x)^q = (c + d c^q)(x^q a + x a^q)
-                     and globally f(x) + d f(x)^q = (c + d c^q) x^(q+1).
+    With q = 2^m, for every x:
+      first family:  f(x) + f(x)^q = (c + c^q) x^(q+1);
+      second family: f(x) + d f(x)^q = (c + d c^q) x^(q+1).
 
-    Pairs (x, a != 0) are seeded-random; trials >= 2^n(2^n - 1) (or
-    trials <= 0) means every pair is checked.
+    The proofs use it per direction: with F(x) = f(x) + f(x+a) + f(a),
+    F(x) + F(x)^q = (c + c^q)(x^q a + x a^q), and F(x) + d F(x)^q =
+    (c + d c^q)(x^q a + x a^q) for the second family. It follows from the
+    global one: v -> v + d v^q is additive and
+    (x+a)^(q+1) + x^(q+1) + a^(q+1) = x^q a + x a^q.
     """
-    thm1 = isinstance(p, Thm1Params)
-    # The identity is purely algebraic, so the full validator is not forced
-    # here; corrupted parameters are exactly what this check should expose.
-    f = from_multinomial(_family_terms(ctx, p))
+    ctx = f.ctx
     q = 1 << p.m
-    cq = ctx.pow(p.c, q)
-    lhs_coeff = p.c ^ cq if thm1 else p.c ^ ctx.mul(p.d, cq)
-
-    def twisted(v: int) -> int:
-        vq = ctx.pow(v, q) if v else 0
-        return v ^ (vq if thm1 else ctx.mul(p.d, vq))
-
-    # Global identity over all x.
-    for x in range(ctx.order):
-        if twisted(f[x]) != ctx.mul(lhs_coeff, ctx.pow(x, q + 1) if x else 0):
-            return False
-
-    total = ctx.order * (ctx.order - 1)
-    if trials <= 0 or trials >= total:
-        pairs = ((x, a) for a in range(1, ctx.order) for x in range(ctx.order))
-    else:
-        rng = random.Random(seed)
-        pairs = (
-            (rng.randrange(ctx.order), rng.randrange(1, ctx.order)) for _ in range(trials)
-        )
-    for x, a in pairs:
-        fx = f[x] ^ f[x ^ a] ^ f[a]
-        xa = ctx.mul(ctx.pow(x, q) if x else 0, a) ^ ctx.mul(x, ctx.pow(a, q))
-        if twisted(fx) != ctx.mul(lhs_coeff, xa):
-            return False
-    return True
+    d = 1 if isinstance(p, Thm1Params) else p.d  # the first family twists by v^q alone
+    coeff = p.c ^ ctx.mul(d, ctx.pow(p.c, q))
+    return all(
+        v ^ ctx.mul(d, ctx.pow(v, q)) == ctx.mul(coeff, ctx.pow(x, q + 1))
+        for x, v in enumerate(f.values.tolist())
+    )

@@ -60,17 +60,17 @@ def walsh_spectrum(f: TruthTable) -> SpectrumSummary:
     n = f.ctx.n
     if n > EXHAUSTIVE_MAX_N:
         raise InfeasibleSize(f"walsh spectrum capped at n={EXHAUSTIVE_MAX_N}")
-    gamma: Counter = Counter()
+    order = f.ctx.order
+    # |W| <= 2^n, so hist[v + 2^n] counts the Walsh value v over all (omega, a).
+    hist = np.zeros(2 * order + 1, dtype=np.int64)
+    for a in range(1, order):
+        hist += np.bincount(walsh_component(f, a).values + order, minlength=2 * order + 1)
+    idx = np.flatnonzero(hist)
+    gamma = Counter(dict(zip((idx - order).tolist(), hist[idx].tolist())))
     extended: Counter = Counter()
-    max_abs = 0
-    for a in range(1, f.ctx.order):
-        w = walsh_component(f, a).values
-        vals, mults = np.unique(w, return_counts=True)
-        for v, m in zip(vals.tolist(), mults.tolist()):
-            gamma[v] += m
-            extended[abs(v)] += m
-        max_abs = max(max_abs, int(np.abs(w).max()))
-    return SpectrumSummary(gamma=gamma, extended=extended, nl=(1 << (n - 1)) - max_abs // 2)
+    for v, m in gamma.items():
+        extended[abs(v)] += m
+    return SpectrumSummary(gamma=gamma, extended=extended, nl=(1 << (n - 1)) - max(extended) // 2)
 
 
 def is_ab(f: TruthTable) -> bool:

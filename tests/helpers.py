@@ -10,6 +10,7 @@ import random
 from collections import Counter
 from typing import List, Tuple
 
+from crooked.families import FamilyParams, Thm1Params
 from crooked.field import FieldCtx
 from crooked.vbf import TruthTable
 
@@ -35,6 +36,28 @@ def naive_diff_spectrum(f: TruthTable) -> Tuple[int, Counter]:
         for b in range(order):
             spectrum[per_b.get(b, 0)] += 1
     return delta, spectrum
+
+
+def naive_pair_identity(f: TruthTable, p: FamilyParams) -> bool:
+    """The families' per-direction identity at every (x, a != 0), with
+    F(x) = f(x) + f(x+a) + f(a) and q = 2^m:
+      first family:  F(x) + F(x)^q = (c + c^q)(x^q a + x a^q);
+      second family: F(x) + d F(x)^q = (c + d c^q)(x^q a + x a^q)."""
+    ctx = f.ctx
+    q = 1 << p.m
+
+    def twist(v: int) -> int:
+        vq = ctx.pow(v, q)
+        return v ^ (vq if isinstance(p, Thm1Params) else ctx.mul(p.d, vq))
+
+    coeff = twist(p.c)
+    for a in range(1, ctx.order):
+        for x in range(ctx.order):
+            big_f = f[x] ^ f[x ^ a] ^ f[a]
+            cross = ctx.mul(ctx.pow(x, q), a) ^ ctx.mul(x, ctx.pow(a, q))
+            if twist(big_f) != ctx.mul(coeff, cross):
+                return False
+    return True
 
 
 def naive_rank(matrix: List[List[int]]) -> int:

@@ -121,7 +121,7 @@ def test_criterion_03_second_family_and_hypothesis_corruption():
 
     def broken(bad):
         return bool(validate_thm2(ctx, bad)) or not proof_identity_check(
-            ctx, bad, trials=0
+            vbf.from_multinomial(families._family_terms(ctx, bad)), bad
         )
 
     # d of full order: d^(q+1) != 1
@@ -172,13 +172,15 @@ def test_criterion_04_three_term_special_case():
 
 def test_criterion_05_conjugation_identity_suite():
     ctx6 = field_create(6)
-    ok = proof_identity_check(ctx6, search_params(ctx6, "thm1", budget=1, seed=1)[0], trials=0)
-    ok &= proof_identity_check(ctx6, search_params(ctx6, "thm2", budget=1, seed=1)[0], trials=0)
+    p = search_params(ctx6, "thm1", budget=1, seed=1)[0]
+    ok = proof_identity_check(vbf.from_multinomial(families._family_terms(ctx6, p)), p)
+    p = search_params(ctx6, "thm2", budget=1, seed=1)[0]
+    ok &= proof_identity_check(vbf.from_multinomial(families._family_terms(ctx6, p)), p)
 
     ctx12 = field_create(12)
     c = _first_primitive(ctx12)
     p1 = Thm1Params(m=6, s=8, t=1, K=(0,), c=c, d=c, r=(0,) * 5)
-    ok &= proof_identity_check(ctx12, p1, trials=10_000, seed=0)
+    ok &= proof_identity_check(vbf.from_multinomial(families._family_terms(ctx12, p1)), p1)
     # No tuple at n=12 passes the full second-family validator, but the
     # conjugation identity is algebraic: it needs only d^(q+1) = 1 and
     # c + d*c^q != 0, which are satisfiable.
@@ -191,12 +193,12 @@ def test_criterion_05_conjugation_identity_suite():
         if (v ^ ctx12.mul(d, ctx12.pow(v, 64))) != 0
     )
     p2 = Thm2Params(m=6, s=8, t=1, K=(0,), c=c2, d=d, r=(0,) * 5)
-    ok &= proof_identity_check(ctx12, p2, trials=10_000, seed=0)
+    ok &= proof_identity_check(vbf.from_multinomial(families._family_terms(ctx12, p2)), p2)
     _criterion(
         5,
         ok,
-        "conjugation identities hold exhaustively at n=6 and on 10^4 seeded "
-        "pairs at n=12 for both families",
+        "conjugation identities hold over every x at n=6 and n=12 for both "
+        "families",
     )
 
 

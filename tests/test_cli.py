@@ -156,17 +156,25 @@ def test_construct_odd_half_degree_no_warning():
     assert proc.stderr == ""
 
 
-def _thm1_file_without_m(path):
+# Stand-ins for n = 6 thm1 files whose provenance lacks m (None) or has a
+# value replaced.
+NO_M, C_FFF, M_5 = "<no-m>", "<c=fff>", "<m=5>"
+PROVENANCE_EDITS = {NO_M: ("m", None), C_FFF: ("c", "fff"), M_5: ("m", 5)}
+
+
+def _thm1_file_with(path, key, value):
     assert cli.main(["construct", "--family", "thm1", "--n", "6", "--auto",
                      "--out", str(path)]) == 0
     doc = json.loads(path.read_text())
-    del doc["provenance"]["m"]
+    if value is None:
+        del doc["provenance"][key]
+    else:
+        doc["provenance"][key] = value
     path.write_text(json.dumps(doc))
 
 
-# argv (NO_M stands for a thm1 file whose provenance lacks m), exit code,
-# the stream that carries the one-line message, and a part of that line.
-NO_M = "<no-m>"
+# argv (with a stand-in above for an edited file), exit code, the stream
+# that carries the one-line message, and a part of that line.
 EXIT_CASES = [
     (("construct", "--family", "thm1", "--n", "6", "--c", "zz"), 2, "err", "'zz'"),
     (("construct", "--family", "thm1", "--n", "6", "--d", "zz"), 2, "err", "'zz'"),
@@ -181,16 +189,19 @@ EXIT_CASES = [
     (("construct", "--family", "thm1", "--n", "6", "--s", "7", "--t", "0", "--K", "0",
       "--c", "primitive", "--d", "primitive"), 2, "out", "requires s < n = 6"),
     (("verify", "--in", NO_M, "--checks", "identity"), 3, "err", "'m'"),
+    (("verify", "--in", C_FFF, "--checks", "identity"), 3, "err", "outside GF(2^6)"),
+    (("verify", "--in", M_5, "--checks", "identity"), 3, "err", "m = 5"),
 ]
 
 
 @pytest.mark.parametrize("argv, code, stream, part", EXIT_CASES,
                          ids=[" ".join(row[0]) for row in EXIT_CASES])
 def test_documented_exit_codes(argv, code, stream, part, tmp_path, capsys):
-    if NO_M in argv:
-        _thm1_file_without_m(tmp_path / "no-m.json")
-        capsys.readouterr()
-        argv = tuple(str(tmp_path / "no-m.json") if a == NO_M else a for a in argv)
+    for stand_in, (key, value) in PROVENANCE_EDITS.items():
+        if stand_in in argv:
+            _thm1_file_with(tmp_path / "edited.json", key, value)
+            capsys.readouterr()
+            argv = tuple(str(tmp_path / "edited.json") if a == stand_in else a for a in argv)
     assert cli.main(list(argv)) == code
     got = capsys.readouterr()
     message, other = (got.err, got.out) if stream == "err" else (got.out, got.err)
@@ -218,8 +229,9 @@ def test_search_even_m_warns():
 
 # sha256 of the stdout of each command on the constructed file: the verify
 # with its hyperplane witnesses as computed before the GF(2) elimination was
-# rewritten, and the Walsh spectrum and the Gold comparison as computed
-# before the trace form moved into the field context.
+# rewritten, the Walsh spectrum and the Gold comparison as computed before
+# the trace form moved into the field context, and the full family verify as
+# computed before the identity check stopped sampling pairs.
 PINNED_SHA256 = {
     ("gold", "--n", "10", "--s", "1"): {
         ("verify", "--checks", "apn,crooked", "--json"):
@@ -236,6 +248,8 @@ PINNED_SHA256 = {
             "a2d8aa61f78a3a8097dbd15c283ac1c711f1b904e35156d8a247812530e046de",
         ("invariants", "--against", "gold-all", "--json"):
             "65a0b2d844e28f54c7fb9bdae43c1dbd255ac186ca5e7ddb4897e970c6c931f2",
+        ("verify", "--checks", "apn,crooked,walsh,identity", "--json"):
+            "b7a2eb2eac037e99f20872604dc769236d5003c4b141c5576132831fb71f1cc6",
     },
 }
 
@@ -266,3 +280,33 @@ def test_invariants_refuses_before_any_spectrum(tmp_path, monkeypatch, capsys):
     argv = ["invariants", "--in", str(big), "--against", "gold-all", "--depth", "ranks"]
     assert cli.main(argv) == 4
     assert capsys.readouterr().err == "gamma rank capped at n=7\n"
+
+
+def test_identity_checks_the_file_not_its_provenance(tmp_path, capsys):
+    # A coefficient edited in the file, with the provenance kept, fails the
+    # identity; the unedited file passes it.
+    path = tmp_path / "f.json"
+    assert cli.main(["construct", "--family", "thm1", "--n", "6", "--auto", "--seed", "1",
+                     "--out", str(path)]) == 0
+    argv = ["verify", "--in", str(path), "--checks", "identity", "--json"]
+    assert cli.main(argv) == 0
+    assert '"identity":true' in capsys.readouterr().out
+    doc = json.loads(path.read_text())
+    assert doc["terms"][0]["coeff"] == "2"
+    doc["terms"][0]["coeff"] = "1"
+    path.write_text(json.dumps(doc))
+    assert cli.main(argv) == 1
+    assert '"identity":false' in capsys.readouterr().out
+
+
+def test_verify_crooked_runs_no_differential_sweep(tmp_path, monkeypatch, capsys):
+    # Hyperplane images in every direction make f APN, so a passing crooked
+    # check never sweeps the differential spectrum.
+    def no_sweep(f):
+        raise AssertionError("a differential sweep ran")
+
+    monkeypatch.setattr(vbf, "differential_spectrum", no_sweep)
+    path = tmp_path / "gold.json"
+    assert cli.main(["construct", "--family", "gold", "--n", "6", "--out", str(path)]) == 0
+    assert cli.main(["verify", "--in", str(path), "--checks", "crooked", "--json"]) == 0
+    assert '"crooked":true' in capsys.readouterr().out

@@ -20,6 +20,7 @@ from crooked.families import (
     validate_thm2,
 )
 from crooked.field import field_create
+from helpers import naive_pair_identity
 
 
 def _first_primitive(ctx):
@@ -181,11 +182,16 @@ def test_search_odd_n_rejected():
         search_params(field_create(3), "thm1", budget=1, seed=0)
 
 
+def _built(ctx, p):
+    # The function the parameters define, built without the validators.
+    return vbf.from_multinomial(families._family_terms(ctx, p))
+
+
 def test_proof_identity_exhaustive_n6(ctx6):
     p1 = search_params(ctx6, "thm1", budget=1, seed=1)[0]
-    assert proof_identity_check(ctx6, p1, trials=0)
+    assert proof_identity_check(_built(ctx6, p1), p1)
     p2 = search_params(ctx6, "thm2", budget=1, seed=1)[0]
-    assert proof_identity_check(ctx6, p2, trials=0)
+    assert proof_identity_check(_built(ctx6, p2), p2)
 
 
 def test_proof_identity_detects_corrupted_d(ctx6):
@@ -194,8 +200,32 @@ def test_proof_identity_detects_corrupted_d(ctx6):
     bad = Thm2Params(m=p.m, s=p.s, t=p.t, K=p.K, c=p.c, d=g, r=p.r)
     # primitive d violates d^(q+1) = 1; either the validator or the proof
     # identity must notice
-    assert validate_thm2(ctx6, bad) or not proof_identity_check(ctx6, bad, trials=0)
-    assert not proof_identity_check(ctx6, bad, trials=0)
+    assert validate_thm2(ctx6, bad) or not proof_identity_check(_built(ctx6, bad), bad)
+    assert not proof_identity_check(_built(ctx6, bad), bad)
+
+
+def test_proof_identity_matches_pair_oracle(ctx6):
+    # The global check agrees with the per-direction oracle on valid tuples,
+    # a corrupted d and single-entry corruptions of a valid table.
+    cases = [
+        (_built(ctx6, p), p)
+        for fam in ("thm1", "thm2")
+        for seed in (1, 2, 3)
+        for p in search_params(ctx6, fam, budget=1, seed=seed)
+    ]
+    assert len(cases) == 6
+    bad = dataclasses.replace(cases[3][1], d=_first_primitive(ctx6))  # thm2, seed 1
+    cases.append((_built(ctx6, bad), bad))
+    f, p = cases[0]
+    rng = random.Random(20)
+    for _ in range(20):
+        x = rng.randrange(ctx6.order)
+        values = f.values.copy()
+        values[x] ^= rng.randrange(1, ctx6.order)
+        cases.append((vbf.TruthTable(ctx6, values), p))
+    results = [proof_identity_check(g, p) for g, p in cases]
+    assert results == [naive_pair_identity(g, p) for g, p in cases]
+    assert results[:6] == [True] * 6 and results[6] is False
 
 
 def test_family_instances_crooked_odd_half_degree():

@@ -166,6 +166,17 @@ def test_is_crooked_inverse_n4_fails():
     assert rep.failed_apn
 
 
+def test_is_crooked_reports_non_apn_past_a_two_to_one_direction():
+    # Direction 1 is 2-to-1 but its image is not a hyperplane, so the sweep
+    # stops there; the function is not APN, which the report names instead.
+    ctx = field_create(3)
+    f = vbf.TruthTable(ctx, [6, 6, 0, 4, 7, 6, 4, 7])
+    d1 = vbf.derivative_values(f, 1)
+    assert np.bincount(d1).max() == 2 and vbf.hyperplane_of(ctx, d1) is None
+    assert not vbf.is_apn(f)
+    assert vbf.is_crooked(f) == vbf.CrookedReport(False, {}, failed_apn=True)
+
+
 def test_constant_shift_preserves_derivative_sets():
     for n in (3, 4, 6, 8):
         ctx = field_create(n)
