@@ -8,6 +8,9 @@ Exit codes (stable for scripting):
   3 malformed input file
   4 computation infeasible at this degree
   5 field/degree mismatch
+
+Violated hypotheses print one line each on stdout; every other refusal
+prints one line on stderr.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import json
 import sys
 import warnings
 from collections import Counter
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import families, funcfile, invariants, spectral, vbf
 from .errors import (
@@ -25,11 +28,9 @@ from .errors import (
     DegreeMismatch,
     InfeasibleSize,
     InvalidInput,
-    InvalidModulus,
+    InvalidParams,
     MalformedFile,
     NotApnWarning,
-    NotGold,
-    UnsupportedDegree,
 )
 from .field import FieldCtx
 
@@ -53,68 +54,58 @@ def _emit(doc: dict, as_json: bool):
             print(f"{k}: {doc[k]}")
 
 
+def _int(text: str, base: int = 16) -> int:
+    """An integer flag value; an unparsable one is InvalidInput carrying the
+    ValueError's text."""
+    try:
+        return int(text, base)
+    except ValueError as e:
+        raise InvalidInput(str(e)) from None
+
+
 def _resolve_elem(ctx: FieldCtx, text: str, seed: int) -> int:
     if text == "primitive":
         prims = [v for v in range(2, ctx.order) if ctx.is_primitive(v)]
         return prims[seed % len(prims)]
-    return int(text, 16)
+    return _int(text)
 
 
-def _parse_int_list(text: Optional[str]) -> tuple:
-    if not text:
-        return ()
-    return tuple(int(v) for v in text.split(","))
+def _field(args) -> FieldCtx:
+    return FieldCtx(args.n, _int(args.modulus) if args.modulus else None)
 
 
-def _load(path: str) -> funcfile.FunctionFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return funcfile.parse(fh.read())
+def _load(path: str) -> Tuple[funcfile.FunctionFile, vbf.TruthTable]:
+    """The function file at path and its truth table; any failure to read
+    or parse it is MalformedFile."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            ff = funcfile.parse(fh.read())
+        return ff, ff.to_truthtable()
+    except (OSError, CrookedError) as e:
+        raise MalformedFile(str(e)) from None
 
 
 def cmd_construct(args) -> int:
-    try:
-        ctx = FieldCtx(args.n, int(args.modulus, 16) if args.modulus else None)
-    except (InvalidModulus, UnsupportedDegree, ValueError) as e:
-        print(str(e), file=sys.stderr)
-        return EXIT_INVALID_PARAMS
+    ctx = _field(args)
     seed = args.seed or 0
     prov = {"family": args.family, "seed": seed}
-    try:
-        if args.family == "gold":
-            m = families.build_gold(ctx, args.s)
-            prov["s"] = args.s
-        elif args.family == "ref7":
-            bad = families.validate_ref7(ctx, args.n // 2, args.s)
-            if bad:
-                for line in bad:
-                    print(line)
-                return EXIT_INVALID_PARAMS
-            c = _resolve_elem(ctx, args.c or "primitive", seed)
-            d = _resolve_elem(ctx, args.d or "primitive", seed)
-            m = families.build_ref7(ctx, args.n // 2, args.s, c, d)
-            prov.update({"m": args.n // 2, "s": args.s, "c": format(c, "x"), "d": format(d, "x")})
-        else:
-            params = _family_params(ctx, args, seed)
-            if isinstance(params, list):  # violation messages
-                for line in params:
-                    print(line)
-                return EXIT_INVALID_PARAMS
-            builder = families.build_thm1 if args.family == "thm1" else families.build_thm2
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", NotApnWarning)
-                m = builder(ctx, params)
-            for w in caught:
-                print(f"warning: {w.message}", file=sys.stderr)
-            prov.update(_family_provenance(params))
-    except NotGold as e:
-        print(str(e))
-        return EXIT_INVALID_PARAMS
-    except (ValueError, InvalidInput) as e:  # a bad --c, --d, --K or --r value
-        print(str(e), file=sys.stderr)
-        return EXIT_INVALID_PARAMS
-    except DegreeMismatch as e:
-        print(str(e), file=sys.stderr)
-        return EXIT_MISMATCH
+    if args.family == "gold":
+        m = families.build_gold(ctx, args.s)
+        prov["s"] = args.s
+    elif args.family == "ref7":
+        c = _resolve_elem(ctx, args.c or "primitive", seed)
+        d = _resolve_elem(ctx, args.d or "primitive", seed)
+        m = families.build_ref7(ctx, args.n // 2, args.s, c, d)
+        prov.update({"m": args.n // 2, "s": args.s, "c": format(c, "x"), "d": format(d, "x")})
+    else:
+        params = _family_params(ctx, args, seed)
+        builder = families.build_thm1 if args.family == "thm1" else families.build_thm2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", NotApnWarning)
+            m = builder(ctx, params)
+        for w in caught:
+            print(f"warning: {w.message}", file=sys.stderr)
+        prov.update(_family_provenance(params))
     text = funcfile.serialize(funcfile.from_multinomial_repr(m, prov))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -124,26 +115,23 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def _family_params(ctx, args, seed):
-    """Family params from flags, the validator's violation list, or a
+def _family_params(ctx, args, seed) -> families.FamilyParams:
+    """Family params from flags, which the builder validates, or a
     seeded-search hit under --auto."""
     if args.auto:
         hits = families.search_params(ctx, args.family, budget=1, seed=seed)
         if not hits:
-            return ["no valid parameters found by search"]
+            raise InvalidParams(["no valid parameters found by search"])
         return hits[0]
     if args.n % 2:
-        return ["n must be even"]
+        raise InvalidParams(["n must be even"])
     m = args.n // 2
-    K = _parse_int_list(args.K) or (0,)
+    K = tuple(_int(v, 10) for v in args.K.split(",")) if args.K else (0,)
     c = _resolve_elem(ctx, args.c or "primitive", seed)
     d = _resolve_elem(ctx, args.d or "primitive", seed)
-    r = tuple(int(v, 16) for v in args.r.split(",")) if args.r else (0,) * (m - 1)
+    r = tuple(map(_int, args.r.split(","))) if args.r else (0,) * (m - 1)
     cls = families.Thm1Params if args.family == "thm1" else families.Thm2Params
-    params = cls(m=m, s=args.s, t=args.t, K=K, c=c, d=d, r=r)
-    validator = families.validate_thm1 if args.family == "thm1" else families.validate_thm2
-    bad = validator(ctx, params)
-    return sorted(bad) if bad else params
+    return cls(m=m, s=args.s, t=args.t, K=K, c=c, d=d, r=r)
 
 
 def _family_provenance(p: families.FamilyParams) -> dict:
@@ -161,7 +149,8 @@ def _family_provenance(p: families.FamilyParams) -> dict:
 
 def _params_from_provenance(ff: funcfile.FunctionFile):
     """The family tuple a thm1/thm2 file records, None for any other file;
-    MalformedFile when a key is missing or garbled, or disagrees with the field."""
+    MalformedFile when a key is missing, garbled or out of range, or
+    disagrees with the field."""
     prov = ff.provenance
     fam = prov.get("family")
     if fam not in ("thm1", "thm2"):
@@ -181,63 +170,51 @@ def _params_from_provenance(ff: funcfile.FunctionFile):
         raise MalformedFile(f"{fam} provenance lacks or garbles {e}") from None
     if 2 * p.m != ff.n:
         raise MalformedFile(f"{fam} provenance has m = {p.m}, but n = {ff.n} is not 2m")
+    if not (0 <= p.t < p.s < ff.n and all(type(k) is int and 0 <= k < ff.n for k in p.K)):
+        raise MalformedFile(f"{fam} provenance needs 0 <= t < s < n and K within [0, n-1]")
     if any(v >> ff.n for v in (p.c, p.d, *p.r)):
         raise MalformedFile(f"{fam} provenance has an element outside GF(2^{ff.n})")
     return p
 
 
 def cmd_verify(args) -> int:
-    try:
-        ff = _load(args.infile)
-        f = ff.to_truthtable()
-    except (OSError, MalformedFile, CrookedError) as e:
-        print(str(e), file=sys.stderr)
-        return EXIT_MALFORMED
+    ff, f = _load(args.infile)
     checks = args.checks.split(",")
     report: dict = {"n": ff.n, "checks": sorted(checks)}
     ok = True
-    try:
-        for check in checks:
-            if check == "apn":
-                delta, spec = vbf.differential_spectrum(f)
-                report["delta"] = delta
-                report["diff_spectrum"] = _counter_to_list(spec)
-                ok &= delta == 2
-            elif check == "crooked":
-                res = vbf.is_crooked(f)
-                report["crooked"] = res.is_crooked
-                if res.is_crooked and not args.summary:
-                    report["hyperplane_witnesses"] = {
-                        format(a, "x"): [format(w.b, "x"), w.eps]
-                        for a, w in sorted(res.witnesses.items())
-                    }
-                if not res.is_crooked:
-                    report["crooked_failed_at"] = (
-                        "apn" if res.failed_apn else format(res.failed_at, "x")
-                    )
-                ok &= res.is_crooked
-            elif check == "walsh":
-                summary = spectral.walsh_spectrum(f)
-                report["nl"] = summary.nl
-                report["walsh_spectrum"] = _counter_to_list(summary.gamma)
-                report["extended_walsh"] = _counter_to_list(summary.extended)
-            elif check == "identity":
-                params = _params_from_provenance(ff)
-                if params is None:
-                    print("identity check needs thm1/thm2 provenance", file=sys.stderr)
-                    return EXIT_MALFORMED
-                good = families.proof_identity_check(f, params)
-                report["identity"] = good
-                ok &= good
-            else:
-                print(f"unknown check {check!r}", file=sys.stderr)
-                return EXIT_INVALID_PARAMS
-    except MalformedFile as e:
-        print(str(e), file=sys.stderr)
-        return EXIT_MALFORMED
-    except InfeasibleSize as e:
-        print(str(e), file=sys.stderr)
-        return EXIT_INFEASIBLE
+    for check in checks:
+        if check == "apn":
+            delta, spec = vbf.differential_spectrum(f)
+            report["delta"] = delta
+            report["diff_spectrum"] = _counter_to_list(spec)
+            ok &= delta == 2
+        elif check == "crooked":
+            res = vbf.is_crooked(f)
+            report["crooked"] = res.is_crooked
+            if res.is_crooked and not args.summary:
+                report["hyperplane_witnesses"] = {
+                    format(a, "x"): [format(w.b, "x"), w.eps]
+                    for a, w in sorted(res.witnesses.items())
+                }
+            if not res.is_crooked:
+                report["crooked_failed_at"] = (
+                    "apn" if res.failed_apn else format(res.failed_at, "x")
+                )
+            ok &= res.is_crooked
+        elif check == "walsh":
+            summary = spectral.walsh_spectrum(f)
+            report["nl"] = summary.nl
+            report["walsh_spectrum"] = _counter_to_list(summary.gamma)
+            report["extended_walsh"] = _counter_to_list(summary.extended)
+        elif check == "identity":
+            params = _params_from_provenance(ff)
+            if params is None:
+                raise MalformedFile("identity check needs thm1/thm2 provenance")
+            good = families.proof_identity_check(f, params)
+            report["identity"] = good
+            ok &= good
+        else:
+            raise InvalidInput(f"unknown check {check!r}")
     report["pass"] = ok
     _emit(report, args.json)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -266,13 +243,8 @@ def _invariants_doc(rep: invariants.InvariantReport, label: str) -> dict:
 
 
 def cmd_invariants(args) -> int:
-    try:
-        f = _load(args.infile).to_truthtable()
-    except (OSError, MalformedFile, CrookedError) as e:
-        print(str(e), file=sys.stderr)
-        return EXIT_MALFORMED
+    f = _load(args.infile)[1]
     with_ranks = args.depth == "ranks"
-    depth = "spectra+ranks" if with_ranks else "spectra"
     targets = []
     if args.against == "gold-all":
         for s in families.gold_representatives(f.ctx.n):
@@ -280,38 +252,21 @@ def cmd_invariants(args) -> int:
                 (f"gold-s{s}", vbf.from_multinomial(families.build_gold(f.ctx, s)))
             )
     else:
-        try:
-            g = _load(args.against).to_truthtable()
-        except (OSError, MalformedFile, CrookedError) as e:
-            print(str(e), file=sys.stderr)
-            return EXIT_MALFORMED
+        g = _load(args.against)[1]
         if g.ctx != f.ctx:
-            print("functions live over different fields", file=sys.stderr)
-            return EXIT_MISMATCH
+            raise DegreeMismatch("functions live over different fields")
         targets.append((args.against, g))
-    docs = []
-    try:
-        left = invariants.function_invariants(f, with_ranks)
-        for label, g in targets:
-            right = invariants.function_invariants(g, with_ranks)
-            docs.append(_invariants_doc(invariants.compare(left, right, depth), label))
-    except InfeasibleSize as e:
-        print(str(e), file=sys.stderr)
-        return EXIT_INFEASIBLE
-    for doc in docs:
-        _emit(doc, args.json)
+    left = invariants.function_invariants(f, with_ranks)
+    for label, g in targets:
+        right = invariants.function_invariants(g, with_ranks)
+        _emit(_invariants_doc(invariants.compare(left, right), label), args.json)
     return EXIT_OK
 
 
 def cmd_search(args) -> int:
     if args.n % 2:
-        print("n must be even", file=sys.stderr)
-        return EXIT_INVALID_PARAMS
-    try:
-        ctx = FieldCtx(args.n, int(args.modulus, 16) if args.modulus else None)
-    except (InvalidModulus, UnsupportedDegree, ValueError) as e:
-        print(str(e), file=sys.stderr)
-        return EXIT_INVALID_PARAMS
+        raise InvalidInput("n must be even")
+    ctx = _field(args)
     m = args.n // 2
     if m % 2 == 0:
         consequence = (
@@ -371,9 +326,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# The exit code of each refusal; any other CrookedError is invalid input.
+EXIT_CODES = {
+    MalformedFile: EXIT_MALFORMED,
+    InfeasibleSize: EXIT_INFEASIBLE,
+    DegreeMismatch: EXIT_MISMATCH,
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InvalidParams as e:
+        print("\n".join(e.violations))
+        return EXIT_INVALID_PARAMS
+    except CrookedError as e:
+        print(str(e), file=sys.stderr)
+        return EXIT_CODES.get(type(e), EXIT_INVALID_PARAMS)
 
 
 if __name__ == "__main__":

@@ -41,7 +41,16 @@ class DegreeMismatch(CrookedError):
     """Two objects live over different fields."""
 
 
-class NotGold(CrookedError):
+class InvalidParams(CrookedError, ValueError):
+    """Construction parameters refused; `violations` lists each violated
+    hypothesis, sorted, and the CLI prints them one a line on stdout."""
+
+    def __init__(self, violations):
+        self.violations = sorted(violations)
+        super().__init__("; ".join(self.violations))
+
+
+class NotGold(InvalidParams):
     """Gold exponent s violates gcd(s, n) = 1."""
 
 

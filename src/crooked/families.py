@@ -11,7 +11,7 @@ from math import gcd
 from typing import List, Sequence, Tuple, Union
 
 from . import gf2mat
-from .errors import DegreeMismatch, InvalidInput, NotApnWarning, NotGold
+from .errors import DegreeMismatch, InvalidInput, InvalidParams, NotApnWarning, NotGold
 from .field import FieldCtx
 from .vbf import Multinomial, TruthTable, multinomial
 
@@ -173,12 +173,12 @@ def _family_terms(ctx: FieldCtx, p: FamilyParams) -> Multinomial:
 
 
 def build_thm1(ctx: FieldCtx, p: Thm1Params) -> Multinomial:
-    """The first-family multinomial; raises ValueError on violated stated
+    """The first-family multinomial; raises InvalidParams on violated stated
     hypotheses and warns (NotApnWarning) when the derived APN condition in
     Thm1Params fails."""
     bad = validate_thm1(ctx, p)
     if bad:
-        raise ValueError("invalid first-family parameters: " + "; ".join(bad))
+        raise InvalidParams(bad)
     q = 1 << p.m
     g = gcd(_power_exponent(p), q + 1)
     if ctx.is_eth_power(p.d, g):
@@ -194,14 +194,14 @@ def build_thm1(ctx: FieldCtx, p: Thm1Params) -> Multinomial:
 def build_thm2(ctx: FieldCtx, p: Thm2Params) -> Multinomial:
     bad = validate_thm2(ctx, p)
     if bad:
-        raise ValueError("invalid second-family parameters: " + "; ".join(bad))
+        raise InvalidParams(bad)
     return _family_terms(ctx, p)
 
 
 def build_gold(ctx: FieldCtx, s: int) -> Multinomial:
     """x^(2^s + 1); requires gcd(s, n) = 1."""
     if not 1 <= s < ctx.n or gcd(s, ctx.n) != 1:
-        raise NotGold(f"gcd({s}, {ctx.n}) != 1")
+        raise NotGold([f"gcd({s}, {ctx.n}) != 1"])
     return multinomial(ctx, [(1, (1 << s) + 1)])
 
 
@@ -219,10 +219,10 @@ def build_ref7(ctx: FieldCtx, m: int, s: int, c: int, d: int) -> Multinomial:
     """The earlier three-term family on GF(2^{2m}) with m and s odd:
     f = c*x^(q+1) + d*x^(2^s+1) + d^q*x^(q(2^s+1)); coded directly from its
     own formula as an independent cross-check of the t = 0, K = {0} case.
-    Raises ValueError when validate_ref7 reports a violation."""
+    Raises InvalidParams when validate_ref7 reports a violation."""
     bad = validate_ref7(ctx, m, s)
     if bad:
-        raise ValueError("invalid three-term parameters: " + "; ".join(bad))
+        raise InvalidParams(bad)
     q = 1 << m
     e = (1 << s) + 1
     return multinomial(ctx, [(c, q + 1), (d, e), (ctx.pow(d, q), q * e)])

@@ -167,7 +167,6 @@ class FieldCtx:
             log[v] = i
             v = self._raw_mul(v, g)
         self._exp, self._log = exp, log
-        self.generator = g
 
     def _find_generator(self) -> int:
         cofactors = [self.mult_order // p for p, _ in self.order_facts]
@@ -194,11 +193,6 @@ class FieldCtx:
         if self._log is not None:
             return self._exp[(self._log[a] * e) % self.mult_order]
         return self._raw_pow(a, e % self.mult_order if self.n > 1 else e)
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise NotAUnit("0 has no inverse")
-        return self.pow(a, self.mult_order - 1) if self.n > 1 else 1
 
     def trace(self, a: int) -> int:
         """Absolute trace to F_2: XOR of the n Frobenius images."""

@@ -96,15 +96,12 @@ def function_invariants(f: TruthTable, with_ranks: bool) -> FunctionInvariants:
     )
 
 
-def compare(
-    left: FunctionInvariants, right: FunctionInvariants, depth: str = "spectra"
-) -> InvariantReport:
-    """Invariant comparison of two functions over the same field, each
-    computed by `function_invariants` to `depth`; "distinguished" proves
-    CCZ-inequivalence (hence EA-inequivalence), while the other verdict is
-    explicitly inconclusive."""
-    if depth not in ("spectra", "spectra+ranks"):
-        raise ValueError(f"unknown depth {depth!r}")
+def compare(left: FunctionInvariants, right: FunctionInvariants) -> InvariantReport:
+    """Invariant comparison of two functions over the same field, both
+    computed by `function_invariants` with the same `with_ranks`, which sets
+    the depth; "distinguished" proves CCZ-inequivalence (hence
+    EA-inequivalence), while the other verdict is explicitly inconclusive."""
+    depth = "spectra" if left.gamma_rank is None else "spectra+ranks"
     # delta and nl are read off diff_spectrum and extended_walsh, so the
     # records differ exactly when a spectrum or a rank does.
     verdict = "distinguished" if left != right else "indistinguishable-by-computed-invariants"

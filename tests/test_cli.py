@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from crooked import cli, funcfile, invariants, vbf
+from crooked.errors import DegreeMismatch, InfeasibleSize, InvalidDirection, MalformedFile
 from crooked.field import field_create
 
 
@@ -157,9 +158,12 @@ def test_construct_odd_half_degree_no_warning():
 
 
 # Stand-ins for n = 6 thm1 files whose provenance lacks m (None) or has a
-# value replaced.
+# value replaced, for an n = 6 Gold file, and for a file that does not exist.
 NO_M, C_FFF, M_5 = "<no-m>", "<c=fff>", "<m=5>"
-PROVENANCE_EDITS = {NO_M: ("m", None), C_FFF: ("c", "fff"), M_5: ("m", 5)}
+K_NEG, K_A, S_99 = "<K=[-1]>", "<K=[a]>", "<s=99>"
+PROVENANCE_EDITS = {NO_M: ("m", None), C_FFF: ("c", "fff"), M_5: ("m", 5),
+                    K_NEG: ("K", [-1]), K_A: ("K", ["a"]), S_99: ("s", 99)}
+GOLD, MISSING = "<gold>", "<missing>"
 
 
 def _thm1_file_with(path, key, value):
@@ -191,21 +195,53 @@ EXIT_CASES = [
     (("verify", "--in", NO_M, "--checks", "identity"), 3, "err", "'m'"),
     (("verify", "--in", C_FFF, "--checks", "identity"), 3, "err", "outside GF(2^6)"),
     (("verify", "--in", M_5, "--checks", "identity"), 3, "err", "m = 5"),
+    (("verify", "--in", K_NEG, "--checks", "identity"), 3, "err", "K within [0, n-1]"),
+    (("verify", "--in", K_A, "--checks", "identity"), 3, "err", "K within [0, n-1]"),
+    (("verify", "--in", S_99, "--checks", "identity"), 3, "err", "0 <= t < s < n"),
+    (("construct", "--family", "thm1", "--n", "7"), 2, "out", "n must be even"),
+    (("construct", "--family", "thm1", "--n", "7", "--auto"), 5, "err", "even n"),
+    (("construct", "--family", "thm2", "--n", "8", "--auto"), 2, "out", "no valid parameters"),
+    (("construct", "--family", "ref7", "--n", "7"), 5, "err", "2m = 6"),
+    # An unparsable flag is reported before a violated hypothesis.
+    (("construct", "--family", "ref7", "--n", "6", "--s", "2", "--c", "zz"), 2, "err", "'zz'"),
+    (("verify", "--in", GOLD, "--checks", "apn,nope"), 2, "err", "unknown check 'nope'"),
+    (("verify", "--in", GOLD, "--checks", "identity"), 3, "err", "thm1/thm2 provenance"),
+    (("invariants", "--in", MISSING, "--against", "gold-all"), 3, "err", "No such file"),
+    (("search", "--family", "thm1", "--n", "7"), 2, "err", "n must be even"),
 ]
 
 
 @pytest.mark.parametrize("argv, code, stream, part", EXIT_CASES,
                          ids=[" ".join(row[0]) for row in EXIT_CASES])
 def test_documented_exit_codes(argv, code, stream, part, tmp_path, capsys):
+    path = tmp_path / "f.json"
+    if GOLD in argv:
+        assert cli.main(["construct", "--family", "gold", "--n", "6", "--out", str(path)]) == 0
     for stand_in, (key, value) in PROVENANCE_EDITS.items():
         if stand_in in argv:
-            _thm1_file_with(tmp_path / "edited.json", key, value)
-            capsys.readouterr()
-            argv = tuple(str(tmp_path / "edited.json") if a == stand_in else a for a in argv)
+            _thm1_file_with(path, key, value)
+    capsys.readouterr()
+    argv = tuple(str(path) if a in (GOLD, MISSING, *PROVENANCE_EDITS) else a for a in argv)
     assert cli.main(list(argv)) == code
     got = capsys.readouterr()
     message, other = (got.err, got.out) if stream == "err" else (got.out, got.err)
     assert len(message.splitlines()) == 1 and part in message and other == ""
+
+
+@pytest.mark.parametrize("error, code", [
+    (MalformedFile, 3), (InfeasibleSize, 4), (DegreeMismatch, 5), (InvalidDirection, 2),
+], ids=lambda v: getattr(v, "__name__", str(v)))
+def test_refusal_exit_code_table(error, code, tmp_path, monkeypatch, capsys):
+    # main maps each refusal a command raises to its exit code, with its
+    # message as one line on stderr; any other CrookedError exits 2.
+    def refuse(f):
+        raise error("refused")
+
+    path = tmp_path / "gold.json"
+    assert cli.main(["construct", "--family", "gold", "--n", "6", "--out", str(path)]) == 0
+    monkeypatch.setattr(vbf, "differential_spectrum", refuse)
+    assert cli.main(["verify", "--in", str(path), "--checks", "apn"]) == code
+    assert capsys.readouterr() == ("", "refused\n")
 
 
 def test_search_even_m_warns():

@@ -5,7 +5,7 @@ import warnings
 import pytest
 
 from crooked import families, vbf
-from crooked.errors import DegreeMismatch, NotApnWarning, NotGold
+from crooked.errors import DegreeMismatch, InvalidParams, NotApnWarning, NotGold
 from crooked.families import (
     Thm1Params,
     Thm2Params,
@@ -83,6 +83,25 @@ def test_build_thm1_rejects_invalid(ctx6):
     p = Thm1Params(m=3, s=2, t=1, K=(0,), c=1, d=1, r=())  # c in subfield, d a power
     with pytest.raises(ValueError, match="subfield"):
         build_thm1(ctx6, p)
+
+
+def test_builders_raise_sorted_violations(ctx6):
+    # s >= n and an empty K: the validators list "requires s < n" first.
+    for cls, build, validate in ((Thm1Params, build_thm1, validate_thm1),
+                                 (Thm2Params, build_thm2, validate_thm2)):
+        p = cls(m=3, s=7, t=0, K=(), c=2, d=2, r=())
+        with pytest.raises(InvalidParams) as info:
+            build(ctx6, p)
+        assert validate(ctx6, p) != sorted(validate(ctx6, p))
+        assert info.value.violations == sorted(validate(ctx6, p))
+    ctx12 = field_create(12)
+    with pytest.raises(InvalidParams) as info:
+        build_ref7(ctx12, 6, 2, 2, 2)
+    assert info.value.violations == sorted(families.validate_ref7(ctx12, 6, 2))
+    with pytest.raises(InvalidParams) as info:
+        build_gold(ctx6, 2)
+    assert isinstance(info.value, NotGold)
+    assert info.value.violations == ["gcd(2, 6) != 1"]
 
 
 def test_build_thm1_degree_mismatch(ctx6):

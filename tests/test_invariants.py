@@ -115,9 +115,11 @@ def _invariants(f, depth="spectra"):
 def test_compare_self_indistinguishable():
     ctx = field_create(4)
     f = vbf.from_multinomial(build_gold(ctx, 1))
-    depth = "spectra+ranks"
-    rep = invariants.compare(_invariants(f, depth), _invariants(f, depth), depth)
-    assert rep.verdict == "indistinguishable-by-computed-invariants"
+    # The depth is read off the records: ranks when they carry them.
+    for depth in ("spectra", "spectra+ranks"):
+        rep = invariants.compare(_invariants(f, depth), _invariants(f, depth))
+        assert rep.depth == depth
+        assert rep.verdict == "indistinguishable-by-computed-invariants"
 
 
 def test_compare_distinguishes_cube_from_fifth():
@@ -144,7 +146,7 @@ def test_verdict_iff_some_invariant_differs():
     f = vbf.from_multinomial(build_thm1(ctx, p))
     g = vbf.from_multinomial(build_gold(ctx, 1))
     depth = "spectra+ranks"
-    rep = invariants.compare(_invariants(f, depth), _invariants(g, depth), depth)
+    rep = invariants.compare(_invariants(f, depth), _invariants(g, depth))
     differs = (
         rep.left.diff_spectrum != rep.right.diff_spectrum
         or rep.left.extended_walsh != rep.right.extended_walsh
