@@ -81,7 +81,7 @@ def _load(path: str) -> Tuple[funcfile.FunctionFile, vbf.TruthTable]:
         with open(path, "r", encoding="utf-8") as fh:
             ff = funcfile.parse(fh.read())
         return ff, ff.to_truthtable()
-    except (OSError, CrookedError) as e:
+    except (OSError, UnicodeDecodeError, CrookedError) as e:
         raise MalformedFile(str(e)) from None
 
 
@@ -108,8 +108,11 @@ def cmd_construct(args) -> int:
         prov.update(_family_provenance(params))
     text = funcfile.serialize(funcfile.from_multinomial_repr(m, prov))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise InvalidInput(f"cannot write --out: {e}") from None
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -252,6 +252,26 @@ class FieldCtx:
         return masks
 
     @cached_property
+    def log_array(self) -> Optional[np.ndarray]:
+        """log_array[x] = the i with exp_array[i] = x, for x != 0 (entry 0
+        is 0), as uint16; None where the field keeps no tables (n = 1 or
+        n > 16). Built on first use from the log table."""
+        import numpy as np
+
+        return None if self._log is None else np.array(self._log, dtype=np.uint16)
+
+    @cached_property
+    def exp_array(self) -> Optional[np.ndarray]:
+        """exp_array[i] = gamma^i for 0 <= i < 2^n - 1, gamma the generator
+        the tables use, as uint16; None where the field keeps no tables.
+        Built on first use from the antilog table."""
+        import numpy as np
+
+        if self._exp is None:
+            return None
+        return np.array(self._exp[: self.mult_order], dtype=np.uint16)
+
+    @cached_property
     def trace_masks_inverse(self) -> np.ndarray:
         """inverse[w] = the a with trace_masks[a] = w. trace_masks is a
         permutation, as the trace form is nondegenerate, so argsort inverts it."""

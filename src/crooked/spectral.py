@@ -6,9 +6,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import gcd
 
 import numpy as np
 
+from . import vbf
 from .errors import InfeasibleSize, InvalidDirection
 from .vbf import EXHAUSTIVE_MAX_N, TruthTable, parity_table
 
@@ -63,8 +65,18 @@ def walsh_spectrum(f: TruthTable) -> SpectrumSummary:
     order = f.ctx.order
     # |W| <= 2^n, so hist[v + 2^n] counts the Walsh value v over all (omega, a).
     hist = np.zeros(2 * order + 1, dtype=np.int64)
-    for a in range(1, order):
+    components, weight = range(1, order), 1
+    d = vbf.power_exponent(f)
+    if d is not None:
+        # f = x^d: W_{a*c^d}(omega) = W_a(omega/c), so the components in one
+        # coset of the d-th powers share a value multiset. The g =
+        # gcd(d, 2^n - 1) cosets, each of (2^n - 1)/g components, have the
+        # representatives gamma^j, j < g.
+        g = gcd(d, f.ctx.mult_order)
+        components, weight = f.ctx.exp_array[:g].tolist(), f.ctx.mult_order // g
+    for a in components:
         hist += np.bincount(walsh_component(f, a).values + order, minlength=2 * order + 1)
+    hist *= weight
     idx = np.flatnonzero(hist)
     gamma = Counter(dict(zip((idx - order).tolist(), hist[idx].tolist())))
     extended: Counter = Counter()

@@ -104,16 +104,44 @@ def derivative_values(f: TruthTable, a: int) -> np.ndarray:
     return f.values ^ f.values[xs ^ np.uint32(a)]
 
 
+def power_exponent(f: TruthTable) -> Optional[int]:
+    """The d in [1, 2^n - 1] with f(x) = x^d at every x, or None when f is
+    not a power function. The whole table is checked against the field's
+    log/antilog tables: f(0) = 0, d = log f(gamma) and f(gamma^i) =
+    gamma^(i*d) for every i, so how f was made is never trusted. None also
+    where the field keeps no tables (n = 1 or n > 16)."""
+    log, exp = f.ctx.log_array, f.ctx.exp_array
+    if log is None or f.values[0] != 0:
+        return None
+    m = f.ctx.mult_order
+    y = int(f.values[exp[1]])
+    if y == 0:
+        return None
+    d = int(log[y]) or m
+    exponents = np.arange(m, dtype=np.uint32)  # i*d < 2^32 for n <= 16
+    exponents *= d
+    exponents %= m
+    if not np.array_equal(f.values[exp], exp[exponents]):
+        return None
+    return d
+
+
 def differential_spectrum(f: TruthTable) -> Tuple[int, Counter]:
     """(delta, multiset of solution counts over all (a != 0, b) pairs)."""
     n = f.ctx.n
     if n > EXHAUSTIVE_MAX_N:
         raise InfeasibleSize(f"exhaustive differential scan capped at n={EXHAUSTIVE_MAX_N}")
     order = f.ctx.order
+    directions, weight = range(1, order), 1
+    if power_exponent(f) is not None:
+        # f = x^d: D_a f(x) = a^d D_1 f(x/a), so every direction has
+        # direction 1's solution counts.
+        directions, weight = (1,), order - 1
     hist = np.zeros(order + 1, dtype=np.int64)  # hist[v] = pairs (a, b) with v solutions
-    for a in range(1, order):
+    for a in directions:
         counts = np.bincount(derivative_values(f, a), minlength=order)
         hist += np.bincount(counts, minlength=order + 1)
+    hist *= weight
     vals = np.flatnonzero(hist)
     return int(vals[-1]), Counter(dict(zip(vals.tolist(), hist[vals].tolist())))
 
@@ -166,15 +194,30 @@ def is_crooked(f: TruthTable) -> CrookedReport:
     """APN plus: every nonzero-direction derivative image is an affine
     hyperplane. Witnesses are collected per direction. The hyperplanes imply
     APN (2^n inputs, paired as x and x+a, onto 2^(n-1) values is 2-to-1), so
-    the differential sweep runs only on failure, to report a non-APN f as such."""
-    if f.ctx.n > EXHAUSTIVE_MAX_N:
+    the differential sweep runs only on failure, to report a non-APN f as such.
+
+    For a power function x^d only direction 1 is swept: direction a's image
+    is a^d times direction 1's, the hyperplane with normal b*a^(-d). A
+    hyperplane's normal is unique, so these are the witnesses the sweep of
+    every direction finds."""
+    ctx = f.ctx
+    if ctx.n > EXHAUSTIVE_MAX_N:
         raise InfeasibleSize(f"crooked sweep capped at n={EXHAUSTIVE_MAX_N}")
+    d = power_exponent(f)
     witnesses: Dict[int, HyperplaneWitness] = {}
-    for a in range(1, f.ctx.order):
-        wit = hyperplane_of(f.ctx, derivative_values(f, a))
+    for a in range(1, ctx.order):
+        wit = hyperplane_of(ctx, derivative_values(f, a))
         if wit is None:
             if not is_apn(f):
                 return CrookedReport(False, {}, failed_apn=True)
             return CrookedReport(False, witnesses, failed_at=a)
+        if d is not None:
+            logs = ctx.log_array[1:].astype(np.int64)  # log c for c = 1, ..., 2^n - 1
+            normals = ctx.exp_array[(int(ctx.log_array[wit.b]) - logs * d) % ctx.mult_order]
+            # map, not tolist: no list of 2^n - 1 ints beside the witnesses.
+            return CrookedReport(True, {
+                c: HyperplaneWitness(b=b, eps=wit.eps)
+                for c, b in enumerate(map(int, normals), start=1)
+            })
         witnesses[a] = wit
     return CrookedReport(True, witnesses)

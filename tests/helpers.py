@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from typing import List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from crooked.families import FamilyParams, Thm1Params
 from crooked.field import FieldCtx
-from crooked.vbf import TruthTable
+from crooked.vbf import HyperplaneWitness, TruthTable
 
 
 def naive_walsh(f: TruthTable, a: int, omega: int) -> int:
@@ -36,6 +36,27 @@ def naive_diff_spectrum(f: TruthTable) -> Tuple[int, Counter]:
         for b in range(order):
             spectrum[per_b.get(b, 0)] += 1
     return delta, spectrum
+
+
+def naive_crooked(f: TruthTable) -> Tuple[Dict[int, HyperplaneWitness], Optional[int]]:
+    """Walk the directions a = 1, 2, ... and match each derivative image
+    against every affine hyperplane {y : tr(b*y) = eps}, listed by plain
+    trace evaluation. Returns the witnesses found and the first direction
+    whose image is no hyperplane (None when every one is)."""
+    ctx = f.ctx
+    flats = {
+        frozenset(y for y in range(ctx.order) if ctx.trace(ctx.mul(b, y)) == eps):
+            HyperplaneWitness(b=b, eps=eps)
+        for b in range(1, ctx.order)
+        for eps in (0, 1)
+    }
+    witnesses: Dict[int, HyperplaneWitness] = {}
+    for a in range(1, ctx.order):
+        wit = flats.get(frozenset(f[x] ^ f[x ^ a] for x in range(ctx.order)))
+        if wit is None:
+            return witnesses, a
+        witnesses[a] = wit
+    return witnesses, None
 
 
 def naive_pair_identity(f: TruthTable, p: FamilyParams) -> bool:

@@ -158,12 +158,13 @@ def test_construct_odd_half_degree_no_warning():
 
 
 # Stand-ins for n = 6 thm1 files whose provenance lacks m (None) or has a
-# value replaced, for an n = 6 Gold file, and for a file that does not exist.
+# value replaced, for an n = 6 Gold file, for a file that does not exist, for
+# a file that is not UTF-8, and for a path in a directory that does not exist.
 NO_M, C_FFF, M_5 = "<no-m>", "<c=fff>", "<m=5>"
 K_NEG, K_A, S_99 = "<K=[-1]>", "<K=[a]>", "<s=99>"
 PROVENANCE_EDITS = {NO_M: ("m", None), C_FFF: ("c", "fff"), M_5: ("m", 5),
                     K_NEG: ("K", [-1]), K_A: ("K", ["a"]), S_99: ("s", 99)}
-GOLD, MISSING = "<gold>", "<missing>"
+GOLD, MISSING, NOT_UTF8, NO_DIR = "<gold>", "<missing>", "<not-utf-8>", "<no-dir>"
 
 
 def _thm1_file_with(path, key, value):
@@ -208,6 +209,9 @@ EXIT_CASES = [
     (("verify", "--in", GOLD, "--checks", "identity"), 3, "err", "thm1/thm2 provenance"),
     (("invariants", "--in", MISSING, "--against", "gold-all"), 3, "err", "No such file"),
     (("search", "--family", "thm1", "--n", "7"), 2, "err", "n must be even"),
+    (("verify", "--in", NOT_UTF8, "--checks", "apn"), 3, "err", "'utf-8' codec"),
+    (("construct", "--family", "gold", "--n", "6", "--out", NO_DIR), 2, "err",
+     "cannot write --out"),
 ]
 
 
@@ -217,11 +221,15 @@ def test_documented_exit_codes(argv, code, stream, part, tmp_path, capsys):
     path = tmp_path / "f.json"
     if GOLD in argv:
         assert cli.main(["construct", "--family", "gold", "--n", "6", "--out", str(path)]) == 0
+    if NOT_UTF8 in argv:
+        path.write_bytes(b"\xff\xfe\x00")
     for stand_in, (key, value) in PROVENANCE_EDITS.items():
         if stand_in in argv:
             _thm1_file_with(path, key, value)
     capsys.readouterr()
-    argv = tuple(str(path) if a in (GOLD, MISSING, *PROVENANCE_EDITS) else a for a in argv)
+    argv = tuple(str(tmp_path / "no-dir" / "f.json") if a == NO_DIR
+                 else str(path) if a in (GOLD, MISSING, NOT_UTF8, *PROVENANCE_EDITS)
+                 else a for a in argv)
     assert cli.main(list(argv)) == code
     got = capsys.readouterr()
     message, other = (got.err, got.out) if stream == "err" else (got.out, got.err)

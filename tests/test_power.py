@@ -1,0 +1,106 @@
+"""The power-function path of the differential, Walsh and crooked sweeps
+(one derivative, gcd(d, 2^n - 1) Walsh components) against the brute-force
+oracles and against the sweeps of every direction and component."""
+
+from collections import Counter
+from math import gcd
+from unittest import mock
+
+import pytest
+from hypothesis import given, seed, settings, strategies as st
+
+from crooked import spectral, vbf
+from crooked.field import FieldCtx, field_create
+from helpers import (
+    f2_is_irreducible_by_trial_division,
+    naive_crooked,
+    naive_diff_spectrum,
+    naive_walsh,
+)
+
+
+def power_table(ctx, d):
+    return vbf.TruthTable(ctx, [ctx.pow(x, d) for x in range(ctx.order)])
+
+
+def sweeps(f):
+    return vbf.differential_spectrum(f), spectral.walsh_spectrum(f), vbf.is_crooked(f)
+
+
+def exhaustive_sweeps(f):
+    """The sweeps of every direction and component: no input is taken for a
+    power function."""
+    with mock.patch.object(vbf, "power_exponent", return_value=None):
+        return sweeps(f)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_power_path_matches_naive_oracles(n):
+    # Every d in [1, 2^n - 1]: gcd(d, 2^n - 1) > 1 where 2^n - 1 is not
+    # prime, and d = 2^n - 1, which is 0 modulo the group order.
+    ctx = field_create(n)
+    for d in range(1, ctx.order):
+        f = power_table(ctx, d)
+        assert vbf.power_exponent(f) == d
+        delta, spectrum = naive_diff_spectrum(f)
+        assert vbf.differential_spectrum(f) == (delta, spectrum)
+        values = Counter(naive_walsh(f, a, omega)
+                         for a in range(1, ctx.order) for omega in range(ctx.order))
+        assert spectral.walsh_spectrum(f).gamma == values
+        witnesses, failed_at = naive_crooked(f)
+        if failed_at is None:
+            want = vbf.CrookedReport(True, witnesses)
+        elif delta != 2:
+            want = vbf.CrookedReport(False, {}, failed_apn=True)
+        else:
+            want = vbf.CrookedReport(False, witnesses, failed_at=failed_at)
+        assert vbf.is_crooked(f) == want, d
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_power_path_matches_exhaustive_sweeps(n):
+    ctx = field_create(n)
+    k = next(k for k in range(2, n) if gcd(k, n) == 1)
+    exponents = {
+        "gold s=1": 3,
+        "gold s=3": 9,
+        "kasami": (1 << 2 * k) - (1 << k) + 1,
+        "inverse": ctx.order - 2,
+        "welch": (1 << (n - 1) // 2) + 3,
+    }
+    for name, d in exponents.items():
+        f = power_table(ctx, d)
+        assert vbf.power_exponent(f) == d, name
+        assert sweeps(f) == exhaustive_sweeps(f), name
+
+
+def test_power_exponent_checks_every_entry():
+    ctx = field_create(6)
+    base = [ctx.pow(x, 5) for x in range(ctx.order)]
+    assert vbf.power_exponent(vbf.TruthTable(ctx, base)) == 5
+    for x in range(ctx.order):  # x = 0 makes f(0) != 0
+        edited = list(base)
+        edited[x] ^= 1
+        assert vbf.power_exponent(vbf.TruthTable(ctx, edited)) is None, x
+    gamma = int(ctx.exp_array[1])
+    edited = list(base)
+    edited[gamma] = 0
+    assert vbf.power_exponent(vbf.TruthTable(ctx, edited)) is None
+    # GF(2) keeps no log tables.
+    assert vbf.power_exponent(vbf.TruthTable(field_create(1), [0, 1])) is None
+
+
+IRREDUCIBLES = {n: [p for p in range(1 << n, 2 << n) if f2_is_irreducible_by_trial_division(p)]
+                for n in range(2, 9)}
+
+
+@seed(1)
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.data())
+def test_power_path_equals_exhaustive_path(data):
+    n = data.draw(st.integers(2, 8), label="n")
+    ctx = FieldCtx(n, data.draw(st.sampled_from(IRREDUCIBLES[n]), label="modulus"))
+    d = data.draw(st.integers(1, ctx.mult_order), label="d")
+    f = power_table(ctx, d)
+    assert vbf.power_exponent(f) == d
+    assert sweeps(f) == exhaustive_sweeps(f)
