@@ -3,12 +3,13 @@
 Row vectors are plain Python ints: bit j of a row is the entry in column j.
 `echelon` is the one elimination over int bitsets; ranks and nullspaces are
 read off its result. The packed uint64 routines exist for the large
-development matrices (2^{2n} square).
+development matrices (2^{2n} square). `rank_and_normal_batched` is the one
+numpy-batched elimination: many small systems, one per array element.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,6 +49,42 @@ def nullspace_bits(red: Dict[int, int], cols: int) -> List[int]:
         for j in range(cols)
         if j not in red
     ]
+
+
+def rank_and_normal_batched(
+    vectors: Sequence[np.ndarray], cols: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Rank and a normal of many systems of small vectors at once.
+
+    vectors[i][s] is vector i of system s, a uint32 bitset of `cols` bits.
+    Returns (rank, normal): rank[s] is the rank of system s, and normal[s]
+    a w != 0 with parity(w & v) = 0 for every vector v of the system, which
+    is the only one when rank[s] = cols - 1, or 0 when rank[s] = cols. The
+    vectors are reduced in place.
+    """
+    rows: List[np.ndarray] = []
+    pivots: List[np.ndarray] = []  # lowest set bit of each reduced row, or 0
+    for v in vectors:
+        # Each pivot bit is set in its own row only, so the order of these
+        # reductions does not matter.
+        for r, p in zip(rows, pivots):
+            v ^= r * ((v & p) != 0)
+        p = v & (~v + np.uint32(1))
+        for r in rows:
+            r ^= v * ((r & p) != 0)
+        rows.append(v)
+        pivots.append(p)
+    rank = np.zeros(rows[0].shape, dtype=np.int64)
+    covered = np.zeros(rows[0].shape, dtype=np.uint32)
+    for p in pivots:
+        rank += p != 0
+        covered |= p
+    free = ~covered & np.uint32((1 << cols) - 1)
+    j = free & (~free + np.uint32(1))
+    normal = j.copy()
+    for r, p in zip(rows, pivots):
+        normal |= p * ((r & j) != 0)
+    return rank, normal
 
 
 def pack_rows(bool_rows: np.ndarray) -> np.ndarray:

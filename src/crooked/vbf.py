@@ -1,12 +1,18 @@
 """Vectorial Boolean functions F_{2^n} -> F_{2^n} as truth tables:
 differential spectra, APN tests, and crooked (hyperplane-derivative)
-verification."""
+verification.
+
+The differential, Walsh and crooked sweeps each take one of three paths,
+chosen by `sweep_path` from the whole truth table: a power function x^d
+needs one derivative, a function of algebraic degree <= 2 needs one batched
+GF(2) rank per direction or component, and every other input is swept
+exhaustively over all 2^n - 1 directions or components."""
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -126,22 +132,70 @@ def power_exponent(f: TruthTable) -> Optional[int]:
     return d
 
 
+def has_degree_at_most_2(f: TruthTable) -> bool:
+    """True when every coordinate of f has algebraic degree <= 2. One XOR
+    Moebius butterfly over the whole table gives the algebraic normal form
+    of all n coordinates at once, and no monomial in more than two variables
+    may be non-zero, so how f was made is never trusted."""
+    anf = f.values.copy()
+    h = 1
+    while h < anf.size:
+        v = anf.reshape(-1, 2 * h)
+        v[:, h:] ^= v[:, :h]
+        h *= 2
+    heavy = np.arange(anf.size, dtype=np.uint32)
+    heavy &= heavy - np.uint32(1)  # clearing the lowest set bit twice leaves
+    heavy &= heavy - np.uint32(1)  # a non-zero index exactly at weight > 2
+    return not anf[heavy != 0].any()
+
+
+def sweep_path(f: TruthTable) -> Tuple[str, Optional[int]]:
+    """The path the differential, Walsh and crooked sweeps take for f:
+    ("power", d) when f = x^d at every x, ("quadratic", None) when f has
+    algebraic degree <= 2, else ("exhaustive", None). Power goes first: a
+    Gold function is both, and one derivative is cheaper than 2^n - 1 ranks."""
+    d = power_exponent(f)
+    if d is not None:
+        return "power", d
+    if has_degree_at_most_2(f):
+        return "quadratic", None
+    return "exhaustive", None
+
+
+def derivative_columns(f: TruthTable) -> List[np.ndarray]:
+    """For f of degree <= 2, D_a f(x) = L_a(x) + D_a f(0) with L_a linear.
+    Entry a - 1 of array j is L_a(e_j) = f(a+e_j) + f(a) + f(e_j) + f(0),
+    for every direction a = 1, ..., 2^n - 1."""
+    v = f.values
+    a = np.arange(1, f.ctx.order, dtype=np.uint32)
+    return [v[a ^ np.uint32(1 << j)] ^ v[1:] ^ (v[1 << j] ^ v[0]) for j in range(f.ctx.n)]
+
+
 def differential_spectrum(f: TruthTable) -> Tuple[int, Counter]:
     """(delta, multiset of solution counts over all (a != 0, b) pairs)."""
     n = f.ctx.n
     if n > EXHAUSTIVE_MAX_N:
         raise InfeasibleSize(f"exhaustive differential scan capped at n={EXHAUSTIVE_MAX_N}")
     order = f.ctx.order
-    directions, weight = range(1, order), 1
-    if power_exponent(f) is not None:
-        # f = x^d: D_a f(x) = a^d D_1 f(x/a), so every direction has
-        # direction 1's solution counts.
-        directions, weight = (1,), order - 1
     hist = np.zeros(order + 1, dtype=np.int64)  # hist[v] = pairs (a, b) with v solutions
-    for a in directions:
-        counts = np.bincount(derivative_values(f, a), minlength=order)
-        hist += np.bincount(counts, minlength=order + 1)
-    hist *= weight
+    path, _ = sweep_path(f)
+    if path == "quadratic":
+        # The kernel dimension k of L_a gives 2^(n-k) outputs of D_a f,
+        # each hit 2^k times.
+        rank, _ = gf2mat.rank_and_normal_batched(derivative_columns(f), n)
+        for k, count in enumerate(np.bincount(n - rank, minlength=n + 1).tolist()):
+            hist[1 << k] += count << (n - k)
+            hist[0] += count * (order - (1 << (n - k)))
+    else:
+        directions, weight = range(1, order), 1
+        if path == "power":
+            # f = x^d: D_a f(x) = a^d D_1 f(x/a), so every direction has
+            # direction 1's solution counts.
+            directions, weight = (1,), order - 1
+        for a in directions:
+            counts = np.bincount(derivative_values(f, a), minlength=order)
+            hist += np.bincount(counts, minlength=order + 1)
+        hist *= weight
     vals = np.flatnonzero(hist)
     return int(vals[-1]), Counter(dict(zip(vals.tolist(), hist[vals].tolist())))
 
@@ -196,14 +250,28 @@ def is_crooked(f: TruthTable) -> CrookedReport:
     APN (2^n inputs, paired as x and x+a, onto 2^(n-1) values is 2-to-1), so
     the differential sweep runs only on failure, to report a non-APN f as such.
 
-    For a power function x^d only direction 1 is swept: direction a's image
-    is a^d times direction 1's, the hyperplane with normal b*a^(-d). A
-    hyperplane's normal is unique, so these are the witnesses the sweep of
-    every direction finds."""
+    The path is `sweep_path`'s. For a power function x^d only direction 1 is
+    swept: direction a's image is a^d times direction 1's, the hyperplane
+    with normal b*a^(-d). For f of degree <= 2, APN and crooked coincide:
+    the image L_a(F) + D_a f(0) is a hyperplane exactly when ker L_a =
+    {0, a}, and the one normal w of the columns of L_a gives b =
+    trace_masks_inverse[w] and eps = parity(w & D_a f(0)). A hyperplane's
+    normal is unique, so both paths give the witnesses the sweep of every
+    direction finds."""
     ctx = f.ctx
     if ctx.n > EXHAUSTIVE_MAX_N:
         raise InfeasibleSize(f"crooked sweep capped at n={EXHAUSTIVE_MAX_N}")
-    d = power_exponent(f)
+    path, d = sweep_path(f)
+    if path == "quadratic":
+        rank, normal = gf2mat.rank_and_normal_batched(derivative_columns(f), ctx.n)
+        if (rank < ctx.n - 1).any():
+            return CrookedReport(False, {}, failed_apn=True)
+        eps = parity_table(ctx.n)[normal & (f.values[1:] ^ f.values[0])]
+        normals = ctx.trace_masks_inverse[normal]
+        return CrookedReport(True, {
+            a: HyperplaneWitness(b=b, eps=e)
+            for a, b, e in zip(range(1, ctx.order), map(int, normals), map(int, eps))
+        })
     witnesses: Dict[int, HyperplaneWitness] = {}
     for a in range(1, ctx.order):
         wit = hyperplane_of(ctx, derivative_values(f, a))
@@ -211,7 +279,7 @@ def is_crooked(f: TruthTable) -> CrookedReport:
             if not is_apn(f):
                 return CrookedReport(False, {}, failed_apn=True)
             return CrookedReport(False, witnesses, failed_at=a)
-        if d is not None:
+        if path == "power":
             logs = ctx.log_array[1:].astype(np.int64)  # log c for c = 1, ..., 2^n - 1
             normals = ctx.exp_array[(int(ctx.log_array[wit.b]) - logs * d) % ctx.mult_order]
             # map, not tolist: no list of 2^n - 1 ints beside the witnesses.

@@ -9,7 +9,9 @@ from __future__ import annotations
 import random
 from collections import Counter
 from typing import Dict, List, Optional, Tuple
+from unittest import mock
 
+from crooked import spectral, vbf
 from crooked.families import FamilyParams, Thm1Params
 from crooked.field import FieldCtx
 from crooked.vbf import HyperplaneWitness, TruthTable
@@ -57,6 +59,45 @@ def naive_crooked(f: TruthTable) -> Tuple[Dict[int, HyperplaneWitness], Optional
             return witnesses, a
         witnesses[a] = wit
     return witnesses, None
+
+
+def is_ab(f: TruthTable) -> bool:
+    """Almost bent: odd n and Walsh spectrum exactly {0, +-2^((n+1)/2)}."""
+    n = f.ctx.n
+    if n % 2 == 0:
+        return False
+    v = 1 << ((n + 1) // 2)
+    return set(spectral.walsh_spectrum(f).gamma) == {0, v, -v}
+
+
+def sweeps(f: TruthTable):
+    """The differential, Walsh and crooked answers, on the path
+    `vbf.sweep_path` picks for f."""
+    return vbf.differential_spectrum(f), spectral.walsh_spectrum(f), vbf.is_crooked(f)
+
+
+def exhaustive_sweeps(f: TruthTable):
+    """The sweeps of every direction and component, whatever f is."""
+    with mock.patch.object(vbf, "sweep_path", return_value=("exhaustive", None)):
+        return sweeps(f)
+
+
+def quadratic_sweeps(f: TruthTable):
+    """The quadratic path's answers for f, which must have degree <= 2."""
+    assert vbf.has_degree_at_most_2(f)
+    with mock.patch.object(vbf, "sweep_path", return_value=("quadratic", None)):
+        return sweeps(f)
+
+
+def naive_crooked_report(f: TruthTable) -> vbf.CrookedReport:
+    """The `vbf.is_crooked` report that `naive_crooked` and, on failure,
+    `naive_diff_spectrum` give."""
+    witnesses, failed_at = naive_crooked(f)
+    if failed_at is None:
+        return vbf.CrookedReport(True, witnesses)
+    if naive_diff_spectrum(f)[0] != 2:
+        return vbf.CrookedReport(False, {}, failed_apn=True)
+    return vbf.CrookedReport(False, witnesses, failed_at=failed_at)
 
 
 def naive_pair_identity(f: TruthTable, p: FamilyParams) -> bool:
@@ -111,6 +152,11 @@ def f2_is_irreducible_by_trial_division(p: int) -> bool:
         if r == 0:
             return False
     return True
+
+
+# Every irreducible modulus of degree 2 to 8, for tests that draw a field.
+IRREDUCIBLES = {n: [p for p in range(1 << n, 2 << n) if f2_is_irreducible_by_trial_division(p)]
+                for n in range(2, 9)}
 
 
 def bits_to_lists(rows: List[int], cols: int) -> List[List[int]]:

@@ -33,6 +33,7 @@ from crooked.field import field_create
 from helpers import (
     _bit_rank,
     ea_transform,
+    is_ab,
     naive_diff_spectrum,
     naive_rank,
     naive_walsh,
@@ -251,7 +252,7 @@ def test_criterion_07_gold_baselines():
         ok &= delta == 1 << math.gcd(s, 6)
     cube3 = vbf.from_multinomial(build_gold(field_create(3), 1))
     gamma = set(spectral.walsh_spectrum(cube3).gamma)
-    ok &= gamma == {0, 4, -4} and spectral.is_ab(cube3)
+    ok &= gamma == {0, 4, -4} and is_ab(cube3)
     _criterion(
         7,
         ok,

@@ -4,7 +4,6 @@ oracles and against the sweeps of every direction and component."""
 
 from collections import Counter
 from math import gcd
-from unittest import mock
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -12,26 +11,18 @@ from hypothesis import given, seed, settings, strategies as st
 from crooked import spectral, vbf
 from crooked.field import FieldCtx, field_create
 from helpers import (
-    f2_is_irreducible_by_trial_division,
-    naive_crooked,
+    IRREDUCIBLES,
+    exhaustive_sweeps,
+    naive_crooked_report,
     naive_diff_spectrum,
     naive_walsh,
+    quadratic_sweeps,
+    sweeps,
 )
 
 
 def power_table(ctx, d):
     return vbf.TruthTable(ctx, [ctx.pow(x, d) for x in range(ctx.order)])
-
-
-def sweeps(f):
-    return vbf.differential_spectrum(f), spectral.walsh_spectrum(f), vbf.is_crooked(f)
-
-
-def exhaustive_sweeps(f):
-    """The sweeps of every direction and component: no input is taken for a
-    power function."""
-    with mock.patch.object(vbf, "power_exponent", return_value=None):
-        return sweeps(f)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -47,14 +38,7 @@ def test_power_path_matches_naive_oracles(n):
         values = Counter(naive_walsh(f, a, omega)
                          for a in range(1, ctx.order) for omega in range(ctx.order))
         assert spectral.walsh_spectrum(f).gamma == values
-        witnesses, failed_at = naive_crooked(f)
-        if failed_at is None:
-            want = vbf.CrookedReport(True, witnesses)
-        elif delta != 2:
-            want = vbf.CrookedReport(False, {}, failed_apn=True)
-        else:
-            want = vbf.CrookedReport(False, witnesses, failed_at=failed_at)
-        assert vbf.is_crooked(f) == want, d
+        assert vbf.is_crooked(f) == naive_crooked_report(f), d
 
 
 @pytest.mark.parametrize("n", [8, 9, 10])
@@ -70,8 +54,13 @@ def test_power_path_matches_exhaustive_sweeps(n):
     }
     for name, d in exponents.items():
         f = power_table(ctx, d)
-        assert vbf.power_exponent(f) == d, name
-        assert sweeps(f) == exhaustive_sweeps(f), name
+        assert vbf.sweep_path(f) == ("power", d), name
+        loops = exhaustive_sweeps(f)
+        assert sweeps(f) == loops, name
+        # Gold functions are also quadratic; the power path goes first.
+        assert vbf.has_degree_at_most_2(f) == name.startswith("gold"), name
+        if name.startswith("gold"):
+            assert quadratic_sweeps(f) == loops, name
 
 
 def test_power_exponent_checks_every_entry():
@@ -88,10 +77,6 @@ def test_power_exponent_checks_every_entry():
     assert vbf.power_exponent(vbf.TruthTable(ctx, edited)) is None
     # GF(2) keeps no log tables.
     assert vbf.power_exponent(vbf.TruthTable(field_create(1), [0, 1])) is None
-
-
-IRREDUCIBLES = {n: [p for p in range(1 << n, 2 << n) if f2_is_irreducible_by_trial_division(p)]
-                for n in range(2, 9)}
 
 
 @seed(1)

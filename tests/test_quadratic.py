@@ -1,0 +1,161 @@
+"""The quadratic path of the differential, Walsh and crooked sweeps (one
+batched GF(2) rank per direction or component) against the brute-force
+oracles and against the sweeps of every direction and component, and the
+degree certificate that admits an input to it."""
+
+import random
+from collections import Counter
+from functools import reduce
+from math import gcd
+from operator import xor
+
+import numpy as np
+from hypothesis import given, seed, settings, strategies as st
+
+from crooked import gf2mat, vbf
+from crooked.field import FieldCtx, field_create
+from helpers import (
+    IRREDUCIBLES,
+    exhaustive_sweeps,
+    naive_crooked_report,
+    naive_diff_spectrum,
+    naive_walsh,
+    quadratic_sweeps,
+    sweeps,
+)
+
+
+def quadratic_table(ctx, const, linear, beta):
+    """f(x) = const + sum_i x_i linear[i] + sum_{j < i} x_i x_j beta[i][j]."""
+    values = []
+    for x in range(ctx.order):
+        y = const
+        for i in range(ctx.n):
+            if (x >> i) & 1:
+                y ^= linear[i]
+                for j in range(i):
+                    if (x >> j) & 1:
+                        y ^= beta[i][j]
+        values.append(y)
+    return vbf.TruthTable(ctx, values)
+
+
+def naive_walsh_values(f):
+    return Counter(naive_walsh(f, a, omega)
+                   for a in range(1, f.ctx.order) for omega in range(f.ctx.order))
+
+
+def naive_sweeps(f):
+    return naive_diff_spectrum(f), naive_walsh_values(f), naive_crooked_report(f)
+
+
+def test_batched_rank_and_normal_match_echelon():
+    rng = random.Random(5)
+    for cols in range(1, 9):
+        # cols + 1 vectors per system, each a random sum of a spanning set
+        # of random size, so that every rank shows up.
+        systems = []
+        for _ in range(40):
+            span = [rng.randrange(1 << cols) for _ in range(rng.randrange(cols + 1))]
+            systems.append([reduce(xor, (b for b in span if rng.random() < 0.5), 0)
+                            for _ in range(cols + 1)])
+        vectors = [np.array(column, dtype=np.uint32) for column in zip(*systems)]
+        rank, normal = gf2mat.rank_and_normal_batched(vectors, cols)
+        for s, r, w in zip(systems, rank.tolist(), normal.tolist()):
+            red = gf2mat.echelon(s)
+            assert r == len(red)
+            assert (w == 0) == (r == cols)
+            assert all(bin(w & v).count("1") % 2 == 0 for v in s)
+            if r == cols - 1:
+                assert [w] == gf2mat.nullspace_bits(red, cols)
+
+
+def test_every_table_at_n1_and_n2():
+    # Every function on GF(2) and GF(4) has degree <= 2.
+    for n in (1, 2):
+        ctx = field_create(n)
+        for code in range(ctx.order ** ctx.order):
+            f = vbf.TruthTable(ctx, [(code >> (n * x)) % ctx.order for x in range(ctx.order)])
+            assert vbf.has_degree_at_most_2(f)
+            loops = exhaustive_sweeps(f)
+            assert quadratic_sweeps(f) == loops, code
+            diff, walsh, report = loops
+            assert (diff, walsh.gamma, report) == naive_sweeps(f), code
+
+
+def test_single_entry_edit_fails_the_certificate():
+    ctx = field_create(6)
+    rng = random.Random(6)
+    base = quadratic_table(ctx, 1, [rng.randrange(64) for _ in range(6)],
+                           [[rng.randrange(64) for _ in range(i)] for i in range(6)])
+    assert vbf.sweep_path(base) == ("quadratic", None)
+    assert sweeps(base) == exhaustive_sweeps(base)
+    for x in range(ctx.order):
+        for change in range(1, ctx.order):
+            edited = base.values.copy()
+            edited[x] ^= change
+            assert not vbf.has_degree_at_most_2(vbf.TruthTable(ctx, edited)), (x, change)
+        edited = base.values.copy()
+        edited[x] ^= x % (ctx.order - 1) + 1
+        f = vbf.TruthTable(ctx, edited)
+        assert vbf.sweep_path(f)[0] != "quadratic", x
+        assert sweeps(f) == exhaustive_sweeps(f), x
+
+
+def test_degree_three_is_refused():
+    ctx = field_create(6)
+    cube = vbf.from_multinomial(vbf.multinomial(ctx, [(1, 7)]))
+    assert not vbf.has_degree_at_most_2(cube)
+    assert vbf.sweep_path(cube) == ("power", 7)
+    f = vbf.from_multinomial(vbf.multinomial(ctx, [(1, 7), (1, 1)]))
+    assert vbf.sweep_path(f) == ("exhaustive", None)
+    gold = vbf.from_multinomial(vbf.multinomial(ctx, [(1, 3)]))
+    assert vbf.has_degree_at_most_2(gold) and vbf.sweep_path(gold) == ("power", 3)
+
+
+def test_affine_tables_take_the_quadratic_path():
+    ctx = field_create(5)
+    tables = {
+        "constant 0": [0] * ctx.order,
+        "constant": [7] * ctx.order,
+        "linear, not a power": [ctx.mul(x, x) ^ x for x in range(ctx.order)],
+        "affine": [ctx.mul(9, x) ^ ctx.mul(x, x) ^ 3 for x in range(ctx.order)],
+    }
+    for name, values in tables.items():
+        f = vbf.TruthTable(ctx, values)
+        assert vbf.sweep_path(f) == ("quadratic", None), name
+        delta, _ = vbf.differential_spectrum(f)
+        assert delta == ctx.order, name
+        diff, walsh, report = exhaustive_sweeps(f)
+        assert sweeps(f) == (diff, walsh, report), name
+        assert (diff, walsh.gamma, report) == naive_sweeps(f), name
+
+
+@seed(2)
+@settings(max_examples=30, deadline=None, database=None)
+@given(st.data())
+def test_quadratic_path_equals_loops_and_oracles(data):
+    n = data.draw(st.integers(1, 8), label="n")
+    ctx = field_create(1) if n == 1 else FieldCtx(
+        n, data.draw(st.sampled_from(IRREDUCIBLES[n]), label="modulus"))
+    element = st.integers(0, ctx.order - 1)
+    if data.draw(st.booleans(), label="gold"):
+        # x^(2^s+1) with gcd(s, n) = 1 is APN, so the witnesses are checked.
+        s = data.draw(st.sampled_from([s for s in range(1, max(n, 2)) if gcd(s, n) == 1]), label="s")
+        gold = [ctx.pow(x, (1 << s) + 1) for x in range(ctx.order)]
+        beta = [[gold[(1 << i) | (1 << j)] ^ gold[1 << i] ^ gold[1 << j] for j in range(i)]
+                for i in range(n)]
+    else:
+        beta = [data.draw(st.lists(element, min_size=i, max_size=i), label=f"beta[{i}]")
+                for i in range(n)]
+    linear = data.draw(st.lists(element, min_size=n, max_size=n), label="linear")
+    const = data.draw(st.integers(1, ctx.order - 1), label="f(0)")  # f(0) != 0: no power
+    f = quadratic_table(ctx, const, linear, beta)
+    assert vbf.sweep_path(f) == ("quadratic", None)
+    got = sweeps(f)
+    assert got == exhaustive_sweeps(f)
+    diff, walsh, report = got
+    assert diff == naive_diff_spectrum(f)
+    assert report == naive_crooked_report(f)
+    if n <= 5:  # the double sum costs 2^(3n) trace evaluations
+        assert walsh.gamma == naive_walsh_values(f)
