@@ -65,7 +65,8 @@ def _int(text: str, base: int = 16) -> int:
 
 def _resolve_elem(ctx: FieldCtx, text: str, seed: int) -> int:
     if text == "primitive":
-        prims = [v for v in range(2, ctx.order) if ctx.is_primitive(v)]
+        # From 1, not 2: 1 is primitive in GF(2), and in no larger field.
+        prims = [v for v in range(1, ctx.order) if ctx.is_primitive(v)]
         return prims[seed % len(prims)]
     return _int(text)
 

@@ -10,9 +10,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import List, Sequence, Tuple, Union
 
-from . import gf2mat
 from .errors import DegreeMismatch, InvalidInput, InvalidParams, NotApnWarning, NotGold
-from .field import FieldCtx
+from .field import FieldCtx, f2_gcd
 from .vbf import Multinomial, TruthTable, multinomial
 
 
@@ -74,21 +73,22 @@ def _r_padded(p: FamilyParams) -> Tuple[int, ...]:
 
 
 def linearized_is_bijective(ctx: FieldCtx, K: Sequence[int]) -> bool:
-    """True iff y -> sum_{k in K} y^(2^k) is a bijection of GF(2^n).
+    """True iff L_K(y) = sum_{k in K} y^(2^k) is a bijection of GF(2^n),
+    the condition the family constructions need from K.
 
-    Decided by the GF(2) rank of the map's matrix over the polynomial basis;
-    rank n means trivial kernel, which is the condition the family
-    constructions need from K.
+    As a module over F_2[x], with x acting as the Frobenius y -> y^2,
+    GF(2^n) is cyclic and isomorphic to F_2[x]/(x^n + 1) (it has a normal
+    basis), and L_K acts on it as l_K(x) = sum_{k in K} x^k. So L_K is a
+    bijection exactly when l_K is a unit modulo x^n + 1, that is when
+    gcd(l_K, x^n + 1) = 1 in F_2[x] (Lidl & Niederreiter, Finite Fields,
+    3.4). A k repeated in K cancels in pairs, in l_K as in L_K.
     """
     if any(k < 0 or k >= ctx.n for k in K):
         raise InvalidInput(f"K indices must lie in [0, {ctx.n - 1}]")
-    cols = []
-    for j in range(ctx.n):
-        img = 0
-        for k in K:
-            img ^= ctx.pow(1 << j, 1 << k)
-        cols.append(img)
-    return gf2mat.rank_bits(cols) == ctx.n
+    l_K = 0
+    for k in K:
+        l_K ^= 1 << k
+    return f2_gcd(l_K, (1 << ctx.n) | 1) == 1
 
 
 def _validate_shared(ctx: FieldCtx, p: FamilyParams) -> List[str]:

@@ -39,7 +39,8 @@ def _f2_mod(a: int, m: int) -> int:
     return a
 
 
-def _f2_gcd(a: int, b: int) -> int:
+def f2_gcd(a: int, b: int) -> int:
+    """Greatest common divisor of two F_2[x] polynomials given as bitmasks."""
     while b:
         a, b = b, _f2_mod(a, b)
     return a
@@ -70,7 +71,7 @@ def _f2_is_irreducible(p: int) -> bool:
         return False
     for r in {f for f, _ in trial_factor(d)}:
         h = _f2_powmod_x(1 << (d // r), p) ^ 0b10
-        if _f2_gcd(p, h).bit_length() - 1 != 0:
+        if f2_gcd(p, h).bit_length() - 1 != 0:
             return False
     return True
 
@@ -277,7 +278,3 @@ class FieldCtx:
         permutation, as the trace form is nondegenerate, so argsort inverts it."""
         return self.trace_masks.argsort().astype(self.trace_masks.dtype)
 
-
-def field_create(n: int, modulus: Optional[int] = None) -> FieldCtx:
-    """Construct GF(2^n); thin functional alias for FieldCtx."""
-    return FieldCtx(n, modulus)

@@ -52,16 +52,6 @@ def from_multinomial_repr(m: Multinomial, provenance: Optional[dict] = None) -> 
     )
 
 
-def from_truthtable_repr(t: TruthTable, provenance: Optional[dict] = None) -> FunctionFile:
-    return FunctionFile(
-        n=t.ctx.n,
-        modulus=t.ctx.modulus,
-        representation="truthtable",
-        values=[int(v) for v in t.values],
-        provenance=provenance or {},
-    )
-
-
 def serialize(ff: FunctionFile) -> str:
     doc = {
         "schema_version": ff.schema_version,

@@ -1,54 +1,17 @@
-"""GF(2) linear algebra on int bitsets and bit-packed numpy arrays.
+"""GF(2) elimination in two shapes: many small systems at once and one
+large matrix.
 
-Row vectors are plain Python ints: bit j of a row is the entry in column j.
-`echelon` is the one elimination over int bitsets; ranks and nullspaces are
-read off its result. The packed uint64 routines exist for the large
-development matrices (2^{2n} square). `rank_and_normal_batched` is the one
-numpy-batched elimination: many small systems, one per array element.
+`rank_and_normal_batched` reduces many systems of uint32 bitset vectors,
+one system per array element: the derivatives and components of the
+quadratic path. `pack_rows` and `rank_packed` reduce one bit-packed uint64
+matrix: the development matrices (2^{2n} square) of the rank invariants.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
-
-
-def echelon(rows: Iterable[int], stop: Optional[int] = None) -> Dict[int, int]:
-    """Reduced row echelon form of the span of `rows`, as {pivot column: row}.
-
-    A row's pivot is its leading bit, and each pivot column is set in its own
-    row only. Reduction ends once `stop` pivots are found.
-    """
-    red: Dict[int, int] = {}
-    for v in rows:
-        for p, r in red.items():
-            if (v >> p) & 1:
-                v ^= r
-        if v:
-            p = v.bit_length() - 1
-            for q in red:
-                if (red[q] >> p) & 1:
-                    red[q] ^= v
-            red[p] = v
-            if len(red) == stop:
-                break
-    return red
-
-
-def rank_bits(rows: Iterable[int]) -> int:
-    """Rank over GF(2) of rows given as int bitsets."""
-    return len(echelon(rows))
-
-
-def nullspace_bits(red: Dict[int, int], cols: int) -> List[int]:
-    """Basis of {x : <row, x> = 0 for every row}, parity inner product, from
-    an `echelon` result: one vector per free column, in ascending order."""
-    return [
-        (1 << j) | sum(1 << p for p, r in red.items() if (r >> j) & 1)
-        for j in range(cols)
-        if j not in red
-    ]
 
 
 def rank_and_normal_batched(

@@ -215,23 +215,24 @@ class HyperplaneWitness:
 
 def hyperplane_of(ctx: FieldCtx, s: Iterable[int]) -> Optional[HyperplaneWitness]:
     """Witness (b, eps) when the set of elements of s (repeats allowed) is an
-    affine hyperplane {y : tr(b*y) = eps}."""
+    affine hyperplane {y : tr(b*y) = eps}.
+
+    With y0 in the set, the set is one exactly when its shift by y0 is a
+    linear hyperplane. A linear hyperplane with normal w holds the basis
+    vector e_j exactly when bit j of w is 0, so the only candidate normal is
+    the w with bit j set for each e_j + y0 outside the set. The set has the
+    size of w's hyperplane, so lying inside it means being it."""
     vals = np.asarray(s if isinstance(s, np.ndarray) else list(s), dtype=np.int64)
-    elems = np.flatnonzero(np.bincount(vals, minlength=ctx.order))  # distinct, sorted
+    counts = np.bincount(vals, minlength=ctx.order)
+    elems = np.flatnonzero(counts)  # distinct
     n = ctx.n
     if elems.size != 1 << (n - 1):
         return None
     y0 = int(elems[0])
-    shifted = np.sort(elems ^ y0)
-    # The smallest element at or above each power of two: one element per
-    # leading bit present. A linear hyperplane has n-1 leading bits, so these
-    # elements span it and its normal w is the one nullspace vector.
-    firsts = np.searchsorted(shifted, 1 << np.arange(n))
-    reps = shifted[np.minimum(firsts, shifted.size - 1)].tolist()
-    w = gf2mat.nullspace_bits(gf2mat.echelon(reps, stop=n - 1), n)[0]
-    # The set has the size of w's hyperplane, so lying inside it means being it.
+    basis = 1 << np.arange(n)
+    w = int(basis[counts[basis ^ y0] == 0].sum())
     par = parity_table(n)
-    if par[shifted & w].any():
+    if w == 0 or par[(elems ^ y0) & w].any():
         return None
     return HyperplaneWitness(b=int(ctx.trace_masks_inverse[w]), eps=int(par[y0 & w]))
 

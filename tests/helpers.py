@@ -11,10 +11,21 @@ from collections import Counter
 from typing import Dict, List, Optional, Tuple
 from unittest import mock
 
-from crooked import spectral, vbf
+from crooked import funcfile, spectral, vbf
 from crooked.families import FamilyParams, Thm1Params
 from crooked.field import FieldCtx
 from crooked.vbf import HyperplaneWitness, TruthTable
+
+
+def from_truthtable_repr(t: TruthTable, provenance: Optional[dict] = None) -> funcfile.FunctionFile:
+    """The function file that carries t as a truth table."""
+    return funcfile.FunctionFile(
+        n=t.ctx.n,
+        modulus=t.ctx.modulus,
+        representation="truthtable",
+        values=[int(v) for v in t.values],
+        provenance=provenance or {},
+    )
 
 
 def naive_walsh(f: TruthTable, a: int, omega: int) -> int:
@@ -122,21 +133,16 @@ def naive_pair_identity(f: TruthTable, p: FamilyParams) -> bool:
     return True
 
 
-def naive_rank(matrix: List[List[int]]) -> int:
-    """Fraction-free list-of-lists Gaussian elimination over GF(2)."""
-    m = [row[:] for row in matrix]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                m[r] = [x ^ y for x, y in zip(m[r], m[rank])]
-        rank += 1
-    return rank
+def naive_rank(rows: List[int]) -> int:
+    """Rank over GF(2) of rows given as int bitsets, by plain Gaussian
+    elimination: one kept row per leading bit."""
+    leading: Dict[int, int] = {}
+    for r in rows:
+        while r and r.bit_length() in leading:
+            r ^= leading[r.bit_length()]
+        if r:
+            leading[r.bit_length()] = r
+    return len(leading)
 
 
 def f2_is_irreducible_by_trial_division(p: int) -> bool:
@@ -159,28 +165,12 @@ IRREDUCIBLES = {n: [p for p in range(1 << n, 2 << n) if f2_is_irreducible_by_tri
                 for n in range(2, 9)}
 
 
-def bits_to_lists(rows: List[int], cols: int) -> List[List[int]]:
-    return [[(r >> j) & 1 for j in range(cols)] for r in rows]
-
-
 def random_invertible(n: int, rng: random.Random) -> List[int]:
     """Columns (images of basis vectors) of a random invertible GF(2) matrix."""
     while True:
         cols = [rng.randrange(1, 1 << n) for _ in range(n)]
-        if _bit_rank(cols) == n:
+        if naive_rank(cols) == n:
             return cols
-
-
-def _bit_rank(rows: List[int]) -> int:
-    basis: List[int] = []
-    for r in rows:
-        v = r
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    return len(basis)
 
 
 def apply_linear(cols: List[int], x: int) -> int:

@@ -7,7 +7,8 @@ import pytest
 
 from crooked import cli, funcfile, invariants, vbf
 from crooked.errors import DegreeMismatch, InfeasibleSize, InvalidDirection, MalformedFile
-from crooked.field import field_create
+from crooked.field import FieldCtx
+from helpers import from_truthtable_repr
 
 
 def run_cli(*args, expect=None):
@@ -62,10 +63,10 @@ def test_construct_invalid_params_lists_violations():
 
 
 def test_verify_non_apn_exits_1(tmp_path):
-    ctx = field_create(4)
+    ctx = FieldCtx(4)
     fifth = vbf.from_multinomial(vbf.multinomial(ctx, [(1, 5)]))
     path = tmp_path / "x5.json"
-    path.write_text(funcfile.serialize(funcfile.from_truthtable_repr(fifth)))
+    path.write_text(funcfile.serialize(from_truthtable_repr(fifth)))
     proc = run_cli("verify", "--in", str(path), "--checks", "apn", "--json", expect=1)
     report = json.loads(proc.stdout)
     assert report["delta"] == 4 and report["pass"] is False
@@ -203,6 +204,7 @@ EXIT_CASES = [
     (("construct", "--family", "thm1", "--n", "7", "--auto"), 5, "err", "even n"),
     (("construct", "--family", "thm2", "--n", "8", "--auto"), 2, "out", "no valid parameters"),
     (("construct", "--family", "ref7", "--n", "7"), 5, "err", "2m = 6"),
+    (("construct", "--family", "ref7", "--n", "1"), 5, "err", "ctx degree 1 != 2m = 0"),
     # An unparsable flag is reported before a violated hypothesis.
     (("construct", "--family", "ref7", "--n", "6", "--s", "2", "--c", "zz"), 2, "err", "'zz'"),
     (("verify", "--in", GOLD, "--checks", "apn,nope"), 2, "err", "unknown check 'nope'"),
@@ -305,6 +307,22 @@ def test_verify_witnesses_pinned(flags, tmp_path):
     for (command, *rest), digest in PINNED_SHA256[flags].items():
         proc = run_cli(command, "--in", str(path), *rest, expect=0)
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest, rest
+
+
+# sha256 of the stdout of `search --n 10 --budget 5 --seed 1` as computed
+# while K was filtered by a GF(2) rank: the seeded shuffle runs over the
+# filtered K list, so these pin the filter's answers and their order.
+SEARCH_SHA256 = {
+    "thm1": "82c3e689ed2af903c7dc962d5a3b6c3383c4a60930620e123abb5e9c25721710",
+    "thm2": "0af1994ffce0fdb8350d9564f274480144199ccfccfc3736354130755010bc4a",
+}
+
+
+@pytest.mark.parametrize("family", list(SEARCH_SHA256))
+def test_search_pinned(family):
+    proc = run_cli("search", "--family", family, "--n", "10", "--budget", "5", "--seed", "1",
+                   expect=0)
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == SEARCH_SHA256[family]
 
 
 def test_invariants_refuses_before_any_spectrum(tmp_path, monkeypatch, capsys):

@@ -19,7 +19,7 @@ from crooked.families import (
     validate_thm1,
     validate_thm2,
 )
-from crooked.field import field_create
+from crooked.field import FieldCtx
 from helpers import naive_pair_identity
 
 
@@ -29,12 +29,12 @@ def _first_primitive(ctx):
 
 @pytest.fixture(scope="module")
 def ctx6():
-    return field_create(6)
+    return FieldCtx(6)
 
 
 @pytest.fixture(scope="module")
 def ctx12():
-    return field_create(12)
+    return FieldCtx(12)
 
 
 def test_validate_thm1_n12_primitive_cd(ctx12):
@@ -94,7 +94,7 @@ def test_builders_raise_sorted_violations(ctx6):
             build(ctx6, p)
         assert validate(ctx6, p) != sorted(validate(ctx6, p))
         assert info.value.violations == sorted(validate(ctx6, p))
-    ctx12 = field_create(12)
+    ctx12 = FieldCtx(12)
     with pytest.raises(InvalidParams) as info:
         build_ref7(ctx12, 6, 2, 2, 2)
     assert info.value.violations == sorted(families.validate_ref7(ctx12, 6, 2))
@@ -151,7 +151,7 @@ def test_build_gold(ctx6):
     assert m.terms == ((1, 3),)
     with pytest.raises(NotGold):
         build_gold(ctx6, 2)
-    ctx12 = field_create(12)
+    ctx12 = FieldCtx(12)
     g = vbf.from_multinomial(build_gold(ctx12, 5))
     assert vbf.is_apn(g)
 
@@ -170,7 +170,7 @@ def test_ref7_matches_thm1_special_case():
     # t = 0, K = {0}, r = 0 collapses the first family to the older
     # three-term construction, bit for bit.
     for m, s_list in ((3, (1, 5)), (5, (1, 3))):
-        ctx = field_create(2 * m)
+        ctx = FieldCtx(2 * m)
         for s in s_list:
             c = next(v for v in range(2, ctx.order) if not ctx.in_subfield(v, m))
             e = (1 << s) + 1
@@ -198,7 +198,7 @@ def test_search_revalidates(ctx6):
 
 def test_search_odd_n_rejected():
     with pytest.raises(DegreeMismatch):
-        search_params(field_create(3), "thm1", budget=1, seed=0)
+        search_params(FieldCtx(3), "thm1", budget=1, seed=0)
 
 
 def _built(ctx, p):
@@ -250,7 +250,7 @@ def test_proof_identity_matches_pair_oracle(ctx6):
 def test_family_instances_crooked_odd_half_degree():
     # The first-family construction is sound for odd m = n/2.
     for n in (6, 10):
-        ctx = field_create(n)
+        ctx = FieldCtx(n)
         for p in search_params(ctx, "thm1", budget=2, seed=n):
             assert vbf.is_crooked(vbf.from_multinomial(build_thm1(ctx, p))).is_crooked
 
@@ -261,7 +261,7 @@ def test_even_half_degree_hypotheses_insufficient():
     # F_{2^m}^* meets every coset of the e-th powers once 3 | 2^m - 1, so
     # d * a^e lands in F_{2^m} for some direction a and the derivative
     # kernel blows up. Smallest case: n = 4.
-    ctx = field_create(4)
+    ctx = FieldCtx(4)
     hits = search_params(ctx, "thm1", budget=1, seed=4)
     assert hits  # hypotheses are satisfiable...
     f = vbf.from_multinomial(build_thm1(ctx, hits[0]))
@@ -274,7 +274,7 @@ def test_thm1_warning_iff_not_apn():
     # for the (s, t, K) of three searched tuples, with and without r.
     rng = random.Random(8)
     for n, sample in ((4, None), (6, None), (8, 12)):
-        ctx = field_create(n)
+        ctx = FieldCtx(n)
         m = n // 2
         sub = next(v for v in range(2, ctx.order) if ctx.in_subfield(v, m))
         for base in search_params(ctx, "thm1", budget=3, seed=n):

@@ -4,39 +4,39 @@ import sys
 import pytest
 
 from crooked.errors import InvalidModulus, InvalidSubfield, NotAUnit, UndefinedPower, UnsupportedDegree
-from crooked.field import FieldCtx, field_create, smallest_irreducible, trial_factor
+from crooked.field import FieldCtx, smallest_irreducible, trial_factor
 from helpers import f2_is_irreducible_by_trial_division
 
 
 def test_create_gf4_default_modulus():
-    ctx = field_create(2)
+    ctx = FieldCtx(2)
     assert ctx.modulus == 0b111  # x^2+x+1, the only irreducible quadratic
 
 
 def test_create_accepts_given_irreducible():
-    ctx = field_create(3, 0b1011)  # x^3+x+1
+    ctx = FieldCtx(3, 0b1011)  # x^3+x+1
     assert ctx.modulus == 0b1011
 
 
 def test_create_rejects_reducible():
     with pytest.raises(InvalidModulus):
-        field_create(4, 0b10001)  # x^4+1 = (x+1)^4
+        FieldCtx(4, 0b10001)  # x^4+1 = (x+1)^4
 
 
 def test_create_rejects_wrong_degree():
     with pytest.raises(InvalidModulus):
-        field_create(4, 0b1011)
+        FieldCtx(4, 0b1011)
 
 
 def test_degree_bounds():
     for n in (0, 25, -3):
         with pytest.raises(UnsupportedDegree):
-            field_create(n)
+            FieldCtx(n)
 
 
 def test_order_facts_product():
     for n in (2, 3, 6, 12):
-        ctx = field_create(n)
+        ctx = FieldCtx(n)
         prod = 1
         for p, e in ctx.order_facts:
             prod *= p**e
@@ -56,12 +56,12 @@ def test_modulus_agrees_with_general_irreducibility_test():
     # The default modulus has no factor of degree 1..n/2 over F_2, by trial
     # division independent of the field module's Rabin test.
     for n in (2, 3, 5, 8, 12):
-        assert f2_is_irreducible_by_trial_division(field_create(n).modulus)
+        assert f2_is_irreducible_by_trial_division(FieldCtx(n).modulus)
     assert not f2_is_irreducible_by_trial_division(0b10101)  # (x^2+x+1)^2
 
 
 def test_mul_examples_gf4():
-    ctx = field_create(2)
+    ctx = FieldCtx(2)
     assert ctx.mul(0b10, 0b10) == 0b11  # w^2 = w + 1
     for a in range(4):
         assert ctx.mul(a, 1) == a
@@ -69,7 +69,7 @@ def test_mul_examples_gf4():
 
 
 def test_mul_commutative_associative_distributive():
-    ctx = field_create(4)
+    ctx = FieldCtx(4)
     for a in range(16):
         for b in range(16):
             assert ctx.mul(a, b) == ctx.mul(b, a)
@@ -79,16 +79,16 @@ def test_mul_commutative_associative_distributive():
 
 
 def test_pow_examples():
-    ctx3 = field_create(3, 0b1011)
+    ctx3 = FieldCtx(3, 0b1011)
     assert ctx3.pow(0b010, 3) == 0b011  # alpha^3 = alpha + 1
-    ctx2 = field_create(2)
+    ctx2 = FieldCtx(2)
     assert ctx2.pow(0b10, 3) == 1
     for a in range(1, 8):
         assert ctx3.pow(a, 1) == a
 
 
 def test_pow_zero_cases():
-    ctx = field_create(3)
+    ctx = FieldCtx(3)
     assert ctx.pow(0, 5) == 0
     with pytest.raises(UndefinedPower):
         ctx.pow(0, 0)
@@ -96,14 +96,14 @@ def test_pow_zero_cases():
 
 def test_inverse_law_exhaustive():
     for n in (2, 3, 4, 6, 8, 12):
-        ctx = field_create(n)
+        ctx = FieldCtx(n)
         for a in range(1, min(ctx.order, 300)):
             assert ctx.mul(a, ctx.pow(a, ctx.mult_order - 1)) == 1
 
 
 def test_fermat_and_frobenius_additivity():
     for n in (2, 3, 4, 6, 8):
-        ctx = field_create(n)
+        ctx = FieldCtx(n)
         for a in range(1, ctx.order):
             assert ctx.pow(a, ctx.mult_order) == 1
         for a in range(ctx.order):
@@ -112,12 +112,12 @@ def test_fermat_and_frobenius_additivity():
 
 
 def test_trace_examples_and_balance():
-    ctx = field_create(2)
+    ctx = FieldCtx(2)
     assert ctx.trace(0) == 0
     assert ctx.trace(1) == 0
     assert ctx.trace(0b10) == 1
     for n in (2, 3, 4, 6, 8, 10, 12):
-        c = field_create(n)
+        c = FieldCtx(n)
         zeros = sum(1 for a in range(c.order) if c.trace(a) == 0)
         assert zeros == c.order // 2
         # linearity, sampled
@@ -127,9 +127,9 @@ def test_trace_examples_and_balance():
 
 
 def test_in_subfield():
-    ctx4 = field_create(4)
+    ctx4 = FieldCtx(4)
     assert ctx4.in_subfield(0, 2) and ctx4.in_subfield(1, 2)
-    ctx2 = field_create(2)
+    ctx2 = FieldCtx(2)
     assert not ctx2.in_subfield(0b10, 1)
     g = next(a for a in range(2, 16) if ctx4.is_primitive(a))
     assert ctx4.in_subfield(ctx4.pow(g, 5), 2)  # order-3 element sits in F_4
@@ -139,14 +139,14 @@ def test_in_subfield():
 
 def test_subfield_sizes():
     for n, m in ((4, 2), (6, 2), (6, 3), (12, 6), (12, 4)):
-        ctx = field_create(n)
+        ctx = FieldCtx(n)
         count = sum(1 for a in range(ctx.order) if ctx.in_subfield(a, m))
         assert count == 1 << m
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 10])
 def test_eth_power_matches_enumeration(n):
-    ctx = field_create(n)
+    ctx = FieldCtx(n)
     for e in (2, 3, 5, (1 << 2) + 2):
         image = {ctx.pow(u, e) for u in range(1, ctx.order)}
         for d in range(1, ctx.order):
@@ -154,10 +154,10 @@ def test_eth_power_matches_enumeration(n):
 
 
 def test_eth_power_examples():
-    ctx2 = field_create(2)
+    ctx2 = FieldCtx(2)
     assert ctx2.is_eth_power(1, 3)
     assert not ctx2.is_eth_power(0b10, 3)
-    ctx6 = field_create(6)
+    ctx6 = FieldCtx(6)
     g = next(a for a in range(2, 64) if ctx6.is_primitive(a))
     assert not ctx6.is_eth_power(g, 3)
     with pytest.raises(NotAUnit):
@@ -165,10 +165,10 @@ def test_eth_power_examples():
 
 
 def test_is_primitive():
-    ctx2 = field_create(2)
+    ctx2 = FieldCtx(2)
     assert ctx2.is_primitive(0b10)
     assert not ctx2.is_primitive(1)
-    ctx4 = field_create(4)
+    ctx4 = FieldCtx(4)
     g = next(a for a in range(2, 16) if ctx4.is_primitive(a))
     assert not ctx4.is_primitive(ctx4.pow(g, 3))  # order divides 5
     with pytest.raises(NotAUnit):
@@ -186,7 +186,7 @@ def test_trial_factor():
 
 def test_component_mask_matches_trace():
     for n in (2, 3, 5, 8):
-        ctx = field_create(n)
+        ctx = FieldCtx(n)
         assert "trace_masks" not in vars(ctx)  # built on first use only
         masks, inverse = ctx.trace_masks, ctx.trace_masks_inverse
         for a in range(ctx.order):

@@ -3,11 +3,12 @@ import pytest
 from crooked import funcfile, vbf
 from crooked.errors import MalformedFile
 from crooked.families import build_gold, build_thm1, search_params
-from crooked.field import field_create
+from crooked.field import FieldCtx
+from helpers import from_truthtable_repr
 
 
 def test_multinomial_round_trip():
-    ctx = field_create(6)
+    ctx = FieldCtx(6)
     p = search_params(ctx, "thm1", budget=1, seed=3)[0]
     m = build_thm1(ctx, p)
     ff = funcfile.from_multinomial_repr(m, {"family": "thm1"})
@@ -18,17 +19,17 @@ def test_multinomial_round_trip():
 
 
 def test_truthtable_round_trip():
-    ctx = field_create(4)
+    ctx = FieldCtx(4)
     t = vbf.from_multinomial(build_gold(ctx, 1))
-    ff = funcfile.from_truthtable_repr(t)
+    ff = from_truthtable_repr(t)
     back = funcfile.parse(funcfile.serialize(ff))
     assert back.to_truthtable() == t
 
 
 def test_serialize_is_canonical():
-    ctx = field_create(4)
+    ctx = FieldCtx(4)
     t = vbf.from_multinomial(build_gold(ctx, 1))
-    ff = funcfile.from_truthtable_repr(t)
+    ff = from_truthtable_repr(t)
     assert funcfile.serialize(ff) == funcfile.serialize(ff)
 
 
@@ -51,8 +52,8 @@ def test_parse_rejects_short_table():
 
 
 def test_hex_encoding_is_lowercase_no_prefix():
-    ctx = field_create(4)
+    ctx = FieldCtx(4)
     t = vbf.from_multinomial(build_gold(ctx, 1))
-    text = funcfile.serialize(funcfile.from_truthtable_repr(t))
+    text = funcfile.serialize(from_truthtable_repr(t))
     assert '"modulus":"13"' in text
     assert "0x" not in text

@@ -6,27 +6,11 @@ import pytest
 from crooked import gf2mat, invariants, vbf
 from crooked.errors import InfeasibleSize
 from crooked.families import build_gold, search_params, build_thm1
-from crooked.field import field_create
-from helpers import bits_to_lists, ea_transform, naive_rank, random_invertible, apply_linear
+from crooked.field import FieldCtx
+from helpers import ea_transform, naive_rank, random_invertible, apply_linear
 
 
-def test_rank_bits_examples():
-    assert gf2mat.rank_bits([1, 2, 4, 8]) == 4
-    assert gf2mat.rank_bits([0b111, 0b111, 0b111]) == 1
-    assert gf2mat.rank_bits([0b11, 0b10]) == 2
-    # Reduced form: each pivot column is set in its own row only.
-    assert gf2mat.echelon([0b11, 0b10]) == {1: 0b10, 0: 0b01}
-    assert gf2mat.echelon([1, 2, 4, 8], stop=2) == {0: 1, 1: 2}
-
-
-def test_rank_bits_vs_naive_random():
-    rng = random.Random(3)
-    for _ in range(20):
-        rows = [rng.randrange(1 << 20) for _ in range(20)]
-        assert gf2mat.rank_bits(rows) == naive_rank(bits_to_lists(rows, 20))
-
-
-def test_rank_packed_vs_rank_bits():
+def test_rank_packed_vs_naive_rank():
     rng = random.Random(9)
     for cols in (10, 64, 70, 130):
         rows = [rng.randrange(1 << cols) for _ in range(40)]
@@ -34,59 +18,26 @@ def test_rank_packed_vs_rank_bits():
             [[(r >> j) & 1 for j in range(cols)] for r in rows], dtype=bool
         )
         packed = gf2mat.pack_rows(bools)
-        assert gf2mat.rank_packed(packed, cols) == gf2mat.rank_bits(rows)
-
-
-def test_nullspace_and_solve():
-    rng = random.Random(5)
-    for _ in range(10):
-        n = 8
-        rows = [rng.randrange(1, 1 << n) for _ in range(5)]
-        red = gf2mat.echelon(rows)
-        null = gf2mat.nullspace_bits(red, n)
-        assert len(null) == n - naive_rank(bits_to_lists(rows, n))
-        assert gf2mat.rank_bits(null) == len(null)
-        for v in null:
-            assert all(bin(r & v).count("1") % 2 == 0 for r in rows)
-        # A sum of rows reduces to zero against the echelon form.
-        x = rng.randrange(1 << 5)
-        target = 0
-        for i, r in enumerate(rows):
-            if (x >> i) & 1:
-                target ^= r
-        for p, r in red.items():
-            if (target >> p) & 1:
-                target ^= r
-        assert target == 0
+        assert gf2mat.rank_packed(packed, cols) == naive_rank(rows)
 
 
 def test_gamma_delta_rank_vs_naive_n3():
-    ctx = field_create(3)
+    ctx = FieldCtx(3)
     f = vbf.from_multinomial(build_gold(ctx, 1))
     pts = invariants.graph_points(f)
-    rows = []
-    for g in range(64):
-        row = [0] * 64
-        for p in pts.tolist():
-            row[p ^ g] = 1
-        rows.append(row)
+    rows = [sum(1 << (p ^ g) for p in pts.tolist()) for g in range(64)]
     assert invariants.gamma_rank(f) == naive_rank(rows)
 
     dpts = invariants.difference_points(f)
     assert dpts.tolist() == sorted(
         {(a << 3) | (f[x] ^ f[x ^ a]) for a in range(1, 8) for x in range(8)}
     )
-    drows = []
-    for g in range(64):
-        row = [0] * 64
-        for p in dpts.tolist():
-            row[p ^ g] = 1
-        drows.append(row)
+    drows = [sum(1 << (p ^ g) for p in dpts.tolist()) for g in range(64)]
     assert invariants.delta_rank(f) == naive_rank(drows)
 
 
 def test_rank_invariance_under_linear_permutations():
-    ctx = field_create(4)
+    ctx = FieldCtx(4)
     f = vbf.from_multinomial(build_gold(ctx, 1))
     rng = random.Random(17)
     cols = random_invertible(4, rng)
@@ -100,7 +51,7 @@ def test_rank_invariance_under_linear_permutations():
 
 
 def test_rank_infeasible_cutoff():
-    ctx = field_create(8)
+    ctx = FieldCtx(8)
     f = vbf.from_multinomial(build_gold(ctx, 1))
     with pytest.raises(InfeasibleSize):
         invariants.gamma_rank(f)
@@ -113,7 +64,7 @@ def _invariants(f, depth="spectra"):
 
 
 def test_compare_self_indistinguishable():
-    ctx = field_create(4)
+    ctx = FieldCtx(4)
     f = vbf.from_multinomial(build_gold(ctx, 1))
     # The depth is read off the records: ranks when they carry them.
     for depth in ("spectra", "spectra+ranks"):
@@ -123,7 +74,7 @@ def test_compare_self_indistinguishable():
 
 
 def test_compare_distinguishes_cube_from_fifth():
-    ctx = field_create(4)
+    ctx = FieldCtx(4)
     f = vbf.from_multinomial(vbf.multinomial(ctx, [(1, 3)]))
     g = vbf.from_multinomial(vbf.multinomial(ctx, [(1, 5)]))
     rep = invariants.compare(_invariants(f), _invariants(g))
@@ -134,14 +85,14 @@ def test_compare_distinguishes_cube_from_fifth():
 def test_compare_symmetry_and_mismatch():
     # The field mismatch is refused by `crooked invariants` before any
     # invariant is computed (tests/test_cli.py); compare sees records only.
-    ctx = field_create(4)
+    ctx = FieldCtx(4)
     f = _invariants(vbf.from_multinomial(vbf.multinomial(ctx, [(1, 3)])))
     g = _invariants(vbf.from_multinomial(vbf.multinomial(ctx, [(1, 5)])))
     assert invariants.compare(f, g).verdict == invariants.compare(g, f).verdict
 
 
 def test_verdict_iff_some_invariant_differs():
-    ctx = field_create(6)
+    ctx = FieldCtx(6)
     p = search_params(ctx, "thm1", budget=1, seed=1)[0]
     f = vbf.from_multinomial(build_thm1(ctx, p))
     g = vbf.from_multinomial(build_gold(ctx, 1))
@@ -157,7 +108,7 @@ def test_verdict_iff_some_invariant_differs():
 
 
 def test_rank_ea_invariance_small():
-    ctx = field_create(4)
+    ctx = FieldCtx(4)
     f = vbf.from_multinomial(build_gold(ctx, 1))
     rng = random.Random(23)
     base_g, base_d = invariants.gamma_rank(f), invariants.delta_rank(f)

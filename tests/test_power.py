@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from crooked import spectral, vbf
-from crooked.field import FieldCtx, field_create
+from crooked.field import FieldCtx
 from helpers import (
     IRREDUCIBLES,
     exhaustive_sweeps,
@@ -29,7 +29,7 @@ def power_table(ctx, d):
 def test_power_path_matches_naive_oracles(n):
     # Every d in [1, 2^n - 1]: gcd(d, 2^n - 1) > 1 where 2^n - 1 is not
     # prime, and d = 2^n - 1, which is 0 modulo the group order.
-    ctx = field_create(n)
+    ctx = FieldCtx(n)
     for d in range(1, ctx.order):
         f = power_table(ctx, d)
         assert vbf.power_exponent(f) == d
@@ -43,7 +43,7 @@ def test_power_path_matches_naive_oracles(n):
 
 @pytest.mark.parametrize("n", [8, 9, 10])
 def test_power_path_matches_exhaustive_sweeps(n):
-    ctx = field_create(n)
+    ctx = FieldCtx(n)
     k = next(k for k in range(2, n) if gcd(k, n) == 1)
     exponents = {
         "gold s=1": 3,
@@ -64,7 +64,7 @@ def test_power_path_matches_exhaustive_sweeps(n):
 
 
 def test_power_exponent_checks_every_entry():
-    ctx = field_create(6)
+    ctx = FieldCtx(6)
     base = [ctx.pow(x, 5) for x in range(ctx.order)]
     assert vbf.power_exponent(vbf.TruthTable(ctx, base)) == 5
     for x in range(ctx.order):  # x = 0 makes f(0) != 0
@@ -76,7 +76,7 @@ def test_power_exponent_checks_every_entry():
     edited[gamma] = 0
     assert vbf.power_exponent(vbf.TruthTable(ctx, edited)) is None
     # GF(2) keeps no log tables.
-    assert vbf.power_exponent(vbf.TruthTable(field_create(1), [0, 1])) is None
+    assert vbf.power_exponent(vbf.TruthTable(FieldCtx(1), [0, 1])) is None
 
 
 @seed(1)

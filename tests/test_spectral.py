@@ -6,7 +6,7 @@ import pytest
 
 from crooked import spectral, vbf
 from crooked.families import build_gold
-from crooked.field import field_create
+from crooked.field import FieldCtx
 from helpers import ea_transform, is_ab, naive_walsh, random_quadratic
 
 
@@ -15,7 +15,7 @@ def _table(ctx, fn):
 
 
 def test_constant_component():
-    ctx = field_create(4)
+    ctx = FieldCtx(4)
     zero = _table(ctx, lambda x: 0)
     w = spectral.walsh_component(zero, 5).values
     assert w[0] == 16 and not w[1:].any()
@@ -23,7 +23,7 @@ def test_constant_component():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_fwht_equals_direct_definition(n):
-    ctx = field_create(n)
+    ctx = FieldCtx(n)
     rng = random.Random(n)
     funcs = [
         _table(ctx, lambda x: rng.randrange(ctx.order)),
@@ -38,7 +38,7 @@ def test_fwht_equals_direct_definition(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_walsh_spectrum_matches_naive(n):
-    ctx = field_create(n)
+    ctx = FieldCtx(n)
     rng = random.Random(n * 7)
     f = _table(ctx, lambda x: rng.randrange(ctx.order))
     values = [naive_walsh(f, a, omega) for a in range(1, ctx.order) for omega in range(ctx.order)]
@@ -50,7 +50,7 @@ def test_walsh_spectrum_matches_naive(n):
 
 def test_parseval_and_balance_identity():
     for n in (3, 4, 6):
-        ctx = field_create(n)
+        ctx = FieldCtx(n)
         rng = random.Random(n * 3)
         f = _table(ctx, lambda x: rng.randrange(ctx.order))
         for a in range(1, ctx.order):
@@ -63,7 +63,7 @@ def test_parseval_and_balance_identity():
 
 
 def test_gold_component_values_n3():
-    ctx = field_create(3)
+    ctx = FieldCtx(3)
     f = vbf.from_multinomial(build_gold(ctx, 1))
     for a in range(1, 8):
         vals = set(spectral.walsh_component(f, a).values.tolist())
@@ -71,7 +71,7 @@ def test_gold_component_values_n3():
 
 
 def test_walsh_spectrum_gold_n3():
-    ctx = field_create(3)
+    ctx = FieldCtx(3)
     s = spectral.walsh_spectrum(vbf.from_multinomial(build_gold(ctx, 1)))
     assert set(s.gamma) == {0, 4, -4}
     assert s.nl == 2
@@ -79,23 +79,23 @@ def test_walsh_spectrum_gold_n3():
 
 
 def test_affine_nl_zero():
-    ctx = field_create(4)
+    ctx = FieldCtx(4)
     aff = _table(ctx, lambda x: ctx.mul(9, x) ^ 3)
     assert spectral.walsh_spectrum(aff).nl == 0
 
 
 def test_is_ab():
-    ctx3 = field_create(3)
+    ctx3 = FieldCtx(3)
     assert is_ab(vbf.from_multinomial(build_gold(ctx3, 1)))
     aff = _table(ctx3, lambda x: x)
     assert not is_ab(aff)
-    ctx4 = field_create(4)
+    ctx4 = FieldCtx(4)
     assert not is_ab(vbf.from_multinomial(vbf.multinomial(ctx4, [(1, 3)])))
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_extended_spectrum_and_nl_ea_invariant(n):
-    ctx = field_create(n)
+    ctx = FieldCtx(n)
     rng = random.Random(n * 13)
     f = vbf.from_multinomial(random_quadratic(ctx, rng))
     base = spectral.walsh_spectrum(f)

@@ -7,7 +7,7 @@ import pytest
 from crooked import vbf
 from crooked.errors import InvalidDirection, InvalidInput
 from crooked.families import build_gold
-from crooked.field import field_create
+from crooked.field import FieldCtx
 from helpers import naive_diff_spectrum, random_quadratic
 
 
@@ -21,7 +21,7 @@ def _image(f, a):
 
 
 def test_multinomial_merges_and_reduces():
-    ctx = field_create(3)
+    ctx = FieldCtx(3)
     m = vbf.multinomial(ctx, [(3, 2), (3, 2)])
     assert m.terms == ()  # equal terms cancel
     m2 = vbf.multinomial(ctx, [(1, 9), (5, 2)])  # 9 = 2 mod 7
@@ -31,7 +31,7 @@ def test_multinomial_merges_and_reduces():
 
 
 def test_from_multinomial_identity_and_cube():
-    ctx = field_create(2)
+    ctx = FieldCtx(2)
     ident = vbf.from_multinomial(vbf.multinomial(ctx, [(1, 1)]))
     assert ident.values.tolist() == [0, 1, 2, 3]
     cube = vbf.from_multinomial(vbf.multinomial(ctx, [(1, 3)]))
@@ -40,7 +40,7 @@ def test_from_multinomial_identity_and_cube():
 
 def test_flagship_shape_exponents_n12():
     # the three-term n=12 instance has exponents {65, 258, 132} before r-terms
-    ctx = field_create(12)
+    ctx = FieldCtx(12)
     from crooked.families import Thm1Params, build_thm1
 
     c = next(v for v in range(2, 4096) if ctx.is_primitive(v))
@@ -50,7 +50,7 @@ def test_flagship_shape_exponents_n12():
 
 
 def test_derivative_sets():
-    ctx = field_create(3)
+    ctx = FieldCtx(3)
     lin = _table(ctx, lambda x: ctx.mul(5, x))
     for a in range(1, 8):
         assert _image(lin, a) == [ctx.mul(5, a)]
@@ -63,7 +63,7 @@ def test_derivative_sets():
 
 
 def test_differential_spectrum_examples():
-    ctx4 = field_create(4)
+    ctx4 = FieldCtx(4)
     lin = _table(ctx4, lambda x: ctx4.mul(7, x))
     assert vbf.differential_spectrum(lin)[0] == 16
     cube = vbf.from_multinomial(vbf.multinomial(ctx4, [(1, 3)]))
@@ -73,7 +73,7 @@ def test_differential_spectrum_examples():
 
 
 def test_spectrum_partition_and_parity():
-    ctx = field_create(4)
+    ctx = FieldCtx(4)
     rng = random.Random(11)
     for _ in range(5):
         f = _table(ctx, lambda x: rng.randrange(16))
@@ -86,7 +86,7 @@ def test_spectrum_partition_and_parity():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
 def test_spectrum_matches_naive_oracle(n):
-    ctx = field_create(n)
+    ctx = FieldCtx(n)
     rng = random.Random(n)
     funcs = [vbf.from_multinomial(random_quadratic(ctx, rng)),
              _table(ctx, lambda x: rng.randrange(ctx.order))]
@@ -97,14 +97,14 @@ def test_spectrum_matches_naive_oracle(n):
 
 
 def test_is_apn():
-    ctx4 = field_create(4)
+    ctx4 = FieldCtx(4)
     assert vbf.is_apn(vbf.from_multinomial(vbf.multinomial(ctx4, [(1, 3)])))
     assert not vbf.is_apn(vbf.from_multinomial(vbf.multinomial(ctx4, [(1, 5)])))
     assert not vbf.is_apn(_table(ctx4, lambda x: x))
 
 
 def test_hyperplane_witness_gf4():
-    ctx = field_create(2)
+    ctx = FieldCtx(2)
     w = vbf.hyperplane_of(ctx, {0, 1})
     assert w == vbf.HyperplaneWitness(b=1, eps=0)
     for y in range(4):
@@ -112,14 +112,14 @@ def test_hyperplane_witness_gf4():
 
 
 def test_hyperplane_wrong_size_and_non_flat():
-    ctx = field_create(3)
+    ctx = FieldCtx(3)
     assert vbf.hyperplane_of(ctx, {0}) is None
     assert vbf.hyperplane_of(ctx, {0, 1, 2, 3}) is not None  # span{1, 2}
     assert vbf.hyperplane_of(ctx, {0, 1, 2, 4}) is None      # not closed: 1+2=3 missing
 
 
 def test_hyperplane_witness_consistency_exhaustive():
-    ctx = field_create(4)
+    ctx = FieldCtx(4)
     # every coset of every hyperplane gets the right witness back
     for b in range(1, 16):
         for eps in (0, 1):
@@ -133,7 +133,7 @@ def test_hyperplane_witness_consistency_exhaustive():
 def test_hyperplane_of_matches_enumeration(n):
     # Every subset of hyperplane size, against the 2(2^n - 1) affine
     # hyperplanes listed by brute force.
-    ctx = field_create(n)
+    ctx = FieldCtx(n)
     flats = {
         frozenset(y for y in range(ctx.order) if ctx.trace(ctx.mul(b, y)) == eps):
             vbf.HyperplaneWitness(b=b, eps=eps)
@@ -145,21 +145,21 @@ def test_hyperplane_of_matches_enumeration(n):
 
 
 def test_gold_derivatives_are_hyperplanes():
-    ctx = field_create(3)
+    ctx = FieldCtx(3)
     f = vbf.from_multinomial(build_gold(ctx, 1))
     for a in range(1, 8):
         assert vbf.hyperplane_of(ctx, _image(f, a)) is not None
 
 
 def test_is_crooked_gold_n3():
-    ctx = field_create(3)
+    ctx = FieldCtx(3)
     rep = vbf.is_crooked(vbf.from_multinomial(build_gold(ctx, 1)))
     assert rep.is_crooked
     assert len(rep.witnesses) == 7
 
 
 def test_is_crooked_inverse_n4_fails():
-    ctx = field_create(4)
+    ctx = FieldCtx(4)
     inv = vbf.from_multinomial(vbf.multinomial(ctx, [(1, 14)]))
     rep = vbf.is_crooked(inv)
     assert not rep.is_crooked
@@ -169,7 +169,7 @@ def test_is_crooked_inverse_n4_fails():
 def test_is_crooked_reports_non_apn_past_a_two_to_one_direction():
     # Direction 1 is 2-to-1 but its image is not a hyperplane, so the sweep
     # stops there; the function is not APN, which the report names instead.
-    ctx = field_create(3)
+    ctx = FieldCtx(3)
     f = vbf.TruthTable(ctx, [6, 6, 0, 4, 7, 6, 4, 7])
     d1 = vbf.derivative_values(f, 1)
     assert np.bincount(d1).max() == 2 and vbf.hyperplane_of(ctx, d1) is None
@@ -179,7 +179,7 @@ def test_is_crooked_reports_non_apn_past_a_two_to_one_direction():
 
 def test_constant_shift_preserves_derivative_sets():
     for n in (3, 4, 6, 8):
-        ctx = field_create(n)
+        ctx = FieldCtx(n)
         rng = random.Random(n)
         f = vbf.from_multinomial(random_quadratic(ctx, rng))
         c = rng.randrange(1, ctx.order)
@@ -190,7 +190,7 @@ def test_constant_shift_preserves_derivative_sets():
 
 def test_quadratic_apn_iff_crooked():
     for n in (4, 6, 8):
-        ctx = field_create(n)
+        ctx = FieldCtx(n)
         rng = random.Random(n + 1)
         for _ in range(3):
             f = vbf.from_multinomial(random_quadratic(ctx, rng))
