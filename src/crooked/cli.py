@@ -20,6 +20,8 @@ import json
 import sys
 import warnings
 from collections import Counter
+from itertools import islice
+from math import prod
 from typing import List, Optional, Tuple
 
 from . import families, funcfile, invariants, spectral, vbf
@@ -65,9 +67,10 @@ def _int(text: str, base: int = 16) -> int:
 
 def _resolve_elem(ctx: FieldCtx, text: str, seed: int) -> int:
     if text == "primitive":
-        # From 1, not 2: 1 is primitive in GF(2), and in no larger field.
-        prims = [v for v in range(1, ctx.order) if ctx.is_primitive(v)]
-        return prims[seed % len(prims)]
+        # From 1, not 2: 1 is primitive in GF(2), and in no larger field. There
+        # are phi(2^n - 1) primitive elements; the scan stops at the one it returns.
+        phi = prod(p ** (k - 1) * (p - 1) for p, k in ctx.order_facts)
+        return next(islice(filter(ctx.is_primitive, range(1, ctx.order)), seed % phi, None))
     return _int(text)
 
 

@@ -10,9 +10,11 @@ from dataclasses import dataclass
 from math import gcd
 from typing import List, Sequence, Tuple, Union
 
+import numpy as np
+
 from .errors import DegreeMismatch, InvalidInput, InvalidParams, NotApnWarning, NotGold
 from .field import FieldCtx, f2_gcd
-from .vbf import Multinomial, TruthTable, multinomial
+from .vbf import Multinomial, TruthTable, evaluate, multinomial
 
 
 @dataclass(frozen=True)
@@ -316,12 +318,13 @@ def proof_identity_check(f: TruthTable, p: FamilyParams) -> bool:
     (c + d c^q)(x^q a + x a^q) for the second family. It follows from the
     global one: v -> v + d v^q is additive and
     (x+a)^(q+1) + x^(q+1) + a^(q+1) = x^q a + x a^q.
+    It tests the identity, not membership of the family: adding to f(x) any
+    v in the kernel of v -> v + d v^q (2^m elements; F_q itself for the
+    first family) leaves it true. The apn and crooked checks catch such edits.
     """
     ctx = f.ctx
     q = 1 << p.m
     d = 1 if isinstance(p, Thm1Params) else p.d  # the first family twists by v^q alone
     coeff = p.c ^ ctx.mul(d, ctx.pow(p.c, q))
-    return all(
-        v ^ ctx.mul(d, ctx.pow(v, q)) == ctx.mul(coeff, ctx.pow(x, q + 1))
-        for x, v in enumerate(f.values.tolist())
-    )
+    lhs = f.values ^ evaluate(ctx, [(d, q)], f.values)
+    return bool(np.array_equal(lhs, evaluate(ctx, [(coeff, q + 1)], np.arange(ctx.order))))

@@ -6,7 +6,8 @@ The differential, Walsh and crooked sweeps each take one of three paths,
 chosen by `sweep_path` from the whole truth table: a power function x^d
 needs one derivative, a function of algebraic degree <= 2 needs one batched
 GF(2) rank per direction or component, and every other input is swept
-exhaustively over all 2^n - 1 directions or components."""
+exhaustively over all 2^n - 1 directions or components. `evaluate` is the
+only evaluator of a field formula at many points."""
 
 from __future__ import annotations
 
@@ -59,9 +60,7 @@ def multinomial(ctx: FieldCtx, terms: Iterable[Tuple[int, int]]) -> Multinomial:
             raise InvalidInput(f"coefficient {coeff:#x} outside GF(2^{ctx.n})")
         if coeff == 0:
             continue
-        e = exp % ctx.mult_order if ctx.n > 1 else exp
-        if e == 0:
-            e = ctx.mult_order
+        e = (exp - 1) % ctx.mult_order + 1
         merged[e] = merged.get(e, 0) ^ coeff
     out = tuple(sorted(((c, e) for e, c in merged.items() if c), key=lambda t: t[1]))
     return Multinomial(ctx, out)
@@ -92,15 +91,30 @@ class TruthTable:
         return f"TruthTable(n={self.ctx.n}, values[:4]={self.values[:4].tolist()}...)"
 
 
+def evaluate(ctx: FieldCtx, terms: Iterable[Tuple[int, int]], points: Sequence[int]) -> np.ndarray:
+    """sum c*p^e over the terms (c, e), e >= 1, at every p of the 1-d points,
+    as uint32. Each term is one gather from the log/antilog tables, c*p^e =
+    exp[(log c + (e mod 2^n-1) log p) mod (2^n-1)], and p = 0 gives 0. Where
+    the field keeps no tables (n = 1 or n > 16), points go one at a time."""
+    points = np.asarray(points, dtype=np.uint32)
+    terms = [(c, e) for c, e in terms if c]
+    if ctx.log_array is None:
+        vals = [0] * points.size
+        for i, p in enumerate(points.tolist()):
+            for c, e in terms:
+                vals[i] ^= ctx.mul(c, ctx.pow(p, e))
+        return np.array(vals, dtype=np.uint32)
+    log, exp, m = ctx.log_array, ctx.exp_array, ctx.mult_order
+    logp = log[points].astype(np.int64)
+    acc = np.zeros(points.shape, dtype=np.uint32)
+    for c, e in terms:
+        acc ^= exp[(int(log[c]) + e % m * logp) % m]
+    acc[points == 0] = 0
+    return acc
+
+
 def from_multinomial(m: Multinomial) -> TruthTable:
-    ctx = m.ctx
-    vals = [0] * ctx.order
-    for x in range(1, ctx.order):
-        acc = 0
-        for coeff, exp in m.terms:
-            acc ^= ctx.mul(coeff, ctx.pow(x, exp))
-        vals[x] = acc
-    return TruthTable(ctx, vals)
+    return TruthTable(m.ctx, evaluate(m.ctx, m.terms, np.arange(m.ctx.order)))
 
 
 def derivative_values(f: TruthTable, a: int) -> np.ndarray:
@@ -112,24 +126,14 @@ def derivative_values(f: TruthTable, a: int) -> np.ndarray:
 
 def power_exponent(f: TruthTable) -> Optional[int]:
     """The d in [1, 2^n - 1] with f(x) = x^d at every x, or None when f is
-    not a power function. The whole table is checked against the field's
-    log/antilog tables: f(0) = 0, d = log f(gamma) and f(gamma^i) =
-    gamma^(i*d) for every i, so how f was made is never trusted. None also
-    where the field keeps no tables (n = 1 or n > 16)."""
-    log, exp = f.ctx.log_array, f.ctx.exp_array
-    if log is None or f.values[0] != 0:
+    not a power function. d = log f(gamma) is the only candidate, and the
+    whole table is compared with `evaluate`'s x^d, so how f was made is never
+    trusted. None also where the field keeps no tables (n = 1 or n > 16)."""
+    ctx = f.ctx
+    if ctx.log_array is None:
         return None
-    m = f.ctx.mult_order
-    y = int(f.values[exp[1]])
-    if y == 0:
-        return None
-    d = int(log[y]) or m
-    exponents = np.arange(m, dtype=np.uint32)  # i*d < 2^32 for n <= 16
-    exponents *= d
-    exponents %= m
-    if not np.array_equal(f.values[exp], exp[exponents]):
-        return None
-    return d
+    d = int(ctx.log_array[f.values[ctx.exp_array[1]]]) or ctx.mult_order
+    return d if np.array_equal(f.values, evaluate(ctx, [(1, d)], np.arange(ctx.order))) else None
 
 
 def has_degree_at_most_2(f: TruthTable) -> bool:
@@ -281,9 +285,9 @@ def is_crooked(f: TruthTable) -> CrookedReport:
                 return CrookedReport(False, {}, failed_apn=True)
             return CrookedReport(False, witnesses, failed_at=a)
         if path == "power":
-            logs = ctx.log_array[1:].astype(np.int64)  # log c for c = 1, ..., 2^n - 1
-            normals = ctx.exp_array[(int(ctx.log_array[wit.b]) - logs * d) % ctx.mult_order]
-            # map, not tolist: no list of 2^n - 1 ints beside the witnesses.
+            # Direction c's normal is b*c^(-d); map, not tolist: no list of
+            # 2^n - 1 ints beside the witnesses.
+            normals = evaluate(ctx, [(wit.b, 2 * ctx.mult_order - d)], np.arange(1, ctx.order))
             return CrookedReport(True, {
                 c: HyperplaneWitness(b=b, eps=wit.eps)
                 for c, b in enumerate(map(int, normals), start=1)

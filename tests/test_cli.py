@@ -130,6 +130,16 @@ def test_construct_byte_identical_across_runs():
     assert run_cli(*args, expect=0).stdout == run_cli(*args, expect=0).stdout
 
 
+def test_resolve_primitive_stops_at_the_element_it_returns():
+    # The (seed mod phi(2^n - 1))-th primitive element of the ascending scan
+    # is the one the list of every primitive element gives.
+    for n in range(1, 11):
+        ctx = FieldCtx(n)
+        prims = [v for v in range(1, ctx.order) if ctx.is_primitive(v)]
+        for seed in (0, 1, 7, 1000):
+            assert cli._resolve_elem(ctx, "primitive", seed) == prims[seed % len(prims)], (n, seed)
+
+
 # The README flagship; m = 6 is even, so the instance is not APN.
 FLAGSHIP = ("construct", "--family", "thm1", "--n", "12", "--s", "8", "--t", "1",
             "--K", "0", "--c", "primitive", "--d", "primitive")

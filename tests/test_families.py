@@ -247,6 +247,29 @@ def test_proof_identity_matches_pair_oracle(ctx6):
     assert results[:6] == [True] * 6 and results[6] is False
 
 
+@pytest.mark.parametrize("family", ["thm1", "thm2"])
+def test_proof_identity_blind_to_twist_kernel(ctx6, family):
+    # The check tests f + d f^q = (c + d c^q) x^(q+1), not membership of the
+    # family: an edit f(x) += v keeps it true exactly when v + d v^q = 0.
+    p = search_params(ctx6, family, budget=1, seed=1)[0]
+    f = _built(ctx6, p)
+    q = 1 << p.m
+    d = 1 if family == "thm1" else p.d
+    kernel = {v for v in range(ctx6.order) if v ^ ctx6.mul(d, ctx6.pow(v, q)) == 0}
+    assert len(kernel) == q
+    if family == "thm1":
+        assert kernel == {v for v in range(ctx6.order) if ctx6.in_subfield(v, p.m)}
+    for x in range(ctx6.order):
+        for v in range(1, ctx6.order):
+            values = f.values.copy()
+            values[x] ^= v
+            assert proof_identity_check(vbf.TruthTable(ctx6, values), p) == (v in kernel), (x, v)
+    # The apn check catches such an edit.
+    values = f.values.copy()
+    values[5] ^= min(kernel - {0})
+    assert not vbf.is_apn(vbf.TruthTable(ctx6, values))
+
+
 def test_family_instances_crooked_odd_half_degree():
     # The first-family construction is sound for odd m = n/2.
     for n in (6, 10):

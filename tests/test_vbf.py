@@ -28,6 +28,7 @@ def test_multinomial_merges_and_reduces():
     assert m2.terms == ((4, 2),)
     with pytest.raises(InvalidInput):
         vbf.multinomial(ctx, [(1, 0)])
+    assert vbf.multinomial(FieldCtx(1), [(1, 3), (1, 2)]).terms == ()  # x^3 = x^2 = x on GF(2)
 
 
 def test_from_multinomial_identity_and_cube():
@@ -36,6 +37,61 @@ def test_from_multinomial_identity_and_cube():
     assert ident.values.tolist() == [0, 1, 2, 3]
     cube = vbf.from_multinomial(vbf.multinomial(ctx, [(1, 3)]))
     assert cube.values.tolist() == [0, 1, 1, 1]
+
+
+def _scalar_values(ctx, terms, points):
+    # Per-point oracle: the field's scalar mul and pow.
+    out = []
+    for p in points:
+        acc = 0
+        for c, e in terms:
+            acc ^= ctx.mul(c, ctx.pow(p, e))
+        out.append(acc)
+    return out
+
+
+def _random_terms(ctx, rng):
+    # Random terms plus a zero coefficient, a repeated exponent,
+    # e = 2^n - 1 and an e >= 2^n.
+    e = rng.randrange(1, ctx.order)
+    u = [rng.randrange(1, ctx.order) for _ in range(4)]
+    terms = [(rng.randrange(ctx.order), rng.randrange(1, 4 * ctx.order)) for _ in range(3)]
+    return terms + [(0, e), (u[0], e), (u[1], e), (u[2], ctx.mult_order),
+                    (u[3], ctx.order + rng.randrange(3 * ctx.order))]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_evaluate_matches_scalar_arithmetic(n):
+    ctx = FieldCtx(n)
+    rng = random.Random(n)
+    for _ in range(10):
+        terms = _random_terms(ctx, rng)
+        some = [rng.randrange(ctx.order) for _ in range(40)]
+        points = [0] + some + some[:5] + [0]  # 0 and repeats
+        got = vbf.evaluate(ctx, terms, points)
+        assert got.dtype == np.uint32
+        assert got.tolist() == _scalar_values(ctx, terms, points), terms
+
+
+@pytest.mark.parametrize("n", [1, 17, 20])
+def test_evaluate_without_tables(n):
+    # n = 1 and n > 16 keep no log/antilog tables: points go one at a time.
+    ctx = FieldCtx(n)
+    assert ctx.log_array is None
+    rng = random.Random(n)
+    terms = _random_terms(ctx, rng)
+    points = [0, 1] if n == 1 else [0] + [rng.randrange(ctx.order) for _ in range(63)]
+    got = vbf.evaluate(ctx, terms, points)
+    assert got.dtype == np.uint32
+    assert got.tolist() == _scalar_values(ctx, terms, points)
+
+
+def test_evaluate_tables_agree_with_fallback():
+    ctx, bare = FieldCtx(8), FieldCtx(8)
+    bare.__dict__.update(log_array=None, exp_array=None)  # as if no tables were kept
+    terms = _random_terms(ctx, random.Random(8))
+    points = np.arange(ctx.order)
+    assert vbf.evaluate(bare, terms, points).tolist() == vbf.evaluate(ctx, terms, points).tolist()
 
 
 def test_flagship_shape_exponents_n12():
