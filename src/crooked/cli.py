@@ -200,8 +200,8 @@ def cmd_verify(args) -> int:
             report["crooked"] = res.is_crooked
             if res.is_crooked and not args.summary:
                 report["hyperplane_witnesses"] = {
-                    format(a, "x"): [format(w.b, "x"), w.eps]
-                    for a, w in sorted(res.witnesses.items())
+                    format(a, "x"): [format(b, "x"), eps]
+                    for a, b, eps in zip(range(1, f.ctx.order), res.b.tolist(), res.eps.tolist())
                 }
             if not res.is_crooked:
                 report["crooked_failed_at"] = (

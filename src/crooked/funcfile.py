@@ -86,13 +86,16 @@ def parse(text: str) -> FunctionFile:
                 raise MalformedFile(f"truth table length {len(values)} != 2^{n}")
         else:
             raise MalformedFile(f"unknown representation {rep!r}")
+        provenance = doc.get("provenance", {})
+        if not isinstance(provenance, dict):
+            raise MalformedFile("provenance is not a JSON object")
         return FunctionFile(
             n=n,
             modulus=modulus,
             representation=rep,
             terms=terms,
             values=values,
-            provenance=doc.get("provenance", {}),
+            provenance=provenance,
             schema_version=int(doc.get("schema_version", SCHEMA_VERSION)),
         )
     except MalformedFile:

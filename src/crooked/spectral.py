@@ -1,8 +1,9 @@
 """Walsh transform machinery: per-component spectra via the fast
-Walsh-Hadamard butterfly, and full-spectrum summaries with nonlinearity.
-The full spectrum takes `vbf.sweep_path`'s path: gcd(d, 2^n - 1) transformed
-components for a power function x^d, the rank of every component's
-symplectic matrix for f of degree <= 2, and every component otherwise."""
+Walsh-Hadamard butterfly, each a plain int64 array indexed by the mask, and
+full-spectrum summaries with nonlinearity. The full spectrum takes the
+table's `TruthTable.path`: gcd(d, 2^n - 1) transformed components for a
+power function x^d, the rank of every component's symplectic matrix for f
+of degree <= 2, and every component otherwise."""
 
 from __future__ import annotations
 
@@ -13,17 +14,9 @@ from typing import List
 
 import numpy as np
 
-from . import gf2mat, vbf
+from . import gf2mat
 from .errors import InfeasibleSize, InvalidDirection
 from .vbf import EXHAUSTIVE_MAX_N, TruthTable, parity_table
-
-
-@dataclass(frozen=True)
-class WalshComponent:
-    """Walsh values of x -> tr(a*f(x)) over all linear masks omega."""
-
-    a: int
-    values: np.ndarray  # int64, length 2^n
 
 
 def fwht(v: np.ndarray) -> np.ndarray:
@@ -39,19 +32,14 @@ def fwht(v: np.ndarray) -> np.ndarray:
     return v.reshape(-1)
 
 
-def component_signs(f: TruthTable, a: int) -> np.ndarray:
-    """(-1)^(tr(a*f(x))) as an int64 vector indexed by x."""
+def walsh_component(f: TruthTable, a: int) -> np.ndarray:
+    """The Walsh values of x -> tr(a*f(x)) at every mask omega, as int64."""
     if a == 0 or a >= f.ctx.order:
         raise InvalidDirection(f"component a={a} invalid")
-    par = parity_table(f.ctx.n)
-    return 1 - 2 * par[f.values & f.ctx.trace_masks[a]].astype(np.int64)
-
-
-def walsh_component(f: TruthTable, a: int) -> WalshComponent:
+    signs = 1 - 2 * parity_table(f.ctx.n)[f.values & f.ctx.trace_masks[a]].astype(np.int64)
     # The butterfly pairs x with masks under the plain bit inner product;
-    # reindex so that values[omega] matches the tr(omega*x) character.
-    plain = fwht(component_signs(f, a))
-    return WalshComponent(a=a, values=plain[f.ctx.trace_masks])
+    # reindex so that entry omega matches the tr(omega*x) character.
+    return fwht(signs)[f.ctx.trace_masks]
 
 
 def symplectic_rows(f: TruthTable) -> List[np.ndarray]:
@@ -86,7 +74,7 @@ def walsh_spectrum(f: TruthTable) -> SpectrumSummary:
     order = f.ctx.order
     # |W| <= 2^n, so hist[v + 2^n] counts the Walsh value v over all (omega, a).
     hist = np.zeros(2 * order + 1, dtype=np.int64)
-    path, d = vbf.sweep_path(f)
+    path, d = f.path
     if path == "quadratic":
         # tr(a*f) is a quadratic form. With k the dimension of the radical of
         # its symplectic matrix, |W| = 2^((n+k)/2) on 2^(n-k) masks, and
@@ -111,7 +99,7 @@ def walsh_spectrum(f: TruthTable) -> SpectrumSummary:
             g = gcd(d, f.ctx.mult_order)
             components, weight = f.ctx.exp_array[:g].tolist(), f.ctx.mult_order // g
         for a in components:
-            hist += np.bincount(walsh_component(f, a).values + order, minlength=2 * order + 1)
+            hist += np.bincount(walsh_component(f, a) + order, minlength=2 * order + 1)
         hist *= weight
     idx = np.flatnonzero(hist)
     gamma = Counter(dict(zip((idx - order).tolist(), hist[idx].tolist())))

@@ -3,16 +3,19 @@ differential spectra, APN tests, and crooked (hyperplane-derivative)
 verification.
 
 The differential, Walsh and crooked sweeps each take one of three paths,
-chosen by `sweep_path` from the whole truth table: a power function x^d
-needs one derivative, a function of algebraic degree <= 2 needs one batched
-GF(2) rank per direction or component, and every other input is swept
-exhaustively over all 2^n - 1 directions or components. `evaluate` is the
+chosen once per table by `TruthTable.path` from the whole truth table: a
+power function x^d needs one derivative, a function of algebraic degree <= 2
+needs one batched GF(2) rank per direction or component, and every other
+input is swept exhaustively over all 2^n - 1 directions or components.
+Per-direction answers are arrays indexed by direction: entry a - 1 of
+`CrookedReport.b` and `.eps` is direction a's hyperplane. `evaluate` is the
 only evaluator of a field formula at many points."""
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -72,10 +75,28 @@ class TruthTable:
     def __init__(self, ctx: FieldCtx, values: Sequence[int]):
         if len(values) != ctx.order:
             raise InvalidInput(f"table length {len(values)} != 2^{ctx.n}")
-        self.ctx = ctx
-        self.values = np.asarray(values, dtype=np.uint32)
-        if self.values.size and int(self.values.max()) >= ctx.order:
+        # Range-checked before the uint32 conversion, which would wrap or
+        # overflow on an entry below 0 or at 2^32 and above.
+        values = np.asarray(values)
+        if values.min() < 0 or values.max() >= ctx.order:
             raise InvalidInput("table entry outside the field")
+        self.ctx = ctx
+        self.values = values.astype(np.uint32, copy=False)
+
+    @cached_property
+    def path(self) -> Tuple[str, Optional[int]]:
+        """The path the differential, Walsh and crooked sweeps take for this
+        table, certified once and cached, so `values` must not change after
+        construction: ("power", d) when f = x^d at every x,
+        ("quadratic", None) when f has algebraic degree <= 2, else
+        ("exhaustive", None). Power goes first: a Gold function is both, and
+        one derivative is cheaper than 2^n - 1 ranks."""
+        d = power_exponent(self)
+        if d is not None:
+            return "power", d
+        if has_degree_at_most_2(self):
+            return "quadratic", None
+        return "exhaustive", None
 
     def __getitem__(self, x: int) -> int:
         return int(self.values[x])
@@ -153,19 +174,6 @@ def has_degree_at_most_2(f: TruthTable) -> bool:
     return not anf[heavy != 0].any()
 
 
-def sweep_path(f: TruthTable) -> Tuple[str, Optional[int]]:
-    """The path the differential, Walsh and crooked sweeps take for f:
-    ("power", d) when f = x^d at every x, ("quadratic", None) when f has
-    algebraic degree <= 2, else ("exhaustive", None). Power goes first: a
-    Gold function is both, and one derivative is cheaper than 2^n - 1 ranks."""
-    d = power_exponent(f)
-    if d is not None:
-        return "power", d
-    if has_degree_at_most_2(f):
-        return "quadratic", None
-    return "exhaustive", None
-
-
 def derivative_columns(f: TruthTable) -> List[np.ndarray]:
     """For f of degree <= 2, D_a f(x) = L_a(x) + D_a f(0) with L_a linear.
     Entry a - 1 of array j is L_a(e_j) = f(a+e_j) + f(a) + f(e_j) + f(0),
@@ -182,7 +190,7 @@ def differential_spectrum(f: TruthTable) -> Tuple[int, Counter]:
         raise InfeasibleSize(f"exhaustive differential scan capped at n={EXHAUSTIVE_MAX_N}")
     order = f.ctx.order
     hist = np.zeros(order + 1, dtype=np.int64)  # hist[v] = pairs (a, b) with v solutions
-    path, _ = sweep_path(f)
+    path, _ = f.path
     if path == "quadratic":
         # The kernel dimension k of L_a gives 2^(n-k) outputs of D_a f,
         # each hit 2^k times.
@@ -209,17 +217,9 @@ def is_apn(f: TruthTable) -> bool:
     return delta == 2
 
 
-@dataclass(frozen=True)
-class HyperplaneWitness:
-    """The set equals {y : trace(b*y) = eps}."""
-
-    b: int
-    eps: int
-
-
-def hyperplane_of(ctx: FieldCtx, s: Iterable[int]) -> Optional[HyperplaneWitness]:
-    """Witness (b, eps) when the set of elements of s (repeats allowed) is an
-    affine hyperplane {y : tr(b*y) = eps}.
+def hyperplane_of(ctx: FieldCtx, s: Iterable[int]) -> Optional[Tuple[int, int]]:
+    """(b, eps) when the set of elements of s (repeats allowed) is the affine
+    hyperplane {y : tr(b*y) = eps}, else None.
 
     With y0 in the set, the set is one exactly when its shift by y0 is a
     linear hyperplane. A linear hyperplane with normal w holds the basis
@@ -238,59 +238,57 @@ def hyperplane_of(ctx: FieldCtx, s: Iterable[int]) -> Optional[HyperplaneWitness
     par = parity_table(n)
     if w == 0 or par[(elems ^ y0) & w].any():
         return None
-    return HyperplaneWitness(b=int(ctx.trace_masks_inverse[w]), eps=int(par[y0 & w]))
+    return int(ctx.trace_masks_inverse[w]), int(par[y0 & w])
 
 
-@dataclass
+@dataclass(eq=False)
 class CrookedReport:
+    """Direction a's derivative image is {y : tr(b[a-1]*y) = eps[a-1]}, so b
+    (uint32) is the map a -> b and eps (uint8) the side; both are None when
+    f is not crooked."""
+
     is_crooked: bool
-    witnesses: Dict[int, HyperplaneWitness]
+    b: Optional[np.ndarray]
+    eps: Optional[np.ndarray]
     failed_at: Optional[int] = None  # first direction without a hyperplane, or
     failed_apn: bool = False         # True when the APN precondition broke
 
 
 def is_crooked(f: TruthTable) -> CrookedReport:
     """APN plus: every nonzero-direction derivative image is an affine
-    hyperplane. Witnesses are collected per direction. The hyperplanes imply
-    APN (2^n inputs, paired as x and x+a, onto 2^(n-1) values is 2-to-1), so
-    the differential sweep runs only on failure, to report a non-APN f as such.
+    hyperplane, with its (b, eps) per direction. The hyperplanes imply APN
+    (2^n inputs, paired as x and x+a, onto 2^(n-1) values is 2-to-1), so the
+    differential sweep runs only on failure, to report a non-APN f as such.
 
-    The path is `sweep_path`'s. For a power function x^d only direction 1 is
-    swept: direction a's image is a^d times direction 1's, the hyperplane
+    The path is `TruthTable.path`. For a power function x^d only direction 1
+    is swept: direction a's image is a^d times direction 1's, the hyperplane
     with normal b*a^(-d). For f of degree <= 2, APN and crooked coincide:
     the image L_a(F) + D_a f(0) is a hyperplane exactly when ker L_a =
     {0, a}, and the one normal w of the columns of L_a gives b =
     trace_masks_inverse[w] and eps = parity(w & D_a f(0)). A hyperplane's
-    normal is unique, so both paths give the witnesses the sweep of every
+    normal is unique, so both paths give the (b, eps) the sweep of every
     direction finds."""
     ctx = f.ctx
     if ctx.n > EXHAUSTIVE_MAX_N:
         raise InfeasibleSize(f"crooked sweep capped at n={EXHAUSTIVE_MAX_N}")
-    path, d = sweep_path(f)
+    path, d = f.path
     if path == "quadratic":
         rank, normal = gf2mat.rank_and_normal_batched(derivative_columns(f), ctx.n)
         if (rank < ctx.n - 1).any():
-            return CrookedReport(False, {}, failed_apn=True)
+            return CrookedReport(False, None, None, failed_apn=True)
         eps = parity_table(ctx.n)[normal & (f.values[1:] ^ f.values[0])]
-        normals = ctx.trace_masks_inverse[normal]
-        return CrookedReport(True, {
-            a: HyperplaneWitness(b=b, eps=e)
-            for a, b, e in zip(range(1, ctx.order), map(int, normals), map(int, eps))
-        })
-    witnesses: Dict[int, HyperplaneWitness] = {}
+        return CrookedReport(True, ctx.trace_masks_inverse[normal], eps)
+    b = np.empty(ctx.order - 1, dtype=np.uint32)
+    eps = np.empty(ctx.order - 1, dtype=np.uint8)
     for a in range(1, ctx.order):
         wit = hyperplane_of(ctx, derivative_values(f, a))
         if wit is None:
             if not is_apn(f):
-                return CrookedReport(False, {}, failed_apn=True)
-            return CrookedReport(False, witnesses, failed_at=a)
+                return CrookedReport(False, None, None, failed_apn=True)
+            return CrookedReport(False, None, None, failed_at=a)
         if path == "power":
-            # Direction c's normal is b*c^(-d); map, not tolist: no list of
-            # 2^n - 1 ints beside the witnesses.
-            normals = evaluate(ctx, [(wit.b, 2 * ctx.mult_order - d)], np.arange(1, ctx.order))
-            return CrookedReport(True, {
-                c: HyperplaneWitness(b=b, eps=wit.eps)
-                for c, b in enumerate(map(int, normals), start=1)
-            })
-        witnesses[a] = wit
-    return CrookedReport(True, witnesses)
+            # Direction c's normal is b*c^(-d).
+            normals = evaluate(ctx, [(wit[0], 2 * ctx.mult_order - d)], np.arange(1, ctx.order))
+            return CrookedReport(True, normals, np.full(ctx.order - 1, wit[1], dtype=np.uint8))
+        b[a - 1], eps[a - 1] = wit
+    return CrookedReport(True, b, eps)

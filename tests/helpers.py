@@ -14,7 +14,7 @@ from unittest import mock
 from crooked import funcfile, spectral, vbf
 from crooked.families import FamilyParams, Thm1Params
 from crooked.field import FieldCtx
-from crooked.vbf import HyperplaneWitness, TruthTable
+from crooked.vbf import TruthTable
 
 
 def from_truthtable_repr(t: TruthTable, provenance: Optional[dict] = None) -> funcfile.FunctionFile:
@@ -51,25 +51,31 @@ def naive_diff_spectrum(f: TruthTable) -> Tuple[int, Counter]:
     return delta, spectrum
 
 
-def naive_crooked(f: TruthTable) -> Tuple[Dict[int, HyperplaneWitness], Optional[int]]:
+def naive_crooked(f: TruthTable) -> Tuple[Optional[tuple], Optional[int]]:
     """Walk the directions a = 1, 2, ... and match each derivative image
     against every affine hyperplane {y : tr(b*y) = eps}, listed by plain
-    trace evaluation. Returns the witnesses found and the first direction
-    whose image is no hyperplane (None when every one is)."""
+    trace evaluation. Returns the (b, eps) of every direction, or None, and
+    the first direction whose image is no hyperplane (None when every one is)."""
     ctx = f.ctx
     flats = {
-        frozenset(y for y in range(ctx.order) if ctx.trace(ctx.mul(b, y)) == eps):
-            HyperplaneWitness(b=b, eps=eps)
+        frozenset(y for y in range(ctx.order) if ctx.trace(ctx.mul(b, y)) == eps): (b, eps)
         for b in range(1, ctx.order)
         for eps in (0, 1)
     }
-    witnesses: Dict[int, HyperplaneWitness] = {}
+    witnesses = []
     for a in range(1, ctx.order):
         wit = flats.get(frozenset(f[x] ^ f[x ^ a] for x in range(ctx.order)))
         if wit is None:
-            return witnesses, a
-        witnesses[a] = wit
-    return witnesses, None
+            return None, a
+        witnesses.append(wit)
+    return tuple(witnesses), None
+
+
+def crooked_form(rep: vbf.CrookedReport):
+    """(verdict, failed_at, failed_apn, the (b, eps) of each direction a =
+    1, 2, ... or None): the one form in which tests compare crooked reports."""
+    pairs = None if rep.b is None else tuple(zip(rep.b.tolist(), rep.eps.tolist()))
+    return rep.is_crooked, rep.failed_at, rep.failed_apn, pairs
 
 
 def is_ab(f: TruthTable) -> bool:
@@ -82,33 +88,40 @@ def is_ab(f: TruthTable) -> bool:
 
 
 def sweeps(f: TruthTable):
-    """The differential, Walsh and crooked answers, on the path
-    `vbf.sweep_path` picks for f."""
-    return vbf.differential_spectrum(f), spectral.walsh_spectrum(f), vbf.is_crooked(f)
+    """The differential, Walsh and crooked answers, the last in
+    `crooked_form`, on the path `TruthTable.path` picks for f."""
+    return vbf.differential_spectrum(f), spectral.walsh_spectrum(f), crooked_form(vbf.is_crooked(f))
+
+
+def _forced_path(path: str):
+    # A class-level PropertyMock is a data descriptor, so it wins over the
+    # path a table has already cached in its instance dict.
+    return mock.patch.object(TruthTable, "path", new_callable=mock.PropertyMock,
+                             return_value=(path, None))
 
 
 def exhaustive_sweeps(f: TruthTable):
     """The sweeps of every direction and component, whatever f is."""
-    with mock.patch.object(vbf, "sweep_path", return_value=("exhaustive", None)):
+    with _forced_path("exhaustive"):
         return sweeps(f)
 
 
 def quadratic_sweeps(f: TruthTable):
     """The quadratic path's answers for f, which must have degree <= 2."""
     assert vbf.has_degree_at_most_2(f)
-    with mock.patch.object(vbf, "sweep_path", return_value=("quadratic", None)):
+    with _forced_path("quadratic"):
         return sweeps(f)
 
 
-def naive_crooked_report(f: TruthTable) -> vbf.CrookedReport:
-    """The `vbf.is_crooked` report that `naive_crooked` and, on failure,
-    `naive_diff_spectrum` give."""
+def naive_crooked_report(f: TruthTable):
+    """The `crooked_form` of the `vbf.is_crooked` report that `naive_crooked`
+    and, on failure, `naive_diff_spectrum` give."""
     witnesses, failed_at = naive_crooked(f)
     if failed_at is None:
-        return vbf.CrookedReport(True, witnesses)
+        return True, None, False, witnesses
     if naive_diff_spectrum(f)[0] != 2:
-        return vbf.CrookedReport(False, {}, failed_apn=True)
-    return vbf.CrookedReport(False, witnesses, failed_at=failed_at)
+        return False, None, True, None
+    return False, failed_at, False, None
 
 
 def naive_pair_identity(f: TruthTable, p: FamilyParams) -> bool:

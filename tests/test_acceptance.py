@@ -214,7 +214,7 @@ def test_criterion_06_oracle_equivalence():
             fs.append(vbf.from_multinomial(random_quadratic(ctx, rng)))
         for f in fs:
             for a in range(1, ctx.order):
-                w = spectral.walsh_component(f, a).values
+                w = spectral.walsh_component(f, a)
                 ok &= all(
                     int(w[omega]) == naive_walsh(f, a, omega)
                     for omega in range(ctx.order)
@@ -225,7 +225,7 @@ def test_criterion_06_oracle_equivalence():
         build_thm1(ctx6, search_params(ctx6, "thm1", budget=1, seed=1)[0])
     )
     for a in rng.sample(range(1, 64), 5):
-        w = spectral.walsh_component(f6, a).values
+        w = spectral.walsh_component(f6, a)
         ok &= all(int(w[o]) == naive_walsh(f6, a, o) for o in range(64))
         ok &= int((w.astype("int64") ** 2).sum()) == 4**6
     # Optimized differential counting vs plain dict counting up to n = 8.

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import subprocess
 import sys
 
@@ -168,13 +169,19 @@ def test_construct_odd_half_degree_no_warning():
     assert proc.stderr == ""
 
 
-# Stand-ins for n = 6 thm1 files whose provenance lacks m (None) or has a
-# value replaced, for an n = 6 Gold file, for a file that does not exist, for
-# a file that is not UTF-8, and for a path in a directory that does not exist.
+# Stand-ins for n = 6 thm1 files whose provenance lacks m (None), has a
+# value replaced or is replaced whole (key None), for n = 6 Gold truth-table
+# files with entry 1 replaced, for an n = 6 Gold file, for a file that does
+# not exist, for a file that is not UTF-8, and for a path in a directory that
+# does not exist.
 NO_M, C_FFF, M_5 = "<no-m>", "<c=fff>", "<m=5>"
 K_NEG, K_A, S_99 = "<K=[-1]>", "<K=[a]>", "<s=99>"
+PROV_5, PROV_LIST, PROV_STR = "<provenance=5>", "<provenance=[]>", "<provenance='x'>"
 PROVENANCE_EDITS = {NO_M: ("m", None), C_FFF: ("c", "fff"), M_5: ("m", 5),
-                    K_NEG: ("K", [-1]), K_A: ("K", ["a"]), S_99: ("s", 99)}
+                    K_NEG: ("K", [-1]), K_A: ("K", ["a"]), S_99: ("s", 99),
+                    PROV_5: (None, 5), PROV_LIST: (None, []), PROV_STR: (None, "x")}
+ENTRY_NEG, ENTRY_BIG = "<entry=-1>", "<entry=100000000>"
+ENTRY_EDITS = {ENTRY_NEG: "-1", ENTRY_BIG: "100000000"}
 GOLD, MISSING, NOT_UTF8, NO_DIR = "<gold>", "<missing>", "<not-utf-8>", "<no-dir>"
 
 
@@ -182,10 +189,19 @@ def _thm1_file_with(path, key, value):
     assert cli.main(["construct", "--family", "thm1", "--n", "6", "--auto",
                      "--out", str(path)]) == 0
     doc = json.loads(path.read_text())
-    if value is None:
+    if key is None:
+        doc["provenance"] = value
+    elif value is None:
         del doc["provenance"][key]
     else:
         doc["provenance"][key] = value
+    path.write_text(json.dumps(doc))
+
+
+def _gold_table_file_with(path, entry):
+    gold = vbf.from_multinomial(vbf.multinomial(FieldCtx(6), [(1, 3)]))
+    doc = json.loads(funcfile.serialize(from_truthtable_repr(gold)))
+    doc["values"][1] = entry
     path.write_text(json.dumps(doc))
 
 
@@ -210,6 +226,14 @@ EXIT_CASES = [
     (("verify", "--in", K_NEG, "--checks", "identity"), 3, "err", "K within [0, n-1]"),
     (("verify", "--in", K_A, "--checks", "identity"), 3, "err", "K within [0, n-1]"),
     (("verify", "--in", S_99, "--checks", "identity"), 3, "err", "0 <= t < s < n"),
+    (("verify", "--in", PROV_5, "--checks", "identity"), 3, "err", "provenance is not"),
+    (("verify", "--in", PROV_5, "--checks", "apn"), 3, "err", "provenance is not"),
+    (("verify", "--in", PROV_LIST, "--checks", "identity"), 3, "err", "provenance is not"),
+    (("verify", "--in", PROV_STR, "--checks", "identity"), 3, "err", "provenance is not"),
+    (("verify", "--in", ENTRY_NEG, "--checks", "apn"), 3, "err", "outside the field"),
+    (("verify", "--in", ENTRY_BIG, "--checks", "apn"), 3, "err", "outside the field"),
+    (("invariants", "--in", ENTRY_BIG, "--against", "gold-all"), 3, "err",
+     "outside the field"),
     (("construct", "--family", "thm1", "--n", "7"), 2, "out", "n must be even"),
     (("construct", "--family", "thm1", "--n", "7", "--auto"), 5, "err", "even n"),
     (("construct", "--family", "thm2", "--n", "8", "--auto"), 2, "out", "no valid parameters"),
@@ -238,9 +262,12 @@ def test_documented_exit_codes(argv, code, stream, part, tmp_path, capsys):
     for stand_in, (key, value) in PROVENANCE_EDITS.items():
         if stand_in in argv:
             _thm1_file_with(path, key, value)
+    for stand_in, entry in ENTRY_EDITS.items():
+        if stand_in in argv:
+            _gold_table_file_with(path, entry)
     capsys.readouterr()
     argv = tuple(str(tmp_path / "no-dir" / "f.json") if a == NO_DIR
-                 else str(path) if a in (GOLD, MISSING, NOT_UTF8, *PROVENANCE_EDITS)
+                 else str(path) if a in (GOLD, MISSING, NOT_UTF8, *PROVENANCE_EDITS, *ENTRY_EDITS)
                  else a for a in argv)
     assert cli.main(list(argv)) == code
     got = capsys.readouterr()
@@ -319,6 +346,28 @@ def test_verify_witnesses_pinned(flags, tmp_path):
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest, rest
 
 
+# sha256 of `verify --checks apn,crooked,walsh,identity --json` on
+# `construct --family thm1 --n 14 --auto --seed 1`, as computed while each
+# crooked witness was built as its own object.
+THM1_N14_SHA256 = "f239dd821338f55106ffdf0c1aedd95d579245f56cf6f58062554e77ffa43464"
+
+
+def test_thm1_n14_verify_pinned(tmp_path):
+    path = tmp_path / "f.json"
+    run_cli("construct", "--family", "thm1", "--n", "14", "--auto", "--seed", "1",
+            "--out", str(path), expect=0)
+    proc = run_cli("verify", "--in", str(path), "--checks", "apn,crooked,walsh,identity",
+                   "--json", expect=0)
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == THM1_N14_SHA256
+    # The arrays is_crooked returns hold each direction's hyperplane_of.
+    f = funcfile.parse(path.read_text()).to_truthtable()
+    assert f.path == ("quadratic", None)
+    rep = vbf.is_crooked(f)
+    for a in random.Random(14).sample(range(1, f.ctx.order), 64):
+        got = (int(rep.b[a - 1]), int(rep.eps[a - 1]))
+        assert got == vbf.hyperplane_of(f.ctx, vbf.derivative_values(f, a)), a
+
+
 # sha256 of the stdout of `search --n 10 --budget 5 --seed 1` as computed
 # while K was filtered by a GF(2) rank: the seeded shuffle runs over the
 # filtered K list, so these pin the filter's answers and their order.
@@ -369,6 +418,24 @@ def test_identity_checks_the_file_not_its_provenance(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert cli.main(argv) == 1
     assert '"identity":false' in capsys.readouterr().out
+
+
+def test_verify_certifies_the_path_once(tmp_path, monkeypatch, capsys):
+    # Every check of one verify reads the path its table has cached.
+    calls = {"power_exponent": 0, "has_degree_at_most_2": 0}
+    for name in calls:
+        def counted(f, name=name, original=getattr(vbf, name)):
+            calls[name] += 1
+            return original(f)
+
+        monkeypatch.setattr(vbf, name, counted)
+    path = tmp_path / "f.json"
+    assert cli.main(["construct", "--family", "thm1", "--n", "6", "--auto", "--seed", "1",
+                     "--out", str(path)]) == 0
+    argv = ["verify", "--in", str(path), "--checks", "apn,crooked,walsh,identity", "--json"]
+    assert cli.main(argv) == 0
+    assert calls == {"power_exponent": 1, "has_degree_at_most_2": 1}
+    assert '"pass":true' in capsys.readouterr().out
 
 
 def test_verify_crooked_runs_no_differential_sweep(tmp_path, monkeypatch, capsys):

@@ -91,7 +91,7 @@ def test_single_entry_edit_fails_the_certificate():
     rng = random.Random(6)
     base = quadratic_table(ctx, 1, [rng.randrange(64) for _ in range(6)],
                            [[rng.randrange(64) for _ in range(i)] for i in range(6)])
-    assert vbf.sweep_path(base) == ("quadratic", None)
+    assert base.path == ("quadratic", None)
     assert sweeps(base) == exhaustive_sweeps(base)
     for x in range(ctx.order):
         for change in range(1, ctx.order):
@@ -101,7 +101,7 @@ def test_single_entry_edit_fails_the_certificate():
         edited = base.values.copy()
         edited[x] ^= x % (ctx.order - 1) + 1
         f = vbf.TruthTable(ctx, edited)
-        assert vbf.sweep_path(f)[0] != "quadratic", x
+        assert f.path[0] != "quadratic", x
         assert sweeps(f) == exhaustive_sweeps(f), x
 
 
@@ -109,11 +109,11 @@ def test_degree_three_is_refused():
     ctx = FieldCtx(6)
     cube = vbf.from_multinomial(vbf.multinomial(ctx, [(1, 7)]))
     assert not vbf.has_degree_at_most_2(cube)
-    assert vbf.sweep_path(cube) == ("power", 7)
+    assert cube.path == ("power", 7)
     f = vbf.from_multinomial(vbf.multinomial(ctx, [(1, 7), (1, 1)]))
-    assert vbf.sweep_path(f) == ("exhaustive", None)
+    assert f.path == ("exhaustive", None)
     gold = vbf.from_multinomial(vbf.multinomial(ctx, [(1, 3)]))
-    assert vbf.has_degree_at_most_2(gold) and vbf.sweep_path(gold) == ("power", 3)
+    assert vbf.has_degree_at_most_2(gold) and gold.path == ("power", 3)
 
 
 def test_affine_tables_take_the_quadratic_path():
@@ -126,7 +126,7 @@ def test_affine_tables_take_the_quadratic_path():
     }
     for name, values in tables.items():
         f = vbf.TruthTable(ctx, values)
-        assert vbf.sweep_path(f) == ("quadratic", None), name
+        assert f.path == ("quadratic", None), name
         delta, _ = vbf.differential_spectrum(f)
         assert delta == ctx.order, name
         diff, walsh, report = exhaustive_sweeps(f)
@@ -154,7 +154,7 @@ def test_quadratic_path_equals_loops_and_oracles(data):
     linear = data.draw(st.lists(element, min_size=n, max_size=n), label="linear")
     const = data.draw(st.integers(1, ctx.order - 1), label="f(0)")  # f(0) != 0: no power
     f = quadratic_table(ctx, const, linear, beta)
-    assert vbf.sweep_path(f) == ("quadratic", None)
+    assert f.path == ("quadratic", None)
     got = sweeps(f)
     assert got == exhaustive_sweeps(f)
     diff, walsh, report = got

@@ -8,7 +8,7 @@ from crooked import vbf
 from crooked.errors import InvalidDirection, InvalidInput
 from crooked.families import build_gold
 from crooked.field import FieldCtx
-from helpers import naive_diff_spectrum, random_quadratic
+from helpers import crooked_form, naive_diff_spectrum, random_quadratic
 
 
 def _table(ctx, fn):
@@ -29,6 +29,15 @@ def test_multinomial_merges_and_reduces():
     with pytest.raises(InvalidInput):
         vbf.multinomial(ctx, [(1, 0)])
     assert vbf.multinomial(FieldCtx(1), [(1, 3), (1, 2)]).terms == ()  # x^3 = x^2 = x on GF(2)
+
+
+def test_truthtable_refuses_entries_outside_the_field():
+    # Checked before the uint32 conversion, which overflows on -1 and 2^32.
+    ctx = FieldCtx(3)
+    for entry in (-1, 8, 1 << 32, 1 << 70):
+        with pytest.raises(InvalidInput, match="outside the field"):
+            vbf.TruthTable(ctx, [0, entry, 0, 0, 0, 0, 0, 0])
+    assert vbf.TruthTable(ctx, np.arange(8, dtype=np.uint32)).values.dtype == np.uint32
 
 
 def test_from_multinomial_identity_and_cube():
@@ -161,10 +170,10 @@ def test_is_apn():
 
 def test_hyperplane_witness_gf4():
     ctx = FieldCtx(2)
-    w = vbf.hyperplane_of(ctx, {0, 1})
-    assert w == vbf.HyperplaneWitness(b=1, eps=0)
+    b, eps = vbf.hyperplane_of(ctx, {0, 1})
+    assert (b, eps) == (1, 0)
     for y in range(4):
-        assert (ctx.trace(ctx.mul(w.b, y)) == w.eps) == (y in {0, 1})
+        assert (ctx.trace(ctx.mul(b, y)) == eps) == (y in {0, 1})
 
 
 def test_hyperplane_wrong_size_and_non_flat():
@@ -182,7 +191,7 @@ def test_hyperplane_witness_consistency_exhaustive():
             s = {y for y in range(16) if ctx.trace(ctx.mul(b, y)) == eps}
             w = vbf.hyperplane_of(ctx, s)
             assert w is not None
-            assert {y for y in range(16) if ctx.trace(ctx.mul(w.b, y)) == w.eps} == s
+            assert {y for y in range(16) if ctx.trace(ctx.mul(w[0], y)) == w[1]} == s
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -191,8 +200,7 @@ def test_hyperplane_of_matches_enumeration(n):
     # hyperplanes listed by brute force.
     ctx = FieldCtx(n)
     flats = {
-        frozenset(y for y in range(ctx.order) if ctx.trace(ctx.mul(b, y)) == eps):
-            vbf.HyperplaneWitness(b=b, eps=eps)
+        frozenset(y for y in range(ctx.order) if ctx.trace(ctx.mul(b, y)) == eps): (b, eps)
         for b in range(1, ctx.order)
         for eps in (0, 1)
     }
@@ -211,7 +219,7 @@ def test_is_crooked_gold_n3():
     ctx = FieldCtx(3)
     rep = vbf.is_crooked(vbf.from_multinomial(build_gold(ctx, 1)))
     assert rep.is_crooked
-    assert len(rep.witnesses) == 7
+    assert len(rep.b) == len(rep.eps) == 7
 
 
 def test_is_crooked_inverse_n4_fails():
@@ -230,7 +238,7 @@ def test_is_crooked_reports_non_apn_past_a_two_to_one_direction():
     d1 = vbf.derivative_values(f, 1)
     assert np.bincount(d1).max() == 2 and vbf.hyperplane_of(ctx, d1) is None
     assert not vbf.is_apn(f)
-    assert vbf.is_crooked(f) == vbf.CrookedReport(False, {}, failed_apn=True)
+    assert crooked_form(vbf.is_crooked(f)) == (False, None, True, None)
 
 
 def test_constant_shift_preserves_derivative_sets():
