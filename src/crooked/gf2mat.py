@@ -5,6 +5,8 @@ large matrix.
 one system per array element: the derivatives and components of the
 quadratic path. `pack_rows` and `rank_packed` reduce one bit-packed uint64
 matrix: the development matrices (2^{2n} square) of the rank invariants.
+`rank_packed` is word-column Four-Russians elimination: 64 columns at a
+time, cleared from every row by 256-entry table lookups.
 """
 
 from __future__ import annotations
@@ -59,23 +61,83 @@ def pack_rows(bool_rows: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(packed).view(np.uint64)
 
 
+# Target words per pass of the table lookups: 256 KB, which stays in a
+# core's L2 cache while every table is applied to it.
+_BLOCK_WORDS = 1 << 15
+
+
+def _xor_combinations(target: np.ndarray, rows: np.ndarray, coeffs: np.ndarray) -> None:
+    """target ^= the sums of `rows` that `coeffs` selects, over GF(2).
+
+    rows is (m, L) uint64, target (N, L) uint64 and coeffs (N, >= ceil(m / 8))
+    uint8: bit j of coeffs[i, g] adds row 8g + j into target[i]. Each group of
+    8 rows is one 256-entry table of its sums and one lookup per target row.
+    """
+    groups = -(-rows.shape[0] // 8)
+    tables = np.zeros((groups, 256, rows.shape[1]), dtype=np.uint64)
+    for g, table in enumerate(tables):
+        for j, r in enumerate(rows[8 * g : 8 * g + 8]):
+            np.bitwise_xor(table[: 1 << j], r, out=table[1 << j : 2 << j])
+    step = max(1, _BLOCK_WORDS // rows.shape[1])
+    for start in range(0, target.shape[0], step):
+        block = target[start : start + step]
+        for g, table in enumerate(tables):
+            block ^= table.take(coeffs[start : start + step, g], axis=0)
+
+
+def _word_pivots(word: np.ndarray) -> Tuple[List[int], np.ndarray]:
+    """Pivot rows of the (N,) uint64 column `word`, and how every row
+    reduces on them, by eliminating the column one bit at a time.
+
+    Returns (pivots, comb): word[pivots] is a basis of the span of the
+    words, and every word[i] is the sum of the word[pivots[j]] for which bit
+    j of comb[i] is set.
+    """
+    c = word.copy()
+    comb = np.zeros_like(c)
+    pivots: List[int] = []
+    present = int(np.bitwise_or.reduce(c))
+    while present:
+        bit = present & -present
+        present ^= bit
+        hit = (c & np.uint64(bit)) != 0
+        p = int(hit.argmax())
+        if hit[p]:
+            # c[i] is word[i] plus the pivot words that comb[i] selects, so
+            # adding c[p] adds word[p], the new pivot, and comb[p].
+            step = comb[p] | np.uint64(1 << len(pivots))
+            c ^= c[p] * hit
+            comb ^= step * hit
+            pivots.append(p)
+            present &= int(np.bitwise_or.reduce(c))
+    return pivots, comb
+
+
 def rank_packed(a: np.ndarray, cols: int) -> int:
-    """Rank over GF(2) of a (R, W) uint64 bit matrix; a is consumed."""
-    nrows = a.shape[0]
+    """Rank over GF(2) of a (R, W) uint64 bit matrix whose column c is bit
+    c % 64 of word c // 64; a is consumed.
+
+    Word-column Method of Four Russians (Albrecht, Bard & Hart, ACM TOMS
+    2010). The rows past `rank` are zero on the words already done. For each
+    word, the pivot rows, and the sum of pivot rows that matches each row on
+    that word, come from eliminating the word's column alone; one 256-entry
+    table lookup per 8 pivots then adds those sums to every row, which
+    clears the word, and the pivot rows, now zero, move to the top.
+    """
+    if cols % 64:
+        a[:, cols // 64] &= np.uint64((1 << (cols % 64)) - 1)
     rank = 0
-    for col in range(cols):
-        w, b = divmod(col, 64)
-        live = (a[rank:, w] >> np.uint64(b)) & np.uint64(1)
-        nz = np.nonzero(live)[0]
-        if nz.size == 0:
+    for w in range(-(-cols // 64)):
+        live = a[rank:, w:]
+        pivots, comb = _word_pivots(live[:, 0])
+        k = len(pivots)
+        if not k:
             continue
-        p = rank + int(nz[0])
-        if p != rank:
-            a[[rank, p]] = a[[p, rank]]
-        rest = nz[1:] + rank
-        if rest.size:
-            a[rest] ^= a[rank]
-        rank += 1
-        if rank == nrows:
-            break
+        coeffs = comb.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+        # live[pivots] is a copy, so the pivot rows serve as the table rows
+        # while the lookups zero them.
+        _xor_combinations(live, live[pivots], coeffs)
+        src = [p for p in pivots if p >= k]
+        live[src] = live[sorted(set(range(k)) - set(pivots))]
+        rank += k
     return rank

@@ -17,8 +17,6 @@ from .vbf import TruthTable, derivative_values, differential_spectrum
 
 RANK_MAX_N = 7  # development matrices are 2^(2n) square
 
-_CHUNK_ROWS = 1024
-
 
 def graph_points(f: TruthTable) -> np.ndarray:
     """G_f = {(x, f(x))} packed as x*2^n + f(x)."""
@@ -36,16 +34,21 @@ def difference_points(f: TruthTable) -> np.ndarray:
 
 def development_rank(two_n: int, points: np.ndarray) -> int:
     """GF(2) rank of the 2^(2n)-square incidence matrix whose row g is the
-    indicator vector of the translate S + g of the point set."""
+    indicator vector of the translate S + g of the point set.
+
+    Row g = 64*g_h + g_l is packed row g_l with its 64-bit words permuted by
+    j -> j ^ g_h, so only the rows g < 64 are packed and the rest gathered.
+    """
     size = 1 << two_n
-    blocks = []
-    for start in range(0, size, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, size)
-        chunk = np.zeros((stop - start, size), dtype=bool)
-        for i, g in enumerate(range(start, stop)):
-            chunk[i, points ^ np.uint32(g)] = True
-        blocks.append(gf2mat.pack_rows(chunk))
-    return gf2mat.rank_packed(np.vstack(blocks), size)
+    low = min(size, 64)
+    shifts = np.arange(low, dtype=np.uint32)[:, None]
+    rows = np.zeros((low, size), dtype=bool)
+    rows[shifts, points ^ shifts] = True
+    packed = gf2mat.pack_rows(rows)
+    words = packed.shape[1]
+    perm = np.arange(words)[None, :] ^ np.arange(size // low)[:, None]
+    matrix = packed[np.arange(low)[None, :, None], perm[:, None, :]]
+    return gf2mat.rank_packed(matrix.reshape(size, words), size)
 
 
 def gamma_rank(f: TruthTable) -> int:

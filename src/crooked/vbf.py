@@ -101,13 +101,6 @@ class TruthTable:
     def __getitem__(self, x: int) -> int:
         return int(self.values[x])
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruthTable)
-            and self.ctx == other.ctx
-            and bool(np.array_equal(self.values, other.values))
-        )
-
     def __repr__(self):
         return f"TruthTable(n={self.ctx.n}, values[:4]={self.values[:4].tolist()}...)"
 

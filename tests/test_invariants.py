@@ -10,15 +10,54 @@ from crooked.field import FieldCtx
 from helpers import ea_transform, naive_rank, random_invertible, apply_linear
 
 
+def _rank_cases(rng, cols):
+    """(rows, expected rank or None) for fewer and for more rows than cols."""
+    for nrows in (max(1, cols // 2), cols + 7):
+        yield [rng.randrange(1 << cols) for _ in range(nrows)], None
+        yield [0] * nrows, 0
+        yield [rng.randrange(1, 1 << cols)] * nrows, 1
+        # Distinct lowest set bits make the first min(nrows, cols) rows
+        # independent.
+        full = [
+            (1 << i) | (rng.randrange(1 << cols) >> (i + 1) << (i + 1))
+            for i in range(min(nrows, cols))
+        ]
+        full += [rng.randrange(1 << cols) for _ in range(nrows - len(full))]
+        rng.shuffle(full)
+        yield full, min(nrows, cols)
+        # Sums of a few rows: the low-rank regime of a Delta-rank.
+        base = [rng.randrange(1 << cols) for _ in range(3)]
+        low = []
+        for _ in range(nrows):
+            r = 0
+            for b in base:
+                if rng.randrange(2):
+                    r ^= b
+            low.append(r)
+        yield low, None
+
+
 def test_rank_packed_vs_naive_rank():
     rng = random.Random(9)
-    for cols in (10, 64, 70, 130):
-        rows = [rng.randrange(1 << cols) for _ in range(40)]
-        bools = np.array(
-            [[(r >> j) & 1 for j in range(cols)] for r in rows], dtype=bool
-        )
-        packed = gf2mat.pack_rows(bools)
-        assert gf2mat.rank_packed(packed, cols) == naive_rank(rows)
+    for cols in (1, 10, 63, 64, 65, 70, 127, 128, 130, 200):
+        for rows, expected in _rank_cases(rng, cols):
+            bools = np.array([[(r >> j) & 1 for j in range(cols)] for r in rows], dtype=bool)
+            rank = gf2mat.rank_packed(gf2mat.pack_rows(bools), cols)
+            assert rank == naive_rank(rows), (cols, len(rows))
+            assert expected is None or rank == expected, (cols, len(rows))
+
+
+def test_development_rank_vs_naive():
+    # 2n = 2 and 4 give matrices narrower than one word; 2n = 8 has four
+    # words per row, so the rows g >= 64 come from the word permutation.
+    rng = random.Random(31)
+    for two_n in (2, 4, 6, 8):
+        size = 1 << two_n
+        for npoints in (0, 1, 3, size // 4, size // 2 + 1, size):
+            pts = rng.sample(range(size), npoints)
+            rows = [sum(1 << (p ^ g) for p in pts) for g in range(size)]
+            rank = invariants.development_rank(two_n, np.array(pts, dtype=np.uint32))
+            assert rank == naive_rank(rows), (two_n, npoints)
 
 
 def test_gamma_delta_rank_vs_naive_n3():
@@ -34,6 +73,14 @@ def test_gamma_delta_rank_vs_naive_n3():
     )
     drows = [sum(1 << (p ^ g) for p in dpts.tolist()) for g in range(64)]
     assert invariants.delta_rank(f) == naive_rank(drows)
+
+
+def test_ranks_n6_pinned():
+    ctx = FieldCtx(6)
+    gold = vbf.from_multinomial(build_gold(ctx, 1))
+    inverse = vbf.from_multinomial(vbf.multinomial(ctx, [(1, 62)]))
+    assert (invariants.gamma_rank(gold), invariants.delta_rank(gold)) == (1102, 94)
+    assert (invariants.gamma_rank(inverse), invariants.delta_rank(inverse)) == (2016, 4096)
 
 
 def test_rank_invariance_under_linear_permutations():
