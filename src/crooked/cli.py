@@ -78,13 +78,13 @@ def _field(args) -> FieldCtx:
     return FieldCtx(args.n, _int(args.modulus) if args.modulus else None)
 
 
-def _load(path: str) -> Tuple[funcfile.FunctionFile, vbf.TruthTable]:
-    """The function file at path and its truth table; any failure to read
-    or parse it is MalformedFile."""
+def _load(path: str, reuse: Optional[FieldCtx] = None) -> Tuple[funcfile.FunctionFile, vbf.TruthTable]:
+    """The function file at path and its truth table, over `reuse` when that
+    is the file's field; any failure to read or parse it is MalformedFile."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             ff = funcfile.parse(fh.read())
-        return ff, ff.to_truthtable()
+        return ff, ff.to_truthtable(reuse)
     except (OSError, UnicodeDecodeError, CrookedError) as e:
         raise MalformedFile(str(e)) from None
 
@@ -259,7 +259,7 @@ def cmd_invariants(args) -> int:
                 (f"gold-s{s}", vbf.from_multinomial(families.build_gold(f.ctx, s)))
             )
     else:
-        g = _load(args.against)[1]
+        g = _load(args.against, f.ctx)[1]
         if g.ctx != f.ctx:
             raise DegreeMismatch("functions live over different fields")
         targets.append((args.against, g))

@@ -9,6 +9,7 @@ context can be shared freely across workers.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import accumulate, repeat
 from math import gcd
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
@@ -104,7 +105,8 @@ def smallest_irreducible(n: int) -> int:
 
 
 class FieldCtx:
-    """Immutable description of GF(2^n) with precomputed multiplication tables.
+    """Immutable description of GF(2^n); its log/antilog tables are built on
+    first use.
 
     Parameters
     ----------
@@ -128,10 +130,6 @@ class FieldCtx:
         self.order = 1 << n
         self.mult_order = (1 << n) - 1
         self.order_facts = trial_factor(self.mult_order) if n > 1 else []
-        self._log: Optional[List[int]] = None
-        self._exp: Optional[List[int]] = None
-        if 2 <= n <= _TABLE_DEGREE:
-            self._build_tables()
 
     def __repr__(self):
         return f"FieldCtx(n={self.n}, modulus={self.modulus:#x})"
@@ -157,17 +155,34 @@ class FieldCtx:
             e >>= 1
         return r
 
-    def _build_tables(self):
+    @cached_property
+    def _tables(self) -> Optional[Tuple[List[int], List[int]]]:
+        """(log, exp): exp[i] = gamma^i for 0 <= i < 2(2^n - 1), doubled so
+        that a sum of two logs needs no reduction, and log[exp[i]] = i for
+        i < 2^n - 1 (log[0] = 0); gamma is `_find_generator`'s. None where
+        the field keeps no tables (n = 1 or n > 16). Built on first use.
+
+        v -> v*gamma is F_2-linear, so it is the XOR of one lookup per byte
+        of v, in 256-entry tables spanned by the images of that byte's
+        basis vectors."""
+        n = self.n
+        if not 2 <= n <= _TABLE_DEGREE:
+            return None
         g = self._find_generator()
-        exp = [0] * (2 * self.mult_order)
+        low, high = [0], [0]
+        for i in range(n):
+            table = low if i < 8 else high
+            image = self._raw_mul(1 << i, g)
+            table += [v ^ image for v in table]
+
+        def times_gamma(v: int, _) -> int:
+            return low[v & 255] ^ high[v >> 8]
+
+        exp = list(accumulate(repeat(None, self.mult_order - 1), times_gamma, initial=1))
         log = [0] * self.order
-        v = 1
-        for i in range(self.mult_order):
-            exp[i] = v
-            exp[i + self.mult_order] = v
+        for i, v in enumerate(exp):
             log[v] = i
-            v = self._raw_mul(v, g)
-        self._exp, self._log = exp, log
+        return log, exp + exp
 
     def _find_generator(self) -> int:
         cofactors = [self.mult_order // p for p, _ in self.order_facts]
@@ -179,11 +194,13 @@ class FieldCtx:
     # -- public operations ------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        if self._log is not None:
-            if a == 0 or b == 0:
-                return 0
-            return self._exp[self._log[a] + self._log[b]]
-        return self._raw_mul(a, b)
+        tables = self._tables
+        if tables is None:
+            return self._raw_mul(a, b)
+        if a == 0 or b == 0:
+            return 0
+        log, exp = tables
+        return exp[log[a] + log[b]]
 
     def pow(self, a: int, e: int) -> int:
         """a^e with e >= 0; 0^0 raises UndefinedPower."""
@@ -191,8 +208,10 @@ class FieldCtx:
             if e == 0:
                 raise UndefinedPower("0^0 is undefined")
             return 0
-        if self._log is not None:
-            return self._exp[(self._log[a] * e) % self.mult_order]
+        tables = self._tables
+        if tables is not None:
+            log, exp = tables
+            return exp[log[a] * e % self.mult_order]
         return self._raw_pow(a, e % self.mult_order if self.n > 1 else e)
 
     def trace(self, a: int) -> int:
@@ -204,28 +223,45 @@ class FieldCtx:
             acc ^= v
         return acc
 
+    # The validators below read log a where the field keeps tables: with
+    # a = gamma^k, a^e = 1 exactly when 2^n - 1 divides k*e.
+
     def in_subfield(self, a: int, m: int) -> bool:
-        """True iff a lies in the subfield F_{2^m}; m must divide n."""
+        """True iff a lies in the subfield F_{2^m}, that is a^(2^m) = a, or
+        (2^n - 1)/(2^m - 1) divides log a; m must divide n."""
         if m < 1 or self.n % m:
             raise InvalidSubfield(f"m={m} does not divide n={self.n}")
         if a == 0:
             return True
+        tables = self._tables
+        if tables is not None:
+            return tables[0][a] % (self.mult_order // ((1 << m) - 1)) == 0
         return self.pow(a, 1 << m) == a
 
     def is_eth_power(self, d: int, e: int) -> bool:
-        """True iff d = u^e for some nonzero u; requires d != 0."""
+        """True iff d = u^e for some nonzero u, that is d^((2^n - 1)/g) = 1,
+        or g divides log d, with g = gcd(e, 2^n - 1); requires d != 0."""
         if d == 0:
             raise NotAUnit("d = 0; the caller decides the zero case")
         g = gcd(e, self.mult_order)
         if g == 1:
             return True
+        tables = self._tables
+        if tables is not None:
+            return tables[0][d] % g == 0
         return self.pow(d, self.mult_order // g) == 1
 
     def is_primitive(self, a: int) -> bool:
+        """True iff a generates the multiplicative group, that is
+        a^((2^n - 1)/p) != 1 for every prime p dividing 2^n - 1, or log a is
+        coprime to 2^n - 1."""
         if a == 0:
             raise NotAUnit("0 is not a unit")
         if self.n == 1:
             return a == 1
+        tables = self._tables
+        if tables is not None:
+            return gcd(tables[0][a], self.mult_order) == 1
         return all(self.pow(a, self.mult_order // p) != 1 for p, _ in self.order_facts)
 
     @cached_property
@@ -259,7 +295,8 @@ class FieldCtx:
         n > 16). Built on first use from the log table."""
         import numpy as np
 
-        return None if self._log is None else np.array(self._log, dtype=np.uint16)
+        tables = self._tables
+        return None if tables is None else np.array(tables[0], dtype=np.uint16)
 
     @cached_property
     def exp_array(self) -> Optional[np.ndarray]:
@@ -268,9 +305,8 @@ class FieldCtx:
         Built on first use from the antilog table."""
         import numpy as np
 
-        if self._exp is None:
-            return None
-        return np.array(self._exp[: self.mult_order], dtype=np.uint16)
+        tables = self._tables
+        return None if tables is None else np.array(tables[1][: self.mult_order], dtype=np.uint16)
 
     @cached_property
     def trace_masks_inverse(self) -> np.ndarray:

@@ -28,18 +28,22 @@ class FunctionFile:
     provenance: dict = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
 
-    def ctx(self) -> FieldCtx:
+    def ctx(self, reuse: Optional[FieldCtx] = None) -> FieldCtx:
+        """The file's field: `reuse` when it is that field, so that its
+        tables are built once, else a new context."""
+        if reuse is not None and (reuse.n, reuse.modulus) == (self.n, self.modulus):
+            return reuse
         return FieldCtx(self.n, self.modulus)
 
-    def to_multinomial(self) -> Multinomial:
+    def to_multinomial(self, reuse: Optional[FieldCtx] = None) -> Multinomial:
         if self.representation != "multinomial":
             raise MalformedFile("file does not carry a multinomial")
-        return multinomial(self.ctx(), self.terms)
+        return multinomial(self.ctx(reuse), self.terms)
 
-    def to_truthtable(self) -> TruthTable:
+    def to_truthtable(self, reuse: Optional[FieldCtx] = None) -> TruthTable:
         if self.representation == "multinomial":
-            return from_multinomial(self.to_multinomial())
-        return TruthTable(self.ctx(), self.values)
+            return from_multinomial(self.to_multinomial(reuse))
+        return TruthTable(self.ctx(reuse), self.values)
 
 
 def from_multinomial_repr(m: Multinomial, provenance: Optional[dict] = None) -> FunctionFile:

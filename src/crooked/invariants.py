@@ -36,10 +36,18 @@ def development_rank(two_n: int, points: np.ndarray) -> int:
     """GF(2) rank of the 2^(2n)-square incidence matrix whose row g is the
     indicator vector of the translate S + g of the point set.
 
+    The matrix is multiplication by s = sum of X^p over the points in the
+    group algebra F_2[Z_2^two_n], which is local: its augmentation ideal,
+    the s of even size, is nilpotent. So a set of odd size is a unit and
+    its matrix has full rank without elimination (and one of even size is
+    singular).
+
     Row g = 64*g_h + g_l is packed row g_l with its 64-bit words permuted by
     j -> j ^ g_h, so only the rows g < 64 are packed and the rest gathered.
     """
     size = 1 << two_n
+    if points.size % 2:
+        return size
     low = min(size, 64)
     shifts = np.arange(low, dtype=np.uint32)[:, None]
     rows = np.zeros((low, size), dtype=bool)

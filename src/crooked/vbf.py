@@ -98,6 +98,12 @@ class TruthTable:
             return "quadratic", None
         return "exhaustive", None
 
+    @cached_property
+    def _differential(self) -> Tuple[int, Counter]:
+        # Swept once per table, as the path is certified once: a crooked
+        # check that fails after an apn check reads the apn check's sweep.
+        return _differential_sweep(self)
+
     def __getitem__(self, x: int) -> int:
         return int(self.values[x])
 
@@ -177,7 +183,13 @@ def derivative_columns(f: TruthTable) -> List[np.ndarray]:
 
 
 def differential_spectrum(f: TruthTable) -> Tuple[int, Counter]:
-    """(delta, multiset of solution counts over all (a != 0, b) pairs)."""
+    """(delta, multiset of solution counts over all (a != 0, b) pairs),
+    swept once per table and cached on it; each call gets its own Counter."""
+    delta, spectrum = f._differential
+    return delta, Counter(spectrum)
+
+
+def _differential_sweep(f: TruthTable) -> Tuple[int, Counter]:
     n = f.ctx.n
     if n > EXHAUSTIVE_MAX_N:
         raise InfeasibleSize(f"exhaustive differential scan capped at n={EXHAUSTIVE_MAX_N}")

@@ -438,6 +438,56 @@ def test_verify_certifies_the_path_once(tmp_path, monkeypatch, capsys):
     assert '"pass":true' in capsys.readouterr().out
 
 
+def test_verify_sweeps_the_differential_spectrum_once(tmp_path, monkeypatch, capsys):
+    # The inverse at n = 7 is APN but not crooked, so its crooked check
+    # asks is_apn after direction 1 fails; it reads the apn check's sweep.
+    sweeps = []
+
+    def counted(f, original=vbf._differential_sweep):
+        sweeps.append(f)
+        return original(f)
+
+    monkeypatch.setattr(vbf, "_differential_sweep", counted)
+    ctx = FieldCtx(7)
+    f = vbf.TruthTable(ctx, [ctx.pow(x, ctx.mult_order - 1) if x else 0 for x in range(ctx.order)])
+    path = tmp_path / "inverse.json"
+    path.write_text(funcfile.serialize(from_truthtable_repr(f)))
+    argv = ["verify", "--in", str(path), "--checks", "apn,crooked", "--json"]
+    assert cli.main(argv) == 1
+    assert len(sweeps) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["delta"], doc["crooked"], doc["crooked_failed_at"]) == (2, False, "1")
+
+
+def test_differential_spectrum_hands_out_its_own_counter():
+    ctx = FieldCtx(5)
+    f = vbf.from_multinomial(vbf.multinomial(ctx, [(1, 3)]))
+    _, first = vbf.differential_spectrum(f)
+    first[99] = 1
+    assert 99 not in vbf.differential_spectrum(f)[1]
+
+
+def test_invariants_builds_one_field_table_per_command(tmp_path, monkeypatch, capsys):
+    # A file over the left side's field is read onto the left side's
+    # context, so the field's tables are built once.
+    builds = []
+
+    def counted(ctx, original=FieldCtx._find_generator):
+        builds.append(ctx)
+        return original(ctx)
+
+    monkeypatch.setattr(FieldCtx, "_find_generator", counted)
+    gold, thm1 = tmp_path / "gold.json", tmp_path / "thm1.json"
+    assert cli.main(["construct", "--family", "gold", "--n", "6", "--out", str(gold)]) == 0
+    assert cli.main(["construct", "--family", "thm1", "--n", "6", "--auto", "--seed", "1",
+                     "--out", str(thm1)]) == 0
+    builds.clear()
+    assert cli.main(["invariants", "--in", str(thm1), "--against", str(gold), "--json"]) == 0
+    assert len(builds) == 1
+    # Both are quadratic APN functions at n = 6: their spectra agree.
+    assert '"verdict":"indistinguishable-by-computed-invariants"' in capsys.readouterr().out
+
+
 def test_verify_crooked_runs_no_differential_sweep(tmp_path, monkeypatch, capsys):
     # Hyperplane images in every direction make f APN, so a passing crooked
     # check never sweeps the differential spectrum.

@@ -60,6 +60,25 @@ def test_development_rank_vs_naive():
             assert rank == naive_rank(rows), (two_n, npoints)
 
 
+def test_development_rank_is_full_exactly_at_odd_size(monkeypatch):
+    # F_2[Z_2^k] is local, so a point set is a unit (full rank) exactly when
+    # its size is odd; at odd size no elimination runs.
+    rng = random.Random(5)
+    for two_n in (2, 4, 6):
+        size = 1 << two_n
+        for npoints in rng.sample(range(1, size + 1), min(size, 12)):
+            pts = rng.sample(range(size), npoints)
+            rows = [sum(1 << (p ^ g) for p in pts) for g in range(size)]
+            assert (naive_rank(rows) == size) == (npoints % 2 == 1), (two_n, npoints)
+
+    def no_elimination(a, cols):
+        raise AssertionError("an odd-size set was eliminated")
+
+    monkeypatch.setattr(gf2mat, "rank_packed", no_elimination)
+    odd = np.array(rng.sample(range(1 << 12), 1953), dtype=np.uint32)
+    assert invariants.development_rank(12, odd) == 1 << 12
+
+
 def test_gamma_delta_rank_vs_naive_n3():
     ctx = FieldCtx(3)
     f = vbf.from_multinomial(build_gold(ctx, 1))
