@@ -223,45 +223,28 @@ class FieldCtx:
             acc ^= v
         return acc
 
-    # The validators below read log a where the field keeps tables: with
-    # a = gamma^k, a^e = 1 exactly when 2^n - 1 divides k*e.
-
     def in_subfield(self, a: int, m: int) -> bool:
-        """True iff a lies in the subfield F_{2^m}, that is a^(2^m) = a, or
-        (2^n - 1)/(2^m - 1) divides log a; m must divide n."""
+        """True iff a lies in the subfield F_{2^m}; m must divide n."""
         if m < 1 or self.n % m:
             raise InvalidSubfield(f"m={m} does not divide n={self.n}")
         if a == 0:
             return True
-        tables = self._tables
-        if tables is not None:
-            return tables[0][a] % (self.mult_order // ((1 << m) - 1)) == 0
         return self.pow(a, 1 << m) == a
 
     def is_eth_power(self, d: int, e: int) -> bool:
-        """True iff d = u^e for some nonzero u, that is d^((2^n - 1)/g) = 1,
-        or g divides log d, with g = gcd(e, 2^n - 1); requires d != 0."""
+        """True iff d = u^e for some nonzero u; requires d != 0."""
         if d == 0:
             raise NotAUnit("d = 0; the caller decides the zero case")
         g = gcd(e, self.mult_order)
         if g == 1:
             return True
-        tables = self._tables
-        if tables is not None:
-            return tables[0][d] % g == 0
         return self.pow(d, self.mult_order // g) == 1
 
     def is_primitive(self, a: int) -> bool:
-        """True iff a generates the multiplicative group, that is
-        a^((2^n - 1)/p) != 1 for every prime p dividing 2^n - 1, or log a is
-        coprime to 2^n - 1."""
         if a == 0:
             raise NotAUnit("0 is not a unit")
         if self.n == 1:
             return a == 1
-        tables = self._tables
-        if tables is not None:
-            return gcd(tables[0][a], self.mult_order) == 1
         return all(self.pow(a, self.mult_order // p) != 1 for p, _ in self.order_facts)
 
     @cached_property

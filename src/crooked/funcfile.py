@@ -30,10 +30,9 @@ class FunctionFile:
 
     def ctx(self, reuse: Optional[FieldCtx] = None) -> FieldCtx:
         """The file's field: `reuse` when it is that field, so that its
-        tables are built once, else a new context."""
-        if reuse is not None and (reuse.n, reuse.modulus) == (self.n, self.modulus):
-            return reuse
-        return FieldCtx(self.n, self.modulus)
+        tables are built once, else the new context."""
+        ctx = FieldCtx(self.n, self.modulus)
+        return reuse if ctx == reuse else ctx
 
     def to_multinomial(self, reuse: Optional[FieldCtx] = None) -> Multinomial:
         if self.representation != "multinomial":

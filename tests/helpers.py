@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 from unittest import mock
 
@@ -93,11 +94,16 @@ def sweeps(f: TruthTable):
     return vbf.differential_spectrum(f), spectral.walsh_spectrum(f), crooked_form(vbf.is_crooked(f))
 
 
+@contextmanager
 def _forced_path(path: str):
-    # A class-level PropertyMock is a data descriptor, so it wins over the
-    # path a table has already cached in its instance dict.
-    return mock.patch.object(TruthTable, "path", new_callable=mock.PropertyMock,
-                             return_value=(path, None))
+    # Class-level properties are data descriptors, so they win over what a
+    # table has already cached in its instance dict: its path, and the
+    # differential spectrum swept on that path, which is swept afresh on
+    # the forced one.
+    with mock.patch.object(TruthTable, "path", new_callable=mock.PropertyMock,
+                           return_value=(path, None)), \
+         mock.patch.object(TruthTable, "_differential", property(vbf._differential_sweep)):
+        yield
 
 
 def exhaustive_sweeps(f: TruthTable):
