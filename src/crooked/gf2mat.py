@@ -6,7 +6,7 @@ one system per array element: the derivatives and components of the
 quadratic path. `pack_rows` and `rank_packed` reduce one bit-packed uint64
 matrix: the development matrices (2^{2n} square) of the rank invariants.
 `rank_packed` is word-column Four-Russians elimination: 64 columns at a
-time, cleared from every row by 256-entry table lookups.
+time, cleared by 256-entry table lookups from the rows that reach them.
 """
 
 from __future__ import annotations
@@ -66,12 +66,17 @@ def pack_rows(bool_rows: np.ndarray) -> np.ndarray:
 _BLOCK_WORDS = 1 << 15
 
 
-def _xor_combinations(target: np.ndarray, rows: np.ndarray, coeffs: np.ndarray) -> None:
-    """target ^= the sums of `rows` that `coeffs` selects, over GF(2).
+def _xor_combinations(
+    target: np.ndarray, index: np.ndarray, rows: np.ndarray, coeffs: np.ndarray
+) -> None:
+    """target[index] ^= the sums of `rows` that `coeffs` selects, over GF(2).
 
-    rows is (m, L) uint64, target (N, L) uint64 and coeffs (N, >= ceil(m / 8))
-    uint8: bit j of coeffs[i, g] adds row 8g + j into target[i]. Each group of
-    8 rows is one 256-entry table of its sums and one lookup per target row.
+    rows is (m, L) uint64, target (N, L) uint64, index (M,) row numbers of
+    target and coeffs (M, >= ceil(m / 8)) uint8: bit j of coeffs[i, g] adds
+    row 8g + j into target[index[i]]. Each group of 8 rows is one 256-entry
+    table of its sums and one lookup per indexed row. The indexed rows are
+    gathered and scattered back one block at a time, so the rows left out
+    are neither copied nor touched.
     """
     groups = -(-rows.shape[0] // 8)
     tables = np.zeros((groups, 256, rows.shape[1]), dtype=np.uint64)
@@ -79,10 +84,12 @@ def _xor_combinations(target: np.ndarray, rows: np.ndarray, coeffs: np.ndarray) 
         for j, r in enumerate(rows[8 * g : 8 * g + 8]):
             np.bitwise_xor(table[: 1 << j], r, out=table[1 << j : 2 << j])
     step = max(1, _BLOCK_WORDS // rows.shape[1])
-    for start in range(0, target.shape[0], step):
-        block = target[start : start + step]
+    for start in range(0, index.size, step):
+        at = index[start : start + step]
+        block = target[at]
         for g, table in enumerate(tables):
             block ^= table.take(coeffs[start : start + step, g], axis=0)
+        target[at] = block
 
 
 def _word_pivots(word: np.ndarray) -> Tuple[List[int], np.ndarray]:
@@ -119,24 +126,29 @@ def rank_packed(a: np.ndarray, cols: int) -> int:
 
     Word-column Method of Four Russians (Albrecht, Bard & Hart, ACM TOMS
     2010). The rows past `rank` are zero on the words already done. For each
-    word, the pivot rows, and the sum of pivot rows that matches each row on
-    that word, come from eliminating the word's column alone; one 256-entry
-    table lookup per 8 pivots then adds those sums to every row, which
-    clears the word, and the pivot rows, now zero, move to the top.
+    word, only the rows with a bit in it take part: the pivot rows, and the
+    sum of pivot rows that matches each of those rows on that word, come
+    from eliminating the word's column alone; one 256-entry table lookup per
+    8 pivots then adds those sums to each of those rows, which clears the
+    word, and the pivot rows, now zero, move to the top. A triangular or
+    sparse matrix, where few rows reach a word, thus costs lookups on those
+    rows only; a dense one costs one `flatnonzero` more per word.
     """
     if cols % 64:
         a[:, cols // 64] &= np.uint64((1 << (cols % 64)) - 1)
     rank = 0
     for w in range(-(-cols // 64)):
         live = a[rank:, w:]
-        pivots, comb = _word_pivots(live[:, 0])
-        k = len(pivots)
+        index = np.flatnonzero(live[:, 0])
+        found, comb = _word_pivots(live[index, 0])
+        k = len(found)
         if not k:
             continue
+        pivots = index[found].tolist()
         coeffs = comb.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
         # live[pivots] is a copy, so the pivot rows serve as the table rows
         # while the lookups zero them.
-        _xor_combinations(live, live[pivots], coeffs)
+        _xor_combinations(live, index, live[pivots], coeffs)
         src = [p for p in pivots if p >= k]
         live[src] = live[sorted(set(range(k)) - set(pivots))]
         rank += k

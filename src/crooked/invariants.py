@@ -13,7 +13,7 @@ import numpy as np
 from . import gf2mat
 from .errors import InfeasibleSize
 from .spectral import walsh_spectrum
-from .vbf import TruthTable, derivative_values, differential_spectrum
+from .vbf import TruthTable, differential_spectrum
 
 RANK_MAX_N = 7  # development matrices are 2^(2n) square
 
@@ -25,11 +25,17 @@ def graph_points(f: TruthTable) -> np.ndarray:
 
 
 def difference_points(f: TruthTable) -> np.ndarray:
-    """D_f = {(a, f(x)+f(x+a)) : a != 0} packed as a*2^n + value."""
-    n = f.ctx.n
-    return np.concatenate(
-        [(a << n) | np.unique(derivative_values(f, a)) for a in range(1, f.ctx.order)]
-    )
+    """D_f = {(a, f(x)+f(x+a)) : a != 0} packed as a*2^n + value, sorted.
+
+    The points are marked in one 2^(2n) mask and read back in order, which
+    sorts and deduplicates them without `np.unique`, whose first call in a
+    process imports `numpy.ma` in numpy 2."""
+    n = np.uint32(f.ctx.n)
+    xs = np.arange(f.ctx.order, dtype=np.uint32)
+    a = xs[1:, None]
+    seen = np.zeros(f.ctx.order << f.ctx.n, dtype=bool)
+    seen[(a << n) | (f.values ^ f.values[xs ^ a])] = True
+    return np.flatnonzero(seen).astype(np.uint32)
 
 
 def development_rank(two_n: int, points: np.ndarray) -> int:
@@ -37,25 +43,41 @@ def development_rank(two_n: int, points: np.ndarray) -> int:
     indicator vector of the translate S + g of the point set.
 
     The matrix is multiplication by s = sum of X^p over the points in the
-    group algebra F_2[Z_2^two_n], which is local: its augmentation ideal,
-    the s of even size, is nilpotent. So a set of odd size is a unit and
-    its matrix has full rank without elimination (and one of even size is
-    singular).
+    group algebra F_2[Z_2^two_n], and its rank is that of the same map in
+    any basis. In the basis y^u = prod over i in u of (1 + X^(e_i)),
+    y^u * y^v is y^(u | v) when u & v = 0 and 0 otherwise, and
+    s = sum of t[u] y^u with t[u] = #{p in S : p contains u} mod 2, so row
+    v is w -> t[w ^ v] for w containing v, and 0 elsewhere. That matrix is
+    upper triangular, with t[0] = |S| mod 2 on its diagonal: a set of odd
+    size gives full rank without elimination, and one of even size a
+    singular matrix. It is also sparse, so few of its rows reach each
+    word, and `rank_packed` skips the rest.
 
-    Row g = 64*g_h + g_l is packed row g_l with its 64-bit words permuted by
-    j -> j ^ g_h, so only the rows g < 64 are packed and the rest gathered.
+    Row v = 64*v_h + v_l is packed row v_l with its 64-bit words permuted by
+    j -> j ^ v_h and zeroed outside the words j containing v_h, so only the
+    rows v < 64 are packed and the rest gathered.
     """
     size = 1 << two_n
     if points.size % 2:
         return size
+    t = np.zeros(size, dtype=bool)
+    t[points] = True
+    h = 1
+    while h < size:  # superset sums: t[u] ^= t[u | h] where u lacks h
+        v = t.reshape(-1, 2 * h)
+        v[:, :h] ^= v[:, h:]
+        h *= 2
     low = min(size, 64)
-    shifts = np.arange(low, dtype=np.uint32)[:, None]
-    rows = np.zeros((low, size), dtype=bool)
-    rows[shifts, points ^ shifts] = True
-    packed = gf2mat.pack_rows(rows)
+    bits = np.arange(low)
+    v_l = bits[:, None]
+    # rows[j, v_l, b] = t[64j + (b ^ v_l)] where b contains v_l.
+    rows = t.reshape(-1, low)[:, bits ^ v_l] & ((bits & v_l) == v_l)
+    packed = gf2mat.pack_rows(rows.transpose(1, 0, 2).reshape(low, size))
     words = packed.shape[1]
-    perm = np.arange(words)[None, :] ^ np.arange(size // low)[:, None]
-    matrix = packed[np.arange(low)[None, :, None], perm[:, None, :]]
+    j = np.arange(words)[None, :]
+    v_h = np.arange(size // low)[:, None]
+    matrix = packed[np.arange(low)[None, :, None], (j ^ v_h)[:, None, :]]
+    matrix *= ((j & v_h) == v_h)[:, None, :]
     return gf2mat.rank_packed(matrix.reshape(size, words), size)
 
 

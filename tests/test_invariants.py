@@ -35,6 +35,21 @@ def _rank_cases(rng, cols):
                     r ^= b
             low.append(r)
         yield low, None
+        # Staircases, as in the development matrices: row i is zero left of
+        # column i, so the early words reach few rows. Dense above the
+        # diagonal, and sparse with a zero diagonal.
+        yield [rng.randrange(1 << cols) >> i << i for i in range(nrows)], None
+        yield [(1 << rng.randrange(i, cols)) | (1 << rng.randrange(i, cols)) if i < cols else 0
+               for i in range(1, nrows + 1)], None
+        # A word that no row touches: the middle one, or the only one.
+        words = -(-cols // 64)
+        gap = ((1 << 64) - 1) << (64 * (words // 2))
+        yield [rng.randrange(1 << cols) & ~gap for _ in range(nrows)], None
+        # The top rows miss word 0, so its pivots lie below them and the
+        # top rows move into the pivots' places.
+        top = nrows // 2
+        yield ([rng.randrange(1 << cols) >> 64 << 64 for _ in range(top)]
+               + [rng.randrange(1 << cols) for _ in range(nrows - top)]), None
 
 
 def test_rank_packed_vs_naive_rank():
@@ -47,17 +62,38 @@ def test_rank_packed_vs_naive_rank():
             assert expected is None or rank == expected, (cols, len(rows))
 
 
-def test_development_rank_vs_naive():
+def _point_sets(rng):
+    """(two_n, points): random sets of several sizes, then structured ones."""
     # 2n = 2 and 4 give matrices narrower than one word; 2n = 8 has four
     # words per row, so the rows g >= 64 come from the word permutation.
-    rng = random.Random(31)
     for two_n in (2, 4, 6, 8):
         size = 1 << two_n
         for npoints in (0, 1, 3, size // 4, size // 2 + 1, size):
-            pts = rng.sample(range(size), npoints)
-            rows = [sum(1 << (p ^ g) for p in pts) for g in range(size)]
-            rank = invariants.development_rank(two_n, np.array(pts, dtype=np.uint32))
-            assert rank == naive_rank(rows), (two_n, npoints)
+            yield two_n, rng.sample(range(size), npoints)
+    # A subgroup and one of its cosets, whose superset counts t are sparse.
+    for two_n, dim in ((4, 2), (6, 3), (8, 5)):
+        group = {0}
+        while len(group) < 1 << dim:
+            b = rng.randrange(1 << two_n)
+            if b not in group:
+                group |= {g ^ b for g in group}
+        shift = rng.choice([g for g in range(1 << two_n) if g not in group])
+        yield two_n, sorted(group)
+        yield two_n, sorted(g ^ shift for g in group)
+    # The graph and the difference set of a random function.
+    for n in (3, 4):
+        f = [rng.randrange(1 << n) for _ in range(1 << n)]
+        yield 2 * n, [(x << n) | f[x] for x in range(1 << n)]
+        yield 2 * n, sorted(
+            {(a << n) | (f[x] ^ f[x ^ a]) for a in range(1, 1 << n) for x in range(1 << n)}
+        )
+
+
+def test_development_rank_vs_naive():
+    for two_n, pts in _point_sets(random.Random(31)):
+        rows = [sum(1 << (p ^ g) for p in pts) for g in range(1 << two_n)]
+        rank = invariants.development_rank(two_n, np.array(pts, dtype=np.uint32))
+        assert rank == naive_rank(rows), (two_n, pts)
 
 
 def test_development_rank_is_full_exactly_at_odd_size(monkeypatch):
@@ -100,6 +136,11 @@ def test_ranks_n6_pinned():
     inverse = vbf.from_multinomial(vbf.multinomial(ctx, [(1, 62)]))
     assert (invariants.gamma_rank(gold), invariants.delta_rank(gold)) == (1102, 94)
     assert (invariants.gamma_rank(inverse), invariants.delta_rank(inverse)) == (2016, 4096)
+
+
+def test_ranks_n7_pinned():
+    gold = vbf.from_multinomial(build_gold(FieldCtx(7), 1))
+    assert (invariants.gamma_rank(gold), invariants.delta_rank(gold)) == (3610, 198)
 
 
 def test_rank_invariance_under_linear_permutations():
