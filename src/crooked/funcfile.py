@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import MalformedFile
-from .field import FieldCtx
+from .field import MAX_DEGREE, FieldCtx
 from .vbf import Multinomial, TruthTable, from_multinomial, multinomial
 
 SCHEMA_VERSION = 1
@@ -77,6 +77,9 @@ def parse(text: str) -> FunctionFile:
         raise MalformedFile(f"not valid JSON: {e}") from None
     try:
         n = int(doc["n"])
+        # Checked before anything is sized by 2^n.
+        if not 1 <= n <= MAX_DEGREE:
+            raise MalformedFile(f"n = {n} outside [1, {MAX_DEGREE}]")
         modulus = int(doc["modulus"], 16)
         rep = doc["representation"]
         if rep == "multinomial":

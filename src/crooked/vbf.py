@@ -1,21 +1,21 @@
 """Vectorial Boolean functions F_{2^n} -> F_{2^n} as truth tables:
-differential spectra, APN tests, and crooked (hyperplane-derivative)
-verification.
+differential spectra and crooked (hyperplane-derivative) verification.
 
-The differential, Walsh and crooked sweeps each take one of three paths,
-chosen once per table by `TruthTable.path` from the whole truth table: a
-power function x^d needs one derivative, a function of algebraic degree <= 2
-needs one batched GF(2) rank per direction or component, and every other
-input is swept exhaustively over all 2^n - 1 directions or components.
-Per-direction answers are arrays indexed by direction: entry a - 1 of
-`CrookedReport.b` and `.eps` is direction a's hyperplane. `evaluate` is the
-only evaluator of a field formula at many points."""
+The derivative and Walsh sweeps each take one of three paths, chosen once
+per table by `TruthTable.path` from the whole truth table: a power function
+x^d needs one derivative, a function of algebraic degree <= 2 needs one
+batched GF(2) rank per direction or component, and every other input is
+swept exhaustively over all 2^n - 1 directions or components. One
+derivative sweep per table answers both `differential_spectrum` and
+`is_crooked`. Per-direction answers are arrays indexed by direction: entry
+a - 1 of `CrookedReport.b` and `.eps` is direction a's hyperplane.
+`evaluate` is the only evaluator of a field formula at many points."""
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -26,19 +26,17 @@ from .field import FieldCtx
 
 EXHAUSTIVE_MAX_N = 16
 
-_parity_cache: Dict[int, np.ndarray] = {}
 
-
+@cache
 def parity_table(n: int) -> np.ndarray:
-    """uint8 table of popcount parity for all values below 2^n."""
-    t = _parity_cache.get(n)
-    if t is None:
-        bits = np.arange(1 << n, dtype=np.uint32)
-        t = np.zeros(1 << n, dtype=np.uint8)
-        while bits.any():
-            t ^= (bits & 1).astype(np.uint8)
-            bits >>= 1
-        _parity_cache[n] = t
+    """uint8 table of popcount parity for all values below 2^n, built once
+    per n and shared by every caller, so read-only."""
+    bits = np.arange(1 << n, dtype=np.uint32)
+    t = np.zeros(1 << n, dtype=np.uint8)
+    while bits.any():
+        t ^= (bits & 1).astype(np.uint8)
+        bits >>= 1
+    t.setflags(write=False)
     return t
 
 
@@ -99,10 +97,10 @@ class TruthTable:
         return "exhaustive", None
 
     @cached_property
-    def _differential(self) -> Tuple[int, Counter]:
-        # Swept once per table, as the path is certified once: a crooked
-        # check that fails after an apn check reads the apn check's sweep.
-        return _differential_sweep(self)
+    def _derivatives(self) -> Tuple[int, Counter, CrookedReport]:
+        # Swept once per table, as the path is certified once: the apn and
+        # crooked checks read the same sweep.
+        return _derivative_sweep(self)
 
     def __getitem__(self, x: int) -> int:
         return int(self.values[x])
@@ -182,46 +180,6 @@ def derivative_columns(f: TruthTable) -> List[np.ndarray]:
     return [v[a ^ np.uint32(1 << j)] ^ v[1:] ^ (v[1 << j] ^ v[0]) for j in range(f.ctx.n)]
 
 
-def differential_spectrum(f: TruthTable) -> Tuple[int, Counter]:
-    """(delta, multiset of solution counts over all (a != 0, b) pairs),
-    swept once per table and cached on it; each call gets its own Counter."""
-    delta, spectrum = f._differential
-    return delta, Counter(spectrum)
-
-
-def _differential_sweep(f: TruthTable) -> Tuple[int, Counter]:
-    n = f.ctx.n
-    if n > EXHAUSTIVE_MAX_N:
-        raise InfeasibleSize(f"exhaustive differential scan capped at n={EXHAUSTIVE_MAX_N}")
-    order = f.ctx.order
-    hist = np.zeros(order + 1, dtype=np.int64)  # hist[v] = pairs (a, b) with v solutions
-    path, _ = f.path
-    if path == "quadratic":
-        # The kernel dimension k of L_a gives 2^(n-k) outputs of D_a f,
-        # each hit 2^k times.
-        rank, _ = gf2mat.rank_and_normal_batched(derivative_columns(f), n)
-        for k, count in enumerate(np.bincount(n - rank, minlength=n + 1).tolist()):
-            hist[1 << k] += count << (n - k)
-            hist[0] += count * (order - (1 << (n - k)))
-    else:
-        directions, weight = range(1, order), 1
-        if path == "power":
-            # f = x^d: D_a f(x) = a^d D_1 f(x/a), so every direction has
-            # direction 1's solution counts.
-            directions, weight = (1,), order - 1
-        for a in directions:
-            counts = np.bincount(derivative_values(f, a), minlength=order)
-            hist += np.bincount(counts, minlength=order + 1)
-        hist *= weight
-    vals = np.flatnonzero(hist)
-    return int(vals[-1]), Counter(dict(zip(vals.tolist(), hist[vals].tolist())))
-
-
-def is_apn(f: TruthTable) -> bool:
-    delta, _ = differential_spectrum(f)
-    return delta == 2
-
-
 def hyperplane_of(ctx: FieldCtx, s: Iterable[int]) -> Optional[Tuple[int, int]]:
     """(b, eps) when the set of elements of s (repeats allowed) is the affine
     hyperplane {y : tr(b*y) = eps}, else None.
@@ -259,41 +217,76 @@ class CrookedReport:
     failed_apn: bool = False         # True when the APN precondition broke
 
 
+def differential_spectrum(f: TruthTable) -> Tuple[int, Counter]:
+    """(delta, multiset of solution counts over all (a != 0, b) pairs), read
+    off the table's one derivative sweep; each call gets its own Counter."""
+    if f.ctx.n > EXHAUSTIVE_MAX_N:
+        raise InfeasibleSize(f"exhaustive differential scan capped at n={EXHAUSTIVE_MAX_N}")
+    delta, spectrum, _ = f._derivatives
+    return delta, Counter(spectrum)
+
+
 def is_crooked(f: TruthTable) -> CrookedReport:
     """APN plus: every nonzero-direction derivative image is an affine
-    hyperplane, with its (b, eps) per direction. The hyperplanes imply APN
-    (2^n inputs, paired as x and x+a, onto 2^(n-1) values is 2-to-1), so the
-    differential sweep runs only on failure, to report a non-APN f as such.
-
-    The path is `TruthTable.path`. For a power function x^d only direction 1
-    is swept: direction a's image is a^d times direction 1's, the hyperplane
-    with normal b*a^(-d). For f of degree <= 2, APN and crooked coincide:
-    the image L_a(F) + D_a f(0) is a hyperplane exactly when ker L_a =
-    {0, a}, and the one normal w of the columns of L_a gives b =
-    trace_masks_inverse[w] and eps = parity(w & D_a f(0)). A hyperplane's
-    normal is unique, so both paths give the (b, eps) the sweep of every
-    direction finds."""
-    ctx = f.ctx
-    if ctx.n > EXHAUSTIVE_MAX_N:
+    hyperplane, with its (b, eps) per direction. Every caller gets the one
+    report of the table's derivative sweep, so b and eps are read-only."""
+    if f.ctx.n > EXHAUSTIVE_MAX_N:
         raise InfeasibleSize(f"crooked sweep capped at n={EXHAUSTIVE_MAX_N}")
+    return f._derivatives[2]
+
+
+def _derivative_sweep(f: TruthTable) -> Tuple[int, Counter, CrookedReport]:
+    """(delta, spectrum, crooked report) of f from one pass over its
+    derivatives, on the path `TruthTable.path` picks.
+
+    For f of degree <= 2, one batched elimination gives the rank of every
+    L_a and the normal w of its columns: a kernel of dimension k gives
+    2^(n-k) outputs of D_a f, each hit 2^k times, and the image is a
+    hyperplane exactly when ker L_a = {0, a}, with b = trace_masks_inverse[w]
+    and eps = parity(w & D_a f(0)). For f = x^d, D_a f(x) = a^d D_1 f(x/a):
+    every direction has direction 1's counts, and direction a's image is the
+    hyperplane with normal b*a^(-d). Any other f is swept in every direction,
+    with hyperplanes checked up to the first direction that has none.
+
+    Hyperplane images imply APN (2^n inputs, paired as x and x+a, onto
+    2^(n-1) values is 2-to-1), so delta != 2 is reported as a broken APN
+    precondition, ahead of any direction. A hyperplane's normal is unique,
+    so every path gives the (b, eps) the sweep of every direction finds."""
+    ctx, n, order = f.ctx, f.ctx.n, f.ctx.order
+    hist = np.zeros(order + 1, dtype=np.int64)  # hist[v] = pairs (a, b) with v solutions
     path, d = f.path
+    failed_at = None
     if path == "quadratic":
-        rank, normal = gf2mat.rank_and_normal_batched(derivative_columns(f), ctx.n)
-        if (rank < ctx.n - 1).any():
-            return CrookedReport(False, None, None, failed_apn=True)
-        eps = parity_table(ctx.n)[normal & (f.values[1:] ^ f.values[0])]
-        return CrookedReport(True, ctx.trace_masks_inverse[normal], eps)
-    b = np.empty(ctx.order - 1, dtype=np.uint32)
-    eps = np.empty(ctx.order - 1, dtype=np.uint8)
-    for a in range(1, ctx.order):
-        wit = hyperplane_of(ctx, derivative_values(f, a))
-        if wit is None:
-            if not is_apn(f):
-                return CrookedReport(False, None, None, failed_apn=True)
-            return CrookedReport(False, None, None, failed_at=a)
+        rank, normal = gf2mat.rank_and_normal_batched(derivative_columns(f), n)
+        for k, count in enumerate(np.bincount(n - rank, minlength=n + 1).tolist()):
+            hist[1 << k] += count << (n - k)
+            hist[0] += count * (order - (1 << (n - k)))
+        b = ctx.trace_masks_inverse[normal]
+        eps = parity_table(n)[normal & (f.values[1:] ^ f.values[0])]
+    else:
+        b = np.empty(order - 1, dtype=np.uint32)
+        eps = np.empty(order - 1, dtype=np.uint8)
+        for a in (1,) if path == "power" else range(1, order):
+            image = derivative_values(f, a)
+            hist += np.bincount(np.bincount(image, minlength=order), minlength=order + 1)
+            if failed_at is None:
+                wit = hyperplane_of(ctx, image)
+                if wit is None:
+                    failed_at = a
+                else:
+                    b[a - 1], eps[a - 1] = wit
         if path == "power":
-            # Direction c's normal is b*c^(-d).
-            normals = evaluate(ctx, [(wit[0], 2 * ctx.mult_order - d)], np.arange(1, ctx.order))
-            return CrookedReport(True, normals, np.full(ctx.order - 1, wit[1], dtype=np.uint8))
-        b[a - 1], eps[a - 1] = wit
-    return CrookedReport(True, b, eps)
+            hist *= order - 1
+            if failed_at is None:
+                b = evaluate(ctx, [(int(b[0]), 2 * ctx.mult_order - d)], np.arange(1, order))
+                eps = np.full(order - 1, eps[0], dtype=np.uint8)
+    vals = np.flatnonzero(hist)
+    delta = int(vals[-1])
+    spectrum = Counter(dict(zip(vals.tolist(), hist[vals].tolist())))
+    if delta != 2:
+        return delta, spectrum, CrookedReport(False, None, None, failed_apn=True)
+    if failed_at is not None:
+        return delta, spectrum, CrookedReport(False, None, None, failed_at=failed_at)
+    b.setflags(write=False)
+    eps.setflags(write=False)
+    return delta, spectrum, CrookedReport(True, b, eps)

@@ -98,11 +98,11 @@ def sweeps(f: TruthTable):
 def _forced_path(path: str):
     # Class-level properties are data descriptors, so they win over what a
     # table has already cached in its instance dict: its path, and the
-    # differential spectrum swept on that path, which is swept afresh on
-    # the forced one.
+    # derivative sweep run on that path, which is run afresh on the forced
+    # one.
     with mock.patch.object(TruthTable, "path", new_callable=mock.PropertyMock,
                            return_value=(path, None)), \
-         mock.patch.object(TruthTable, "_differential", property(vbf._differential_sweep)):
+         mock.patch.object(TruthTable, "_derivatives", property(vbf._derivative_sweep)):
         yield
 
 

@@ -104,7 +104,7 @@ def test_criterion_02_first_family_small_instances():
         ok &= bool(hits)
         for p in hits:
             f = vbf.from_multinomial(build_thm1(ctx, p))
-            ok &= vbf.is_apn(f) and vbf.is_crooked(f).is_crooked
+            ok &= vbf.differential_spectrum(f)[0] == 2 and vbf.is_crooked(f).is_crooked
     _criterion(2, ok, "every searched first-family tuple at n=6,10 is APN and crooked")
 
 

@@ -4,9 +4,10 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from crooked import cli, funcfile, invariants, vbf
+from crooked import cli, funcfile, gf2mat, invariants, vbf
 from crooked.errors import DegreeMismatch, InfeasibleSize, InvalidDirection, MalformedFile
 from crooked.field import FieldCtx
 from helpers import from_truthtable_repr
@@ -171,9 +172,9 @@ def test_construct_odd_half_degree_no_warning():
 
 # Stand-ins for n = 6 thm1 files whose provenance lacks m (None), has a
 # value replaced or is replaced whole (key None), for n = 6 Gold truth-table
-# files with entry 1 replaced, for an n = 6 Gold file, for a file that does
-# not exist, for a file that is not UTF-8, and for a path in a directory that
-# does not exist.
+# files with entry 1 or n replaced, for an n = 6 Gold file, for a file that
+# does not exist, for a file that is not UTF-8, and for a path in a directory
+# that does not exist.
 NO_M, C_FFF, M_5 = "<no-m>", "<c=fff>", "<m=5>"
 K_NEG, K_A, S_99 = "<K=[-1]>", "<K=[a]>", "<s=99>"
 PROV_5, PROV_LIST, PROV_STR = "<provenance=5>", "<provenance=[]>", "<provenance='x'>"
@@ -181,7 +182,9 @@ PROVENANCE_EDITS = {NO_M: ("m", None), C_FFF: ("c", "fff"), M_5: ("m", 5),
                     K_NEG: ("K", [-1]), K_A: ("K", ["a"]), S_99: ("s", 99),
                     PROV_5: (None, 5), PROV_LIST: (None, []), PROV_STR: (None, "x")}
 ENTRY_NEG, ENTRY_BIG = "<entry=-1>", "<entry=100000000>"
-ENTRY_EDITS = {ENTRY_NEG: "-1", ENTRY_BIG: "100000000"}
+N_2_40, N_10_30 = "<n=2^40>", "<n=10^30>"
+TABLE_EDITS = {ENTRY_NEG: ("entry", "-1"), ENTRY_BIG: ("entry", "100000000"),
+               N_2_40: ("n", 1 << 40), N_10_30: ("n", 10 ** 30)}
 GOLD, MISSING, NOT_UTF8, NO_DIR = "<gold>", "<missing>", "<not-utf-8>", "<no-dir>"
 
 
@@ -198,10 +201,13 @@ def _thm1_file_with(path, key, value):
     path.write_text(json.dumps(doc))
 
 
-def _gold_table_file_with(path, entry):
+def _gold_table_file_with(path, key, value):
     gold = vbf.from_multinomial(vbf.multinomial(FieldCtx(6), [(1, 3)]))
     doc = json.loads(funcfile.serialize(from_truthtable_repr(gold)))
-    doc["values"][1] = entry
+    if key == "entry":
+        doc["values"][1] = value
+    else:
+        doc[key] = value
     path.write_text(json.dumps(doc))
 
 
@@ -234,6 +240,9 @@ EXIT_CASES = [
     (("verify", "--in", ENTRY_BIG, "--checks", "apn"), 3, "err", "outside the field"),
     (("invariants", "--in", ENTRY_BIG, "--against", "gold-all"), 3, "err",
      "outside the field"),
+    # Refused before the table length 2^n is computed.
+    (("verify", "--in", N_2_40, "--checks", "apn"), 3, "err", "outside [1, 24]"),
+    (("verify", "--in", N_10_30, "--checks", "apn"), 3, "err", "outside [1, 24]"),
     (("construct", "--family", "thm1", "--n", "7"), 2, "out", "n must be even"),
     (("construct", "--family", "thm1", "--n", "7", "--auto"), 5, "err", "even n"),
     (("construct", "--family", "thm2", "--n", "8", "--auto"), 2, "out", "no valid parameters"),
@@ -262,12 +271,12 @@ def test_documented_exit_codes(argv, code, stream, part, tmp_path, capsys):
     for stand_in, (key, value) in PROVENANCE_EDITS.items():
         if stand_in in argv:
             _thm1_file_with(path, key, value)
-    for stand_in, entry in ENTRY_EDITS.items():
+    for stand_in, (key, value) in TABLE_EDITS.items():
         if stand_in in argv:
-            _gold_table_file_with(path, entry)
+            _gold_table_file_with(path, key, value)
     capsys.readouterr()
     argv = tuple(str(tmp_path / "no-dir" / "f.json") if a == NO_DIR
-                 else str(path) if a in (GOLD, MISSING, NOT_UTF8, *PROVENANCE_EDITS, *ENTRY_EDITS)
+                 else str(path) if a in (GOLD, MISSING, NOT_UTF8, *PROVENANCE_EDITS, *TABLE_EDITS)
                  else a for a in argv)
     assert cli.main(list(argv)) == code
     got = capsys.readouterr()
@@ -439,15 +448,32 @@ def test_verify_certifies_the_path_once(tmp_path, monkeypatch, capsys):
 
 
 def test_verify_sweeps_the_differential_spectrum_once(tmp_path, monkeypatch, capsys):
-    # The inverse at n = 7 is APN but not crooked, so its crooked check
-    # asks is_apn after direction 1 fails; it reads the apn check's sweep.
-    sweeps = []
+    # The apn and crooked checks read one derivative sweep. On a quadratic
+    # input, verify runs two batched eliminations: one for the derivatives
+    # and one for the symplectic matrices of the Walsh check.
+    sweeps, eliminations = [], []
 
-    def counted(f, original=vbf._differential_sweep):
+    def counted(f, original=vbf._derivative_sweep):
         sweeps.append(f)
         return original(f)
 
-    monkeypatch.setattr(vbf, "_differential_sweep", counted)
+    def counted_elimination(*args, original=gf2mat.rank_and_normal_batched):
+        eliminations.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(vbf, "_derivative_sweep", counted)
+    monkeypatch.setattr(gf2mat, "rank_and_normal_batched", counted_elimination)
+    thm1 = tmp_path / "thm1.json"
+    assert cli.main(["construct", "--family", "thm1", "--n", "6", "--auto", "--seed", "1",
+                     "--out", str(thm1)]) == 0
+    sweeps.clear()
+    eliminations.clear()
+    assert cli.main(["verify", "--in", str(thm1), "--checks", "apn,crooked,walsh"]) == 0
+    assert (len(sweeps), len(eliminations)) == (1, 2)
+    capsys.readouterr()
+    # The inverse at n = 7 is APN but not crooked: direction 1 has no
+    # hyperplane.
+    sweeps.clear()
     ctx = FieldCtx(7)
     f = vbf.TruthTable(ctx, [ctx.pow(x, ctx.mult_order - 1) if x else 0 for x in range(ctx.order)])
     path = tmp_path / "inverse.json"
@@ -465,6 +491,19 @@ def test_differential_spectrum_hands_out_its_own_counter():
     _, first = vbf.differential_spectrum(f)
     first[99] = 1
     assert 99 not in vbf.differential_spectrum(f)[1]
+
+
+def test_is_crooked_hands_out_a_read_only_report():
+    # Every caller gets the one cached report, so its arrays refuse writes.
+    ctx = FieldCtx(5)
+    f = vbf.from_multinomial(vbf.multinomial(ctx, [(1, 3)]))
+    rep = vbf.is_crooked(f)
+    b, eps = rep.b.copy(), rep.eps.copy()
+    for arr in (rep.b, rep.eps):
+        with pytest.raises(ValueError):
+            arr[0] ^= 1
+    again = vbf.is_crooked(f)
+    assert np.array_equal(again.b, b) and np.array_equal(again.eps, eps)
 
 
 def test_invariants_builds_one_field_table_per_command(tmp_path, monkeypatch, capsys):
@@ -489,8 +528,8 @@ def test_invariants_builds_one_field_table_per_command(tmp_path, monkeypatch, ca
 
 
 def test_verify_crooked_runs_no_differential_sweep(tmp_path, monkeypatch, capsys):
-    # Hyperplane images in every direction make f APN, so a passing crooked
-    # check never sweeps the differential spectrum.
+    # The crooked check reads the table's derivative sweep itself; it never
+    # calls differential_spectrum.
     def no_sweep(f):
         raise AssertionError("a differential sweep ran")
 

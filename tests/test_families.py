@@ -154,7 +154,7 @@ def test_build_gold(ctx6):
         build_gold(ctx6, 2)
     ctx12 = FieldCtx(12)
     g = vbf.from_multinomial(build_gold(ctx12, 5))
-    assert vbf.is_apn(g)
+    assert vbf.differential_spectrum(g)[0] == 2
 
 
 def test_gold_representatives():
@@ -268,7 +268,7 @@ def test_proof_identity_blind_to_twist_kernel(ctx6, family):
     # The apn check catches such an edit.
     values = f.values.copy()
     values[5] ^= min(kernel - {0})
-    assert not vbf.is_apn(vbf.TruthTable(ctx6, values))
+    assert vbf.differential_spectrum(vbf.TruthTable(ctx6, values))[0] != 2
 
 
 def test_family_instances_crooked_odd_half_degree():
@@ -289,7 +289,7 @@ def test_even_half_degree_hypotheses_insufficient():
     hits = search_params(ctx, "thm1", budget=1, seed=4)
     assert hits  # hypotheses are satisfiable...
     f = vbf.from_multinomial(build_thm1(ctx, hits[0]))
-    assert not vbf.is_apn(f)  # ...but the conclusion fails
+    assert vbf.differential_spectrum(f)[0] != 2  # ...but the conclusion fails
 
 
 def test_thm1_warning_iff_not_apn():
@@ -314,4 +314,4 @@ def test_thm1_warning_iff_not_apn():
                     warnings.simplefilter("always")
                     f = vbf.from_multinomial(build_thm1(ctx, p))
                 warned = any(issubclass(w.category, NotApnWarning) for w in caught)
-                assert warned == (not vbf.is_apn(f)), p
+                assert warned == (vbf.differential_spectrum(f)[0] != 2), p

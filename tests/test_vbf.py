@@ -161,13 +161,6 @@ def test_spectrum_matches_naive_oracle(n):
         assert vbf.differential_spectrum(f) == naive_diff_spectrum(f)
 
 
-def test_is_apn():
-    ctx4 = FieldCtx(4)
-    assert vbf.is_apn(vbf.from_multinomial(vbf.multinomial(ctx4, [(1, 3)])))
-    assert not vbf.is_apn(vbf.from_multinomial(vbf.multinomial(ctx4, [(1, 5)])))
-    assert not vbf.is_apn(_table(ctx4, lambda x: x))
-
-
 def test_hyperplane_witness_gf4():
     ctx = FieldCtx(2)
     b, eps = vbf.hyperplane_of(ctx, {0, 1})
@@ -237,7 +230,7 @@ def test_is_crooked_reports_non_apn_past_a_two_to_one_direction():
     f = vbf.TruthTable(ctx, [6, 6, 0, 4, 7, 6, 4, 7])
     d1 = vbf.derivative_values(f, 1)
     assert np.bincount(d1).max() == 2 and vbf.hyperplane_of(ctx, d1) is None
-    assert not vbf.is_apn(f)
+    assert vbf.differential_spectrum(f)[0] != 2
     assert crooked_form(vbf.is_crooked(f)) == (False, None, True, None)
 
 
@@ -258,4 +251,4 @@ def test_quadratic_apn_iff_crooked():
         rng = random.Random(n + 1)
         for _ in range(3):
             f = vbf.from_multinomial(random_quadratic(ctx, rng))
-            assert vbf.is_apn(f) == vbf.is_crooked(f).is_crooked
+            assert (vbf.differential_spectrum(f)[0] == 2) == vbf.is_crooked(f).is_crooked
