@@ -7,8 +7,9 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass
+from itertools import accumulate, chain, filterfalse, repeat
 from math import gcd
-from typing import List, Sequence, Tuple, Union
+from typing import Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -201,8 +202,10 @@ def build_thm2(ctx: FieldCtx, p: Thm2Params) -> Multinomial:
 
 
 def build_gold(ctx: FieldCtx, s: int) -> Multinomial:
-    """x^(2^s + 1); requires gcd(s, n) = 1."""
-    if not 1 <= s < ctx.n or gcd(s, ctx.n) != 1:
+    """x^(2^s + 1); requires 1 <= s < n and gcd(s, n) = 1."""
+    if not 1 <= s < ctx.n:
+        raise NotGold([f"s = {s} is outside [1, n-1] = [1, {ctx.n - 1}]"])
+    if gcd(s, ctx.n) != 1:
         raise NotGold([f"gcd({s}, {ctx.n}) != 1"])
     return multinomial(ctx, [(1, (1 << s) + 1)])
 
@@ -238,9 +241,16 @@ def gold_representatives(n: int) -> List[int]:
 
 
 def _k_candidates(ctx: FieldCtx) -> List[Tuple[int, ...]]:
+    """The K = {k}, then {k1 < k2} other than {0, 1}, whose L_K is bijective."""
     opts = [(k,) for k in range(ctx.n)]
     opts += [(k1, k2) for k1 in range(ctx.n) for k2 in range(k1 + 1, ctx.n) if (k1, k2) != (0, 1)]
     return [K for K in opts if linearized_is_bijective(ctx, K)]
+
+
+def _primitive_first(ctx: FieldCtx) -> Iterator[int]:
+    """The nonzero elements, lazily: primitive ones first, each part by increasing value."""
+    units = range(1, ctx.order)
+    return chain(filter(ctx.is_primitive, units), filterfalse(ctx.is_primitive, units))
 
 
 def search_params(
@@ -248,15 +258,23 @@ def search_params(
 ) -> List[FamilyParams]:
     """Deterministic seeded search for valid parameter tuples (r = 0).
 
-    The (s, t) and K candidate orders are shuffled by the seed; c and d are
-    then scanned in increasing bit value, primitive elements first, so equal
-    seeds reproduce identical tuples.
+    The seed shuffles the (s, t) with 0 <= t < s < n and gcd(s - t, n) = 1,
+    listed by t then s, and the K of _k_candidates. For each (s, t, K) the
+    search keeps the first (d, c) that the family's validator accepts, d and
+    then c running over the nonzero elements, primitive ones first, then in
+    increasing bit value. With c0 the first primitive element, it asks only
+    about the pairs that order reaches first. First family: (c0, c0), as c0
+    lies in no proper subfield and is a (2^s+2^t)-power only when every
+    element is. Second family: the units form a cyclic group, so the d with
+    d^(q+1) = 1 are the powers of c0^(q-1); each d comes with the first c
+    for which c + d*c^q != 0.
     """
     if family not in ("thm1", "thm2"):
         raise ValueError(f"unknown family {family!r}")
     if ctx.n % 2:
         raise DegreeMismatch("family search needs even n")
     m = ctx.n // 2
+    q = 1 << m
     rng = random.Random(seed)
     st_pairs = [
         (s, t)
@@ -267,43 +285,25 @@ def search_params(
     k_opts = _k_candidates(ctx)
     rng.shuffle(st_pairs)
     rng.shuffle(k_opts)
-    elems = sorted(range(1, ctx.order), key=lambda v: (not ctx.is_primitive(v), v))
+    c0 = next(_primitive_first(ctx))
+    if family == "thm1":
+        cls, validate, cd = Thm1Params, validate_thm1, [(c0, c0)]
+    else:
+        cls, validate = Thm2Params, validate_thm2
+        roots = accumulate(repeat(ctx.pow(c0, q - 1), q), ctx.mul, initial=1)
+        ds = sorted(roots, key=lambda v: (not ctx.is_primitive(v), v))
+        cd = [(next(c for c in _primitive_first(ctx) if c ^ ctx.mul(d, ctx.pow(c, q))), d)
+              for d in ds]
     out: List[FamilyParams] = []
     for s, t in st_pairs:
         for K in k_opts:
             if len(out) >= budget:
                 return out
-            p = _first_valid(ctx, family, m, s, t, K, elems)
+            tuples = (cls(m=m, s=s, t=t, K=K, c=c, d=d, r=(0,) * (m - 1)) for c, d in cd)
+            p = next((p for p in tuples if not validate(ctx, p)), None)
             if p is not None:
                 out.append(p)
     return out
-
-
-def _first_valid(ctx, family, m, s, t, K, elems):
-    e = (1 << s) + (1 << t)
-    if family == "thm1":
-        c = next((v for v in elems if not ctx.in_subfield(v, m)), None)
-        d = next((v for v in elems if not ctx.is_eth_power(v, e)), None)
-        if c is None or d is None:
-            return None
-        p = Thm1Params(m=m, s=s, t=t, K=K, c=c, d=d, r=(0,) * (m - 1))
-        return p if not validate_thm1(ctx, p) else None
-    q = 1 << m
-    for d in elems:
-        if ctx.pow(d, q + 1) != 1 or ctx.is_eth_power(d, e):
-            continue
-        for c in elems:
-            if p := _try_thm2(ctx, m, s, t, K, c, d):
-                return p
-    return None
-
-
-def _try_thm2(ctx, m, s, t, K, c, d):
-    q = 1 << m
-    if (c ^ ctx.mul(d, ctx.pow(c, q))) == 0:
-        return None
-    p = Thm2Params(m=m, s=s, t=t, K=K, c=c, d=d, r=(0,) * (m - 1))
-    return p if not validate_thm2(ctx, p) else None
 
 
 def proof_identity_check(f: TruthTable, p: FamilyParams) -> bool:

@@ -129,7 +129,7 @@ class FieldCtx:
         self.modulus = modulus
         self.order = 1 << n
         self.mult_order = (1 << n) - 1
-        self.order_facts = trial_factor(self.mult_order) if n > 1 else []
+        self.order_facts = trial_factor(self.mult_order)
 
     def __repr__(self):
         return f"FieldCtx(n={self.n}, modulus={self.modulus:#x})"
@@ -212,7 +212,7 @@ class FieldCtx:
         if tables is not None:
             log, exp = tables
             return exp[log[a] * e % self.mult_order]
-        return self._raw_pow(a, e % self.mult_order if self.n > 1 else e)
+        return self._raw_pow(a, e % self.mult_order)
 
     def trace(self, a: int) -> int:
         """Absolute trace to F_2: XOR of the n Frobenius images."""
@@ -243,8 +243,6 @@ class FieldCtx:
     def is_primitive(self, a: int) -> bool:
         if a == 0:
             raise NotAUnit("0 is not a unit")
-        if self.n == 1:
-            return a == 1
         return all(self.pow(a, self.mult_order // p) != 1 for p, _ in self.order_facts)
 
     @cached_property

@@ -9,11 +9,14 @@ from __future__ import annotations
 import random
 from collections import Counter
 from contextlib import contextmanager
+from functools import reduce
+from math import gcd
+from operator import xor
 from typing import Dict, List, Optional, Tuple
 from unittest import mock
 
 from crooked import funcfile, spectral, vbf
-from crooked.families import FamilyParams, Thm1Params
+from crooked.families import FamilyParams, Thm1Params, Thm2Params, validate_thm1, validate_thm2
 from crooked.field import FieldCtx
 from crooked.vbf import TruthTable
 
@@ -150,6 +153,46 @@ def naive_pair_identity(f: TruthTable, p: FamilyParams) -> bool:
             if twist(big_f) != ctx.mul(coeff, cross):
                 return False
     return True
+
+
+def naive_search(ctx: FieldCtx, family: str, budget: int, seed: int) -> List[FamilyParams]:
+    """`families.search_params` as its docstring states it: the seeded
+    shuffle of the (s, t) and K lists, then for each (s, t, K) the first
+    (d, c) over every pair of nonzero elements, primitive ones first, that
+    the family's validator accepts. Bijectivity of L_K and primitivity are
+    read off images and multiplicative orders listed in full."""
+    n, m = ctx.n, ctx.n // 2
+
+    def bijective(K) -> bool:
+        images = {reduce(xor, (ctx.pow(y, 1 << k) for k in K), 0) for y in range(ctx.order)}
+        return len(images) == ctx.order
+
+    def mult_order(v: int) -> int:
+        k, w = 1, v
+        while w != 1:
+            k, w = k + 1, ctx.mul(w, v)
+        return k
+
+    rng = random.Random(seed)
+    st_pairs = [(s, t) for t in range(n - 1) for s in range(t + 1, n) if gcd(s - t, n) == 1]
+    k_opts = [(k,) for k in range(n)]
+    k_opts += [(k1, k2) for k1 in range(n) for k2 in range(k1 + 1, n) if (k1, k2) != (0, 1)]
+    k_opts = [K for K in k_opts if bijective(K)]
+    rng.shuffle(st_pairs)
+    rng.shuffle(k_opts)
+    elems = sorted(range(1, ctx.order), key=lambda v: (mult_order(v) != ctx.order - 1, v))
+    cls, validate = (Thm1Params, validate_thm1) if family == "thm1" else (Thm2Params, validate_thm2)
+    out: List[FamilyParams] = []
+    for s, t in st_pairs:
+        for K in k_opts:
+            if len(out) >= budget:
+                return out
+            pairs = ((d, c) for d in elems for c in elems)
+            tuples = (cls(m=m, s=s, t=t, K=K, c=c, d=d, r=(0,) * (m - 1)) for d, c in pairs)
+            p = next((p for p in tuples if not validate(ctx, p)), None)
+            if p is not None:
+                out.append(p)
+    return out
 
 
 def naive_rank(rows: List[int]) -> int:

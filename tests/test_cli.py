@@ -224,6 +224,10 @@ EXIT_CASES = [
     (("construct", "--family", "ref7", "--n", "12"), 2, "out", "m = 6 is even"),
     (("construct", "--family", "ref7", "--n", "6", "--s", "2"), 2, "out", "s = 2 is even"),
     (("construct", "--family", "ref7", "--n", "6", "--s", "99"), 2, "out", "s = 99 is outside"),
+    (("construct", "--family", "gold", "--n", "6", "--s", "7"), 2, "out",
+     "s = 7 is outside [1, n-1] = [1, 5]"),
+    (("construct", "--family", "gold", "--n", "6", "--s", "0"), 2, "out",
+     "s = 0 is outside [1, n-1] = [1, 5]"),
     (("construct", "--family", "thm1", "--n", "6", "--s", "7", "--t", "0", "--K", "0",
       "--c", "primitive", "--d", "primitive"), 2, "out", "requires s < n = 6"),
     (("verify", "--in", NO_M, "--checks", "identity"), 3, "err", "'m'"),

@@ -21,7 +21,7 @@ from crooked.families import (
     validate_thm2,
 )
 from crooked.field import FieldCtx
-from helpers import naive_pair_identity
+from helpers import IRREDUCIBLES, naive_pair_identity, naive_search
 
 
 def _first_primitive(ctx):
@@ -195,6 +195,32 @@ def test_search_revalidates(ctx6):
         assert validate_thm1(ctx6, p) == []
     for p in search_params(ctx6, "thm2", budget=3, seed=2):
         assert validate_thm2(ctx6, p) == []
+
+
+@pytest.mark.parametrize("family", ["thm1", "thm2"])
+def test_search_matches_brute_force(family):
+    # Every tuple at n = 2 and 4 under every modulus, and the first few at
+    # n = 6, against a scan of every (d, c) pair through the validator.
+    for n in (2, 4):
+        for modulus in IRREDUCIBLES[n]:
+            ctx = FieldCtx(n, modulus)
+            for seed in (0, 1):
+                assert search_params(ctx, family, 1000, seed) == naive_search(ctx, family, 1000, seed)
+    ctx6 = FieldCtx(6)
+    for seed in range(3):
+        assert search_params(ctx6, family, 2, seed) == naive_search(ctx6, family, 2, seed)
+
+
+@pytest.mark.parametrize("family", ["thm1", "thm2"])
+def test_search_tests_few_elements_for_primitivity(family, monkeypatch):
+    # The search derives c and d from the first primitive element, so it
+    # never orders the whole field by primitivity.
+    calls = []
+    is_primitive = FieldCtx.is_primitive
+    monkeypatch.setattr(FieldCtx, "is_primitive", lambda ctx, a: calls.append(a) or is_primitive(ctx, a))
+    ctx = FieldCtx(14)
+    assert search_params(ctx, family, budget=1, seed=1)
+    assert 0 < len(calls) < ctx.order // 8
 
 
 def test_search_odd_n_rejected():

@@ -223,6 +223,10 @@ def test_fields_outside_2_to_16_keep_no_tables():
         a, b = ctx.order - 1, ctx.order // 2 | 1
         assert ctx.mul(a, b) == ctx._raw_mul(a, b)
         assert ctx.pow(a, 7) == ctx._raw_pow(a, 7)
+    # GF(2) has the one unit 1, through the general code paths.
+    gf2 = FieldCtx(1)
+    assert [gf2.pow(1, e) for e in range(6)] == [1] * 6
+    assert gf2.is_primitive(1) and gf2.order_facts == []
 
 
 def test_field_import_stays_numpy_free():
