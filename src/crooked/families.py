@@ -7,6 +7,7 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate, chain, filterfalse, repeat
 from math import gcd
 from typing import Iterator, List, Sequence, Tuple, Union
@@ -266,8 +267,15 @@ def search_params(
     about the pairs that order reaches first. First family: (c0, c0), as c0
     lies in no proper subfield and is a (2^s+2^t)-power only when every
     element is. Second family: the units form a cyclic group, so the d with
-    d^(q+1) = 1 are the powers of c0^(q-1); each d comes with the first c
-    for which c + d*c^q != 0.
+    d^(q+1) = 1 are the c0^((q-1)j), j <= q, primitive exactly when
+    gcd((q-1)j, 2^n-1) = 1; each d comes with the first c for which
+    c + d*c^q != 0, found once, when the search first reaches that d.
+
+    For even m the second family is empty, and the search returns [] before
+    any validator call. As n = 2m is even and gcd(s-t, n) = 1, s - t is odd
+    and gcd(2^(s-t)+1, 2^m+1) = 1. So g = gcd(2^s+2^t, 2^n-1), a divisor of
+    (q-1)(q+1) prime to q+1, divides q - 1, and every c0^((q-1)j) is a g-th
+    power, hence a (2^s+2^t)-power.
     """
     if family not in ("thm1", "thm2"):
         raise ValueError(f"unknown family {family!r}")
@@ -275,6 +283,8 @@ def search_params(
         raise DegreeMismatch("family search needs even n")
     m = ctx.n // 2
     q = 1 << m
+    if family == "thm2" and m % 2 == 0:
+        return []
     rng = random.Random(seed)
     st_pairs = [
         (s, t)
@@ -287,19 +297,19 @@ def search_params(
     rng.shuffle(k_opts)
     c0 = next(_primitive_first(ctx))
     if family == "thm1":
-        cls, validate, cd = Thm1Params, validate_thm1, [(c0, c0)]
+        cls, validate, ds, c_for = Thm1Params, validate_thm1, [c0], lambda d: c0
     else:
         cls, validate = Thm2Params, validate_thm2
         roots = accumulate(repeat(ctx.pow(c0, q - 1), q), ctx.mul, initial=1)
-        ds = sorted(roots, key=lambda v: (not ctx.is_primitive(v), v))
-        cd = [(next(c for c in _primitive_first(ctx) if c ^ ctx.mul(d, ctx.pow(c, q))), d)
-              for d in ds]
+        imprimitive = (gcd((q - 1) * j, ctx.mult_order) != 1 for j in range(q + 1))
+        ds = [d for _, d in sorted(zip(imprimitive, roots))]
+        c_for = cache(lambda d: next(c for c in _primitive_first(ctx) if c ^ ctx.mul(d, ctx.pow(c, q))))
     out: List[FamilyParams] = []
     for s, t in st_pairs:
         for K in k_opts:
             if len(out) >= budget:
                 return out
-            tuples = (cls(m=m, s=s, t=t, K=K, c=c, d=d, r=(0,) * (m - 1)) for c, d in cd)
+            tuples = (cls(m=m, s=s, t=t, K=K, c=c_for(d), d=d, r=(0,) * (m - 1)) for d in ds)
             p = next((p for p in tuples if not validate(ctx, p)), None)
             if p is not None:
                 out.append(p)

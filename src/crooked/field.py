@@ -3,7 +3,9 @@
 Elements are plain ints: bit i is the coefficient of x^i in the basis
 polynomial, addition is XOR. A :class:`FieldCtx` pins the degree and the
 irreducible modulus; every operation is a pure method on the context, so a
-context can be shared freely across workers.
+context can be shared freely across workers. Scalar operations use no
+tables and no numpy; vectorised code reads the context's one numpy
+log/antilog pair, built on first use at every degree.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 MAX_DEGREE = 24
-_TABLE_DEGREE = 16  # log/antilog tables kept up to this degree
 
 
 def _f2_mul(a: int, b: int) -> int:
@@ -34,9 +35,9 @@ def _f2_mul(a: int, b: int) -> int:
 
 
 def _f2_mod(a: int, m: int) -> int:
-    dm = m.bit_length() - 1
-    while a.bit_length() - 1 >= dm and a:
-        a ^= m << (a.bit_length() - 1 - dm)
+    dm = m.bit_length()
+    while a.bit_length() >= dm:
+        a ^= m << (a.bit_length() - dm)
     return a
 
 
@@ -105,8 +106,9 @@ def smallest_irreducible(n: int) -> int:
 
 
 class FieldCtx:
-    """Immutable description of GF(2^n); its log/antilog tables are built on
-    first use.
+    """Immutable description of GF(2^n). Scalar arithmetic needs no tables;
+    the numpy log/antilog pair `log_array`/`exp_array` that vectorised code
+    reads is built on first use.
 
     Parameters
     ----------
@@ -140,88 +142,52 @@ class FieldCtx:
     def __hash__(self):
         return hash((self.n, self.modulus))
 
-    # -- raw arithmetic (table-free) -------------------------------------
-
-    def _raw_mul(self, a: int, b: int) -> int:
-        return _f2_mod(_f2_mul(a, b), self.modulus)
-
-    def _raw_pow(self, a: int, e: int) -> int:
-        r = 1
-        base = a
-        while e:
-            if e & 1:
-                r = self._raw_mul(r, base)
-            base = self._raw_mul(base, base)
-            e >>= 1
-        return r
-
-    @cached_property
-    def _tables(self) -> Optional[Tuple[List[int], List[int]]]:
-        """(log, exp): exp[i] = gamma^i for 0 <= i < 2(2^n - 1), doubled so
-        that a sum of two logs needs no reduction, and log[exp[i]] = i for
-        i < 2^n - 1 (log[0] = 0); gamma is `_find_generator`'s. None where
-        the field keeps no tables (n = 1 or n > 16). Built on first use.
-
-        v -> v*gamma is F_2-linear, so it is the XOR of one lookup per byte
-        of v, in 256-entry tables spanned by the images of that byte's
-        basis vectors."""
-        n = self.n
-        if not 2 <= n <= _TABLE_DEGREE:
-            return None
-        g = self._find_generator()
-        low, high = [0], [0]
-        for i in range(n):
-            table = low if i < 8 else high
-            image = self._raw_mul(1 << i, g)
-            table += [v ^ image for v in table]
-
-        def times_gamma(v: int, _) -> int:
-            return low[v & 255] ^ high[v >> 8]
-
-        exp = list(accumulate(repeat(None, self.mult_order - 1), times_gamma, initial=1))
-        log = [0] * self.order
-        for i, v in enumerate(exp):
-            log[v] = i
-        return log, exp + exp
-
     def _find_generator(self) -> int:
+        # From 1, not 2: 1 generates GF(2)'s unit group, and no larger one.
         cofactors = [self.mult_order // p for p, _ in self.order_facts]
-        for g in range(2, self.order):
-            if all(self._raw_pow(g, c) != 1 for c in cofactors):
+        for g in range(1, self.order):
+            if all(self.pow(g, c) != 1 for c in cofactors):
                 return g
         raise AssertionError("no generator found")  # pragma: no cover
 
-    # -- public operations ------------------------------------------------
+    # -- scalar operations ------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        tables = self._tables
-        if tables is None:
-            return self._raw_mul(a, b)
-        if a == 0 or b == 0:
-            return 0
-        log, exp = tables
-        return exp[log[a] + log[b]]
+        return _f2_mod(_f2_mul(a, b), self.modulus)
 
     def pow(self, a: int, e: int) -> int:
-        """a^e with e >= 0; 0^0 raises UndefinedPower."""
+        """a^e with e >= 0 by square and multiply; 0^0 raises UndefinedPower."""
         if a == 0:
             if e == 0:
                 raise UndefinedPower("0^0 is undefined")
             return 0
-        tables = self._tables
-        if tables is not None:
-            log, exp = tables
-            return exp[log[a] * e % self.mult_order]
-        return self._raw_pow(a, e % self.mult_order)
+        e %= self.mult_order
+        r = 1
+        while e:
+            if e & 1:
+                r = self.mul(r, a)
+            e >>= 1
+            if e:
+                a = self.mul(a, a)
+        return r
+
+    @cached_property
+    def _trace_mask(self) -> int:
+        """The n-bit mask w = sum of tr(x^i) 2^i; the trace is F_2-linear,
+        so tr(a) = parity(a & w). Each tr(x^i) is the XOR of the n Frobenius
+        images of x^i. Computed on first use."""
+        w = 0
+        for i in range(self.n):
+            acc = v = 1 << i
+            for _ in range(self.n - 1):
+                v = self.mul(v, v)
+                acc ^= v
+            w |= acc << i  # acc is 0 or 1
+        return w
 
     def trace(self, a: int) -> int:
-        """Absolute trace to F_2: XOR of the n Frobenius images."""
-        acc = a
-        v = a
-        for _ in range(self.n - 1):
-            v = self.mul(v, v)
-            acc ^= v
-        return acc
+        """Absolute trace to F_2."""
+        return bin(a & self._trace_mask).count("1") & 1
 
     def in_subfield(self, a: int, m: int) -> bool:
         """True iff a lies in the subfield F_{2^m}; m must divide n."""
@@ -245,6 +211,12 @@ class FieldCtx:
             raise NotAUnit("0 is not a unit")
         return all(self.pow(a, self.mult_order // p) != 1 for p, _ in self.order_facts)
 
+    # -- tables for vectorised code -----------------------------------------
+    # numpy is imported inside each builder, so that importing this module
+    # and every scalar operation stay numpy-free: pipebench draws its inputs
+    # with them, and each benchmark worker's peak RSS includes that parent
+    # process's resident set.
+
     @cached_property
     def trace_masks(self) -> np.ndarray:
         """masks[a] = the bitmask w with parity(w & y) = trace(a*y) for every y.
@@ -252,9 +224,6 @@ class FieldCtx:
         Bit i of masks[x^j] is trace(x^(i+j)); masks is linear in a, so the
         rest of the table is XORs of those n basis masks. Built on first use.
         """
-        # Imported here so that importing this module alone stays numpy-free:
-        # pipebench draws its inputs with it, and each benchmark worker's
-        # peak RSS includes that parent process's resident set.
         import numpy as np
 
         n = self.n
@@ -270,28 +239,51 @@ class FieldCtx:
         return masks
 
     @cached_property
-    def log_array(self) -> Optional[np.ndarray]:
+    def log_array(self) -> np.ndarray:
         """log_array[x] = the i with exp_array[i] = x, for x != 0 (entry 0
-        is 0), as uint16; None where the field keeps no tables (n = 1 or
-        n > 16). Built on first use from the log table."""
+        is 0), as uint32. Built on first use from exp_array."""
         import numpy as np
 
-        tables = self._tables
-        return None if tables is None else np.array(tables[0], dtype=np.uint16)
+        log = np.zeros(self.order, dtype=np.uint32)
+        log[self.exp_array] = np.arange(self.mult_order, dtype=np.uint32)
+        return log
 
     @cached_property
-    def exp_array(self) -> Optional[np.ndarray]:
+    def exp_array(self) -> np.ndarray:
         """exp_array[i] = gamma^i for 0 <= i < 2^n - 1, gamma the generator
-        the tables use, as uint16; None where the field keeps no tables.
-        Built on first use from the antilog table."""
+        `_find_generator` picks, as uint32 (GF(2) has exp_array = [1]).
+
+        Built on first use: the first 64 powers one product at a time, then
+        by doubling, exp[k:2k] = exp[:k] * c with c = gamma^k. Times c is
+        F_2-linear, so it is the XOR of one lookup per byte of its argument,
+        in 256-entry tables spanned by c*x^i for that byte's bits i. Times c
+        applied to the tables' own entries gives the tables of c^2.
+        """
         import numpy as np
 
-        tables = self._tables
-        return None if tables is None else np.array(tables[1][: self.mult_order], dtype=np.uint16)
+        def times(tables, v):
+            out = tables[0][v & 255]
+            for byte in range(1, len(tables)):
+                out ^= tables[byte][(v >> 8 * byte) & 255]
+            return out
+
+        exp = np.empty(self.mult_order, dtype=np.uint32)
+        gamma, k = self._find_generator(), min(64, self.mult_order)
+        exp[:k] = list(accumulate(repeat(gamma, k - 1), self.mul, initial=1))
+        # The byte tables of times c = gamma^k: row j spans c*x^(8j), ..., c*x^(8j+7).
+        images = [*accumulate(repeat(2, self.n - 1), self.mul, initial=self.pow(gamma, k))]
+        images = np.array(images + [0] * (-self.n % 8), dtype=np.uint32).reshape(-1, 8, 1)
+        tables = np.zeros((len(images), 256), dtype=np.uint32)
+        for i in range(8):
+            tables[:, 1 << i : 2 << i] = tables[:, : 1 << i] ^ images[:, i]
+        while k < self.mult_order:
+            head = exp[: min(k, self.mult_order - k)]
+            exp[k : k + head.size] = times(tables, head)
+            tables, k = times(tables, tables), 2 * k
+        return exp
 
     @cached_property
     def trace_masks_inverse(self) -> np.ndarray:
         """inverse[w] = the a with trace_masks[a] = w. trace_masks is a
         permutation, as the trace form is nondegenerate, so argsort inverts it."""
         return self.trace_masks.argsort().astype(self.trace_masks.dtype)
-

@@ -112,16 +112,9 @@ class TruthTable:
 def evaluate(ctx: FieldCtx, terms: Iterable[Tuple[int, int]], points: Sequence[int]) -> np.ndarray:
     """sum c*p^e over the terms (c, e), e >= 1, at every p of the 1-d points,
     as uint32. Each term is one gather from the log/antilog tables, c*p^e =
-    exp[(log c + (e mod 2^n-1) log p) mod (2^n-1)], and p = 0 gives 0. Where
-    the field keeps no tables (n = 1 or n > 16), points go one at a time."""
+    exp[(log c + (e mod 2^n-1) log p) mod (2^n-1)], and p = 0 gives 0."""
     points = np.asarray(points, dtype=np.uint32)
     terms = [(c, e) for c, e in terms if c]
-    if ctx.log_array is None:
-        vals = [0] * points.size
-        for i, p in enumerate(points.tolist()):
-            for c, e in terms:
-                vals[i] ^= ctx.mul(c, ctx.pow(p, e))
-        return np.array(vals, dtype=np.uint32)
     log, exp, m = ctx.log_array, ctx.exp_array, ctx.mult_order
     logp = log[points].astype(np.int64)
     acc = np.zeros(points.shape, dtype=np.uint32)
@@ -146,11 +139,10 @@ def power_exponent(f: TruthTable) -> Optional[int]:
     """The d in [1, 2^n - 1] with f(x) = x^d at every x, or None when f is
     not a power function. d = log f(gamma) is the only candidate, and the
     whole table is compared with `evaluate`'s x^d, so how f was made is never
-    trusted. None also where the field keeps no tables (n = 1 or n > 16)."""
+    trusted. In GF(2), gamma = 1 and the only d is 1."""
     ctx = f.ctx
-    if ctx.log_array is None:
-        return None
-    d = int(ctx.log_array[f.values[ctx.exp_array[1]]]) or ctx.mult_order
+    gamma = ctx.exp_array[1 % ctx.mult_order]
+    d = int(ctx.log_array[f.values[gamma]]) or ctx.mult_order
     return d if np.array_equal(f.values, evaluate(ctx, [(1, d)], np.arange(ctx.order))) else None
 
 

@@ -542,3 +542,30 @@ def test_verify_crooked_runs_no_differential_sweep(tmp_path, monkeypatch, capsys
     assert cli.main(["construct", "--family", "gold", "--n", "6", "--out", str(path)]) == 0
     assert cli.main(["verify", "--in", str(path), "--checks", "crooked", "--json"]) == 0
     assert '"crooked":true' in capsys.readouterr().out
+
+
+def test_refusals_above_16_make_few_scalar_calls(tmp_path, monkeypatch, capsys):
+    # A file at n = 20 is evaluated through the field's numpy tables, so the
+    # apn check and the Gold comparison refuse (exit 4) after a few scalar
+    # mul/pow calls, not several per field element.
+    path = tmp_path / "g20.json"
+    assert cli.main(["construct", "--family", "gold", "--n", "20", "--s", "1", "--out", str(path)]) == 0
+    calls = []
+
+    def counting(name):
+        original = getattr(FieldCtx, name)
+
+        def counted(ctx, *args):
+            calls.append(name)
+            assert len(calls) < 1 << 10, "more than 2^10 scalar calls"
+            return original(ctx, *args)
+
+        return counted
+
+    for name in ("mul", "pow"):
+        monkeypatch.setattr(FieldCtx, name, counting(name))
+    for command, *flags in (["verify", "--checks", "apn"], ["invariants", "--against", "gold-all"]):
+        calls.clear()
+        capsys.readouterr()
+        assert cli.main([command, "--in", str(path), *flags]) == 4
+        assert capsys.readouterr() == ("", "exhaustive differential scan capped at n=16\n")

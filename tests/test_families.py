@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import warnings
+from math import gcd
 
 import numpy as np
 import pytest
@@ -221,6 +222,29 @@ def test_search_tests_few_elements_for_primitivity(family, monkeypatch):
     ctx = FieldCtx(14)
     assert search_params(ctx, family, budget=1, seed=1)
     assert 0 < len(calls) < ctx.order // 8
+
+
+def test_thm2_search_is_empty_at_even_m(monkeypatch):
+    # For even m every d with d^(q+1) = 1 is a (2^s+2^t)-power (see
+    # search_params), so the second family is empty. The brute-force search
+    # agrees at n = 4 (test_search_matches_brute_force); its scan of every
+    # (d, c) pair would take minutes at n = 8, so there the claim is checked
+    # against the images u^(2^s+2^t) of every unit, for each (s, t) searched.
+    for n in (8, 12):
+        ctx = FieldCtx(n)
+        q = 1 << n // 2
+        units = np.arange(1, ctx.order)
+        roots = units[vbf.evaluate(ctx, [(1, q + 1)], units) == 1]
+        assert roots.size == q + 1
+        for s in range(1, n):
+            for t in range(s):
+                if gcd(s - t, n) == 1:
+                    images = vbf.evaluate(ctx, [(1, (1 << s) + (1 << t))], units)
+                    assert np.isin(roots, images).all(), (s, t)
+    # The search returns before any validator call.
+    monkeypatch.setattr(families, "validate_thm2", lambda ctx, p: pytest.fail("validator called"))
+    for n in (4, 8, 12, 16):
+        assert search_params(FieldCtx(n), "thm2", budget=5, seed=1) == []
 
 
 def test_search_odd_n_rejected():

@@ -1,8 +1,12 @@
+import functools
+import operator
 import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from crooked.errors import InvalidModulus, InvalidSubfield, NotAUnit, UndefinedPower, UnsupportedDegree
 from crooked.field import FieldCtx, smallest_irreducible, trial_factor
@@ -197,42 +201,82 @@ def test_component_mask_matches_trace():
             assert inverse[mask] == a
 
 
-@pytest.mark.parametrize("n, modulus", [(n, None) for n in range(2, 17)] + [(4, 0x1F)])
-def test_tables_match_raw_arithmetic(n, modulus):
-    ctx = FieldCtx(n, modulus)
-    assert "_tables" not in vars(ctx)  # built on first use only
-    exp, log = ctx.exp_array.tolist(), ctx.log_array.tolist()
-    assert sorted(exp) == list(range(1, ctx.order))
-    assert all(log[v] == i for i, v in enumerate(exp))
-    assert exp[1] == ctx._find_generator()
+@pytest.fixture(scope="module")
+def gf24():
+    """GF(2^24) with its tables, built once for the module (two 64 MB arrays)."""
+    ctx = FieldCtx(24)
+    ctx.log_array
+    return ctx
+
+
+@pytest.mark.parametrize("n, modulus", [(n, None) for n in range(1, 25)] + [(4, 0x1F)])
+def test_tables_match_raw_arithmetic(n, modulus, request):
+    # The numpy tables against the table-free scalar mul and pow, at every n.
+    if n == 24:
+        ctx = request.getfixturevalue("gf24")
+    else:
+        ctx = FieldCtx(n, modulus)
+        assert "exp_array" not in vars(ctx) and "log_array" not in vars(ctx)  # built on first use only
+    exp, log = ctx.exp_array, ctx.log_array
+    assert exp.size == ctx.mult_order and log.size == ctx.order and log[0] == 0
+    gamma = ctx._find_generator()
+    assert exp[0] == 1 and exp[1 % ctx.mult_order] == gamma
+    if n <= 20:
+        assert np.array_equal(np.sort(exp), np.arange(1, ctx.order))  # a permutation of the units
+        assert np.array_equal(log[exp], np.arange(ctx.mult_order))
     if modulus == 0x1F:
         # x^4+x^3+x^2+x+1 is irreducible, but x has order 5 in its field,
         # so the tables' generator is not x there.
         assert ctx.pow(0b10, 5) == 1 and exp[1] != 0b10
     rng = random.Random(n)
     for _ in range(200):
-        a, b, e = rng.randrange(ctx.order), rng.randrange(1, ctx.order), rng.randrange(1 << 20)
-        assert ctx.mul(a, b) == ctx._raw_mul(a, b)
-        assert ctx.pow(b, e) == ctx._raw_pow(b, e)
+        i, j = rng.randrange(ctx.mult_order), rng.randrange(ctx.mult_order)
+        assert exp[i] == ctx.pow(gamma, i) and log[exp[i]] == i
+        assert ctx.mul(int(exp[i]), int(exp[j])) == exp[(i + j) % ctx.mult_order]
 
 
-def test_fields_outside_2_to_16_keep_no_tables():
-    for n in (1, 18):
-        ctx = FieldCtx(n)
-        assert ctx._tables is None and ctx.log_array is None and ctx.exp_array is None
-        a, b = ctx.order - 1, ctx.order // 2 | 1
-        assert ctx.mul(a, b) == ctx._raw_mul(a, b)
-        assert ctx.pow(a, 7) == ctx._raw_pow(a, 7)
-    # GF(2) has the one unit 1, through the general code paths.
+def test_gf2_has_the_trivial_tables():
+    # GF(2) has the one unit 1: log = [0, 0] and exp = [1], through the
+    # general code paths.
     gf2 = FieldCtx(1)
+    assert gf2.log_array.tolist() == [0, 0] and gf2.exp_array.tolist() == [1]
     assert [gf2.pow(1, e) for e in range(6)] == [1] * 6
+    assert [gf2.mul(a, b) for a in (0, 1) for b in (0, 1)] == [0, 0, 0, 1]
     assert gf2.is_primitive(1) and gf2.order_facts == []
+    assert gf2.trace(1) == 1 and gf2.trace(0) == 0
+
+
+@functools.cache
+def _field(n: int) -> FieldCtx:
+    return FieldCtx(n)
+
+
+@seed(2)
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_scalar_arithmetic_is_a_field(data):
+    n = data.draw(st.integers(1, 24), label="n")
+    ctx = _field(n)
+    a, b, c = (data.draw(st.integers(0, ctx.mult_order), label=name) for name in "abc")
+    e, f = data.draw(st.integers(1, 1 << 30), label="e"), data.draw(st.integers(1, 1 << 30), label="f")
+    mul, pw = ctx.mul, ctx.pow
+    assert mul(a, b) == mul(b, a) and mul(a, 1) == a and mul(a, 0) == 0
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a ^ b, c) == mul(a, c) ^ mul(b, c)
+    assert pw(a, e + f) == mul(pw(a, e), pw(a, f))
+    assert pw(pw(a, e), f) == pw(a, e * f)
+    assert pw(a, ctx.order) == a and pw(a ^ b, 2) == pw(a, 2) ^ pw(b, 2)
+    if a:
+        assert mul(a, pw(a, ctx.mult_order - 1)) == 1 and pw(a, 0) == 1
+    # The parity trace against its definition, the XOR of the n Frobenius images.
+    frobenius = functools.reduce(operator.xor, (pw(a, 1 << i) for i in range(n)), 0)
+    assert frobenius in (0, 1) and ctx.trace(a) == frobenius
 
 
 def test_field_import_stays_numpy_free():
     # pipebench draws its inputs with the field module alone, and each
     # benchmark worker's peak RSS includes that process's resident set;
-    # building the tables and every scalar power must not import numpy.
+    # importing the module and every scalar mul and pow must not import numpy.
     code = (
         "import sys\n"
         "from crooked.field import FieldCtx\n"

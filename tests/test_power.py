@@ -76,8 +76,10 @@ def test_power_exponent_checks_every_entry():
     edited = list(base)
     edited[gamma] = 0
     assert vbf.power_exponent(vbf.TruthTable(ctx, edited)) is None
-    # GF(2) keeps no log tables.
-    assert vbf.power_exponent(vbf.TruthTable(FieldCtx(1), [0, 1])) is None
+    # GF(2): x = x^1 is its one power function, with gamma = 1.
+    assert vbf.power_exponent(vbf.TruthTable(FieldCtx(1), [0, 1])) == 1
+    assert vbf.power_exponent(vbf.TruthTable(FieldCtx(1), [0, 0])) is None
+    assert vbf.power_exponent(vbf.TruthTable(FieldCtx(1), [1, 1])) is None
 
 
 @seed(1)
