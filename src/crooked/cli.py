@@ -78,13 +78,25 @@ def _field(args) -> FieldCtx:
     return FieldCtx(args.n, _int(args.modulus) if args.modulus else None)
 
 
-def _load(path: str, reuse: Optional[FieldCtx] = None) -> Tuple[funcfile.FunctionFile, vbf.TruthTable]:
-    """The function file at path and its truth table, over `reuse` when that
-    is the file's field; any failure to read or parse it is MalformedFile."""
+def _half(n: int) -> int:
+    """m = n/2: the families live on GF(2^(2m)), so an odd n is refused."""
+    if n % 2:
+        raise InvalidParams(["n must be even"])
+    return n // 2
+
+
+def _load(path: str, over: Optional[FieldCtx] = None) -> Tuple[funcfile.FunctionFile, vbf.TruthTable]:
+    """The function file at path and its truth table, over `over` when given:
+    a file over another field is DegreeMismatch, refused from its header
+    before its table is built. Any failure to read or parse it is MalformedFile."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             ff = funcfile.parse(fh.read())
-        return ff, ff.to_truthtable(reuse)
+        if over is not None and (ff.n, ff.modulus) != (over.n, over.modulus):
+            raise DegreeMismatch("functions live over different fields")
+        return ff, ff.to_truthtable(over)
+    except DegreeMismatch:
+        raise
     except (OSError, UnicodeDecodeError, CrookedError) as e:
         raise MalformedFile(str(e)) from None
 
@@ -97,10 +109,11 @@ def cmd_construct(args) -> int:
         m = families.build_gold(ctx, args.s)
         prov["s"] = args.s
     elif args.family == "ref7":
+        half = _half(args.n)
         c = _resolve_elem(ctx, args.c or "primitive", seed)
         d = _resolve_elem(ctx, args.d or "primitive", seed)
-        m = families.build_ref7(ctx, args.n // 2, args.s, c, d)
-        prov.update({"m": args.n // 2, "s": args.s, "c": format(c, "x"), "d": format(d, "x")})
+        m = families.build_ref7(ctx, half, args.s, c, d)
+        prov.update({"m": half, "s": args.s, "c": format(c, "x"), "d": format(d, "x")})
     else:
         params = _family_params(ctx, args, seed)
         builder = families.build_thm1 if args.family == "thm1" else families.build_thm2
@@ -125,14 +138,12 @@ def cmd_construct(args) -> int:
 def _family_params(ctx, args, seed) -> families.FamilyParams:
     """Family params from flags, which the builder validates, or a
     seeded-search hit under --auto."""
+    m = _half(args.n)
     if args.auto:
         hits = families.search_params(ctx, args.family, budget=1, seed=seed)
         if not hits:
             raise InvalidParams(["no valid parameters found by search"])
         return hits[0]
-    if args.n % 2:
-        raise InvalidParams(["n must be even"])
-    m = args.n // 2
     K = tuple(_int(v, 10) for v in args.K.split(",")) if args.K else (0,)
     c = _resolve_elem(ctx, args.c or "primitive", seed)
     d = _resolve_elem(ctx, args.d or "primitive", seed)
@@ -185,8 +196,11 @@ def _params_from_provenance(ff: funcfile.FunctionFile):
 
 
 def cmd_verify(args) -> int:
-    ff, f = _load(args.infile)
     checks = args.checks.split(",")
+    for check in checks:
+        if check not in ("apn", "crooked", "walsh", "identity"):
+            raise InvalidInput(f"unknown check {check!r}")
+    ff, f = _load(args.infile)
     report: dict = {"n": ff.n, "checks": sorted(checks)}
     ok = True
     for check in checks:
@@ -213,15 +227,13 @@ def cmd_verify(args) -> int:
             report["nl"] = summary.nl
             report["walsh_spectrum"] = _counter_to_list(summary.gamma)
             report["extended_walsh"] = _counter_to_list(summary.extended)
-        elif check == "identity":
+        else:  # identity
             params = _params_from_provenance(ff)
             if params is None:
                 raise MalformedFile("identity check needs thm1/thm2 provenance")
             good = families.proof_identity_check(f, params)
             report["identity"] = good
             ok &= good
-        else:
-            raise InvalidInput(f"unknown check {check!r}")
     report["pass"] = ok
     _emit(report, args.json)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -259,10 +271,7 @@ def cmd_invariants(args) -> int:
                 (f"gold-s{s}", vbf.from_multinomial(families.build_gold(f.ctx, s)))
             )
     else:
-        g = _load(args.against, f.ctx)[1]
-        if g.ctx != f.ctx:
-            raise DegreeMismatch("functions live over different fields")
-        targets.append((args.against, g))
+        targets.append((args.against, _load(args.against, f.ctx)[1]))
     left = invariants.function_invariants(f, with_ranks)
     for label, g in targets:
         right = invariants.function_invariants(g, with_ranks)
@@ -271,10 +280,8 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if args.n % 2:
-        raise InvalidInput("n must be even")
+    m = _half(args.n)
     ctx = _field(args)
-    m = args.n // 2
     if m % 2 == 0:
         consequence = (
             "no first-family tuple is APN (see Thm1Params)"

@@ -14,7 +14,7 @@ from typing import Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DegreeMismatch, InvalidInput, InvalidParams, NotApnWarning, NotGold
+from .errors import DegreeMismatch, InvalidInput, InvalidParams, NotApnWarning
 from .field import FieldCtx, f2_gcd
 from .vbf import Multinomial, TruthTable, evaluate, multinomial
 
@@ -205,9 +205,9 @@ def build_thm2(ctx: FieldCtx, p: Thm2Params) -> Multinomial:
 def build_gold(ctx: FieldCtx, s: int) -> Multinomial:
     """x^(2^s + 1); requires 1 <= s < n and gcd(s, n) = 1."""
     if not 1 <= s < ctx.n:
-        raise NotGold([f"s = {s} is outside [1, n-1] = [1, {ctx.n - 1}]"])
+        raise InvalidParams([f"s = {s} is outside [1, n-1] = [1, {ctx.n - 1}]"])
     if gcd(s, ctx.n) != 1:
-        raise NotGold([f"gcd({s}, {ctx.n}) != 1"])
+        raise InvalidParams([f"gcd({s}, {ctx.n}) != 1"])
     return multinomial(ctx, [(1, (1 << s) + 1)])
 
 
@@ -278,7 +278,7 @@ def search_params(
     power, hence a (2^s+2^t)-power.
     """
     if family not in ("thm1", "thm2"):
-        raise ValueError(f"unknown family {family!r}")
+        raise InvalidInput(f"unknown family {family!r}")
     if ctx.n % 2:
         raise DegreeMismatch("family search needs even n")
     m = ctx.n // 2

@@ -15,7 +15,7 @@ from itertools import accumulate, repeat
 from math import gcd
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from .errors import InvalidModulus, InvalidSubfield, NotAUnit, UndefinedPower, UnsupportedDegree
+from .errors import InvalidInput, InvalidModulus
 
 if TYPE_CHECKING:
     import numpy as np
@@ -119,7 +119,7 @@ class FieldCtx:
 
     def __init__(self, n: int, modulus: Optional[int] = None):
         if not 1 <= n <= MAX_DEGREE:
-            raise UnsupportedDegree(f"n={n} outside [1, {MAX_DEGREE}]")
+            raise InvalidInput(f"n={n} outside [1, {MAX_DEGREE}]")
         if modulus is None:
             modulus = smallest_irreducible(n)
         else:
@@ -144,11 +144,7 @@ class FieldCtx:
 
     def _find_generator(self) -> int:
         # From 1, not 2: 1 generates GF(2)'s unit group, and no larger one.
-        cofactors = [self.mult_order // p for p, _ in self.order_facts]
-        for g in range(1, self.order):
-            if all(self.pow(g, c) != 1 for c in cofactors):
-                return g
-        raise AssertionError("no generator found")  # pragma: no cover
+        return next(filter(self.is_primitive, range(1, self.order)))
 
     # -- scalar operations ------------------------------------------------
 
@@ -156,10 +152,10 @@ class FieldCtx:
         return _f2_mod(_f2_mul(a, b), self.modulus)
 
     def pow(self, a: int, e: int) -> int:
-        """a^e with e >= 0 by square and multiply; 0^0 raises UndefinedPower."""
+        """a^e with e >= 0 by square and multiply; 0^0 raises InvalidInput."""
         if a == 0:
             if e == 0:
-                raise UndefinedPower("0^0 is undefined")
+                raise InvalidInput("0^0 is undefined")
             return 0
         e %= self.mult_order
         r = 1
@@ -192,7 +188,7 @@ class FieldCtx:
     def in_subfield(self, a: int, m: int) -> bool:
         """True iff a lies in the subfield F_{2^m}; m must divide n."""
         if m < 1 or self.n % m:
-            raise InvalidSubfield(f"m={m} does not divide n={self.n}")
+            raise InvalidInput(f"m={m} does not divide n={self.n}")
         if a == 0:
             return True
         return self.pow(a, 1 << m) == a
@@ -200,7 +196,7 @@ class FieldCtx:
     def is_eth_power(self, d: int, e: int) -> bool:
         """True iff d = u^e for some nonzero u; requires d != 0."""
         if d == 0:
-            raise NotAUnit("d = 0; the caller decides the zero case")
+            raise InvalidInput("d = 0; the caller decides the zero case")
         g = gcd(e, self.mult_order)
         if g == 1:
             return True
@@ -208,7 +204,7 @@ class FieldCtx:
 
     def is_primitive(self, a: int) -> bool:
         if a == 0:
-            raise NotAUnit("0 is not a unit")
+            raise InvalidInput("0 is not a unit")
         return all(self.pow(a, self.mult_order // p) != 1 for p, _ in self.order_facts)
 
     # -- tables for vectorised code -----------------------------------------

@@ -28,21 +28,17 @@ class FunctionFile:
     provenance: dict = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
 
-    def ctx(self, reuse: Optional[FieldCtx] = None) -> FieldCtx:
-        """The file's field: `reuse` when it is that field, so that its
-        tables are built once, else the new context."""
-        ctx = FieldCtx(self.n, self.modulus)
-        return reuse if ctx == reuse else ctx
-
-    def to_multinomial(self, reuse: Optional[FieldCtx] = None) -> Multinomial:
+    # Each reads the function over `ctx`, which the caller has checked is
+    # the file's field (n, modulus), or over a new context for it.
+    def to_multinomial(self, ctx: Optional[FieldCtx] = None) -> Multinomial:
         if self.representation != "multinomial":
             raise MalformedFile("file does not carry a multinomial")
-        return multinomial(self.ctx(reuse), self.terms)
+        return multinomial(ctx or FieldCtx(self.n, self.modulus), self.terms)
 
-    def to_truthtable(self, reuse: Optional[FieldCtx] = None) -> TruthTable:
+    def to_truthtable(self, ctx: Optional[FieldCtx] = None) -> TruthTable:
         if self.representation == "multinomial":
-            return from_multinomial(self.to_multinomial(reuse))
-        return TruthTable(self.ctx(reuse), self.values)
+            return from_multinomial(self.to_multinomial(ctx))
+        return TruthTable(ctx or FieldCtx(self.n, self.modulus), self.values)
 
 
 def from_multinomial_repr(m: Multinomial, provenance: Optional[dict] = None) -> FunctionFile:

@@ -15,7 +15,7 @@ from typing import List
 import numpy as np
 
 from . import gf2mat
-from .errors import InfeasibleSize, InvalidDirection
+from .errors import InfeasibleSize, InvalidInput
 from .vbf import EXHAUSTIVE_MAX_N, TruthTable, parity_table
 
 
@@ -35,7 +35,7 @@ def fwht(v: np.ndarray) -> np.ndarray:
 def walsh_component(f: TruthTable, a: int) -> np.ndarray:
     """The Walsh values of x -> tr(a*f(x)) at every mask omega, as int64."""
     if a == 0 or a >= f.ctx.order:
-        raise InvalidDirection(f"component a={a} invalid")
+        raise InvalidInput(f"component a={a} invalid")
     signs = 1 - 2 * parity_table(f.ctx.n)[f.values & f.ctx.trace_masks[a]].astype(np.int64)
     # The butterfly pairs x with masks under the plain bit inner product;
     # reindex so that entry omega matches the tr(omega*x) character.

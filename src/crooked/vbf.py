@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import gf2mat
-from .errors import InfeasibleSize, InvalidDirection, InvalidInput
+from .errors import InfeasibleSize, InvalidInput
 from .field import FieldCtx
 
 EXHAUSTIVE_MAX_N = 16
@@ -130,7 +130,7 @@ def from_multinomial(m: Multinomial) -> TruthTable:
 
 def derivative_values(f: TruthTable, a: int) -> np.ndarray:
     if a == 0 or a >= f.ctx.order:
-        raise InvalidDirection(f"direction a={a} invalid")
+        raise InvalidInput(f"direction a={a} invalid")
     xs = np.arange(f.ctx.order, dtype=np.uint32)
     return f.values ^ f.values[xs ^ np.uint32(a)]
 
@@ -212,8 +212,6 @@ class CrookedReport:
 def differential_spectrum(f: TruthTable) -> Tuple[int, Counter]:
     """(delta, multiset of solution counts over all (a != 0, b) pairs), read
     off the table's one derivative sweep; each call gets its own Counter."""
-    if f.ctx.n > EXHAUSTIVE_MAX_N:
-        raise InfeasibleSize(f"exhaustive differential scan capped at n={EXHAUSTIVE_MAX_N}")
     delta, spectrum, _ = f._derivatives
     return delta, Counter(spectrum)
 
@@ -222,8 +220,6 @@ def is_crooked(f: TruthTable) -> CrookedReport:
     """APN plus: every nonzero-direction derivative image is an affine
     hyperplane, with its (b, eps) per direction. Every caller gets the one
     report of the table's derivative sweep, so b and eps are read-only."""
-    if f.ctx.n > EXHAUSTIVE_MAX_N:
-        raise InfeasibleSize(f"crooked sweep capped at n={EXHAUSTIVE_MAX_N}")
     return f._derivatives[2]
 
 
@@ -243,7 +239,10 @@ def _derivative_sweep(f: TruthTable) -> Tuple[int, Counter, CrookedReport]:
     Hyperplane images imply APN (2^n inputs, paired as x and x+a, onto
     2^(n-1) values is 2-to-1), so delta != 2 is reported as a broken APN
     precondition, ahead of any direction. A hyperplane's normal is unique,
-    so every path gives the (b, eps) the sweep of every direction finds."""
+    so every path gives the (b, eps) the sweep of every direction finds.
+    Above n = EXHAUSTIVE_MAX_N it refuses on every path (InfeasibleSize)."""
+    if f.ctx.n > EXHAUSTIVE_MAX_N:
+        raise InfeasibleSize(f"exhaustive differential scan capped at n={EXHAUSTIVE_MAX_N}")
     ctx, n, order = f.ctx, f.ctx.n, f.ctx.order
     hist = np.zeros(order + 1, dtype=np.int64)  # hist[v] = pairs (a, b) with v solutions
     path, d = f.path

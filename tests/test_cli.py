@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from crooked import cli, funcfile, gf2mat, invariants, vbf
-from crooked.errors import DegreeMismatch, InfeasibleSize, InvalidDirection, MalformedFile
+from crooked.errors import DegreeMismatch, InfeasibleSize, InvalidInput, InvalidModulus, MalformedFile
 from crooked.field import FieldCtx
 from helpers import from_truthtable_repr
 
@@ -248,16 +248,17 @@ EXIT_CASES = [
     (("verify", "--in", N_2_40, "--checks", "apn"), 3, "err", "outside [1, 24]"),
     (("verify", "--in", N_10_30, "--checks", "apn"), 3, "err", "outside [1, 24]"),
     (("construct", "--family", "thm1", "--n", "7"), 2, "out", "n must be even"),
-    (("construct", "--family", "thm1", "--n", "7", "--auto"), 5, "err", "even n"),
+    (("construct", "--family", "thm1", "--n", "7", "--auto"), 2, "out", "n must be even"),
+    (("construct", "--family", "thm2", "--n", "7", "--auto"), 2, "out", "n must be even"),
     (("construct", "--family", "thm2", "--n", "8", "--auto"), 2, "out", "no valid parameters"),
-    (("construct", "--family", "ref7", "--n", "7"), 5, "err", "2m = 6"),
-    (("construct", "--family", "ref7", "--n", "1"), 5, "err", "ctx degree 1 != 2m = 0"),
+    (("construct", "--family", "ref7", "--n", "7"), 2, "out", "n must be even"),
+    (("construct", "--family", "ref7", "--n", "1"), 2, "out", "n must be even"),
     # An unparsable flag is reported before a violated hypothesis.
     (("construct", "--family", "ref7", "--n", "6", "--s", "2", "--c", "zz"), 2, "err", "'zz'"),
     (("verify", "--in", GOLD, "--checks", "apn,nope"), 2, "err", "unknown check 'nope'"),
     (("verify", "--in", GOLD, "--checks", "identity"), 3, "err", "thm1/thm2 provenance"),
     (("invariants", "--in", MISSING, "--against", "gold-all"), 3, "err", "No such file"),
-    (("search", "--family", "thm1", "--n", "7"), 2, "err", "n must be even"),
+    (("search", "--family", "thm1", "--n", "7"), 2, "out", "n must be even"),
     (("verify", "--in", NOT_UTF8, "--checks", "apn"), 3, "err", "'utf-8' codec"),
     (("construct", "--family", "gold", "--n", "6", "--out", NO_DIR), 2, "err",
      "cannot write --out"),
@@ -289,7 +290,8 @@ def test_documented_exit_codes(argv, code, stream, part, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("error, code", [
-    (MalformedFile, 3), (InfeasibleSize, 4), (DegreeMismatch, 5), (InvalidDirection, 2),
+    (MalformedFile, 3), (InfeasibleSize, 4), (DegreeMismatch, 5), (InvalidInput, 2),
+    (InvalidModulus, 2),
 ], ids=lambda v: getattr(v, "__name__", str(v)))
 def test_refusal_exit_code_table(error, code, tmp_path, monkeypatch, capsys):
     # main maps each refusal a command raises to its exit code, with its
@@ -546,8 +548,9 @@ def test_verify_crooked_runs_no_differential_sweep(tmp_path, monkeypatch, capsys
 
 def test_refusals_above_16_make_few_scalar_calls(tmp_path, monkeypatch, capsys):
     # A file at n = 20 is evaluated through the field's numpy tables, so the
-    # apn check and the Gold comparison refuse (exit 4) after a few scalar
-    # mul/pow calls, not several per field element.
+    # apn and crooked checks and the Gold comparison refuse (exit 4), with
+    # the derivative sweep's one cap message, after a few scalar mul/pow
+    # calls, not several per field element.
     path = tmp_path / "g20.json"
     assert cli.main(["construct", "--family", "gold", "--n", "20", "--s", "1", "--out", str(path)]) == 0
     calls = []
@@ -564,8 +567,54 @@ def test_refusals_above_16_make_few_scalar_calls(tmp_path, monkeypatch, capsys):
 
     for name in ("mul", "pow"):
         monkeypatch.setattr(FieldCtx, name, counting(name))
-    for command, *flags in (["verify", "--checks", "apn"], ["invariants", "--against", "gold-all"]):
+    for command, *flags in (["verify", "--checks", "apn"], ["verify", "--checks", "crooked"],
+                            ["invariants", "--against", "gold-all"]):
         calls.clear()
         capsys.readouterr()
         assert cli.main([command, "--in", str(path), *flags]) == 4
         assert capsys.readouterr() == ("", "exhaustive differential scan capped at n=16\n")
+
+
+def _count_evaluations(monkeypatch):
+    """The (n, modulus) of every field a function is evaluated over."""
+    fields = []
+
+    def counted(ctx, *args, original=vbf.evaluate):
+        fields.append((ctx.n, ctx.modulus))
+        return original(ctx, *args)
+
+    monkeypatch.setattr(vbf, "evaluate", counted)
+    return fields
+
+
+def test_against_file_over_another_field_is_refused_from_its_header(tmp_path, monkeypatch, capsys):
+    # The --against file's (n, modulus) is compared with the left side's
+    # field before its truth table is built: a Gold file at n = 20, or one
+    # at n = 6 over another modulus, exits 5 without being evaluated.
+    thm1, g20, g6 = tmp_path / "thm1.json", tmp_path / "g20.json", tmp_path / "g6.json"
+    assert cli.main(["construct", "--family", "thm1", "--n", "6", "--auto", "--seed", "1",
+                     "--out", str(thm1)]) == 0
+    assert cli.main(["construct", "--family", "gold", "--n", "20", "--out", str(g20)]) == 0
+    assert cli.main(["construct", "--family", "gold", "--n", "6", "--modulus", "49",
+                     "--out", str(g6)]) == 0
+    capsys.readouterr()
+    fields = _count_evaluations(monkeypatch)
+    for other in (g20, g6):
+        fields.clear()
+        assert cli.main(["invariants", "--in", str(thm1), "--against", str(other)]) == 5
+        assert capsys.readouterr() == ("", "functions live over different fields\n")
+        assert fields == [(6, FieldCtx(6).modulus)]
+
+
+def test_verify_refuses_an_unknown_check_before_reading_the_file(tmp_path, monkeypatch, capsys):
+    # The check names are decided before the file is read: an unknown one
+    # exits 2 ahead of the n = 20 file's table and its size cap, and ahead
+    # of a missing file.
+    g20 = tmp_path / "g20.json"
+    assert cli.main(["construct", "--family", "gold", "--n", "20", "--out", str(g20)]) == 0
+    capsys.readouterr()
+    fields = _count_evaluations(monkeypatch)
+    for path in (g20, tmp_path / "missing.json"):
+        assert cli.main(["verify", "--in", str(path), "--checks", "apn,nope"]) == 2
+        assert capsys.readouterr() == ("", "unknown check 'nope'\n")
+    assert fields == []

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from crooked import families, vbf
-from crooked.errors import DegreeMismatch, InvalidParams, NotApnWarning, NotGold
+from crooked.errors import DegreeMismatch, InvalidParams, NotApnWarning
 from crooked.families import (
     Thm1Params,
     Thm2Params,
@@ -83,7 +83,7 @@ def test_build_thm1_smallest_instance(ctx6):
 
 def test_build_thm1_rejects_invalid(ctx6):
     p = Thm1Params(m=3, s=2, t=1, K=(0,), c=1, d=1, r=())  # c in subfield, d a power
-    with pytest.raises(ValueError, match="subfield"):
+    with pytest.raises(InvalidParams, match="subfield"):
         build_thm1(ctx6, p)
 
 
@@ -102,7 +102,7 @@ def test_builders_raise_sorted_violations(ctx6):
     assert info.value.violations == sorted(families.validate_ref7(ctx12, 6, 2))
     with pytest.raises(InvalidParams) as info:
         build_gold(ctx6, 2)
-    assert isinstance(info.value, NotGold)
+    assert type(info.value) is InvalidParams
     assert info.value.violations == ["gcd(2, 6) != 1"]
 
 
@@ -151,7 +151,7 @@ def test_thm2_r_satisfying_coupling_still_crooked(ctx6):
 def test_build_gold(ctx6):
     m = build_gold(ctx6, 1)
     assert m.terms == ((1, 3),)
-    with pytest.raises(NotGold):
+    with pytest.raises(InvalidParams, match=r"gcd\(2, 6\) != 1"):
         build_gold(ctx6, 2)
     ctx12 = FieldCtx(12)
     g = vbf.from_multinomial(build_gold(ctx12, 5))

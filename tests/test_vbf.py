@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from crooked import vbf
-from crooked.errors import InvalidDirection, InvalidInput
+from crooked.errors import InvalidInput
 from crooked.families import build_gold
 from crooked.field import FieldCtx
 from helpers import crooked_form, naive_diff_spectrum, random_quadratic
@@ -109,7 +109,7 @@ def test_derivative_sets():
     assert len(_image(cube, 1)) == 4
     const = _table(ctx, lambda x: 6)
     assert _image(const, 3) == [0]
-    with pytest.raises(InvalidDirection):
+    with pytest.raises(InvalidInput, match="direction a=0 invalid"):
         vbf.derivative_values(cube, 0)
 
 
