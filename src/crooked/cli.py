@@ -102,6 +102,9 @@ def _load(path: str, over: Optional[FieldCtx] = None) -> Tuple[funcfile.Function
 
 
 def cmd_construct(args) -> int:
+    # The families live on GF(2^(2m)): an odd n is refused before the field
+    # is built, in the order search refuses it.
+    half = None if args.family == "gold" else _half(args.n)
     ctx = _field(args)
     seed = args.seed or 0
     prov = {"family": args.family, "seed": seed}
@@ -109,17 +112,15 @@ def cmd_construct(args) -> int:
         m = families.build_gold(ctx, args.s)
         prov["s"] = args.s
     elif args.family == "ref7":
-        half = _half(args.n)
         c = _resolve_elem(ctx, args.c or "primitive", seed)
         d = _resolve_elem(ctx, args.d or "primitive", seed)
         m = families.build_ref7(ctx, half, args.s, c, d)
         prov.update({"m": half, "s": args.s, "c": format(c, "x"), "d": format(d, "x")})
     else:
-        params = _family_params(ctx, args, seed)
-        builder = families.build_thm1 if args.family == "thm1" else families.build_thm2
+        params = _family_params(ctx, args, half, seed)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", NotApnWarning)
-            m = builder(ctx, params)
+            m = families.build(ctx, params)
         for w in caught:
             print(f"warning: {w.message}", file=sys.stderr)
         prov.update(_family_provenance(params))
@@ -135,10 +136,9 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def _family_params(ctx, args, seed) -> families.FamilyParams:
+def _family_params(ctx, args, m, seed) -> families.FamilyParams:
     """Family params from flags, which the builder validates, or a
     seeded-search hit under --auto."""
-    m = _half(args.n)
     if args.auto:
         hits = families.search_params(ctx, args.family, budget=1, seed=seed)
         if not hits:
@@ -148,13 +148,13 @@ def _family_params(ctx, args, seed) -> families.FamilyParams:
     c = _resolve_elem(ctx, args.c or "primitive", seed)
     d = _resolve_elem(ctx, args.d or "primitive", seed)
     r = tuple(map(_int, args.r.split(","))) if args.r else (0,) * (m - 1)
-    cls = families.Thm1Params if args.family == "thm1" else families.Thm2Params
-    return cls(m=m, s=args.s, t=args.t, K=K, c=c, d=d, r=r)
+    return families.FamilyParams(args.family, m, args.s, args.t, K, c, d, r)
 
 
 def _family_provenance(p: families.FamilyParams) -> dict:
-    """The parameter keys of a family tuple, as construct and search write them."""
+    """The keys of a family tuple, as construct and search write them."""
     return {
+        "family": p.family,
         "m": p.m,
         "s": p.s,
         "t": p.t,
@@ -171,11 +171,11 @@ def _params_from_provenance(ff: funcfile.FunctionFile):
     disagrees with the field."""
     prov = ff.provenance
     fam = prov.get("family")
-    if fam not in ("thm1", "thm2"):
+    if fam not in families.FAMILIES:
         return None
-    cls = families.Thm1Params if fam == "thm1" else families.Thm2Params
     try:
-        p = cls(
+        p = families.FamilyParams(
+            fam,
             m=int(prov["m"]),
             s=int(prov["s"]),
             t=int(prov["t"]),
@@ -284,15 +284,14 @@ def cmd_search(args) -> int:
     ctx = _field(args)
     if m % 2 == 0:
         consequence = (
-            "no first-family tuple is APN (see Thm1Params)"
+            "no first-family tuple is APN (see FamilyParams)"
             if args.family == "thm1"
             else "the second family is empty (each d with d^(q+1) = 1 is a (2^s+2^t)-power)"
         )
         print(f"warning: m = {m} is even: {consequence}", file=sys.stderr)
     hits = families.search_params(ctx, args.family, budget=args.budget, seed=args.seed or 0)
     for p in hits:
-        rec = {"family": args.family, **_family_provenance(p)}
-        print(json.dumps(rec, sort_keys=True, separators=(",", ":")))
+        _emit(_family_provenance(p), True)
     print(f"# {len(hits)} valid tuple(s)", file=sys.stderr)
     return EXIT_OK
 
@@ -302,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="build a family instance")
-    c.add_argument("--family", required=True, choices=["thm1", "thm2", "gold", "ref7"])
+    c.add_argument("--family", required=True, choices=[*families.FAMILIES, "gold", "ref7"])
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--modulus", help="hex bitmask of the field modulus")
     c.add_argument("--s", type=int, default=1)
@@ -331,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     i.set_defaults(func=cmd_invariants)
 
     s = sub.add_parser("search", help="enumerate valid family parameters")
-    s.add_argument("--family", required=True, choices=["thm1", "thm2"])
+    s.add_argument("--family", required=True, choices=families.FAMILIES)
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--modulus")
     s.add_argument("--budget", type=int, default=5)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, chain, filterfalse, repeat
 from math import gcd
-from typing import Iterator, List, Sequence, Tuple, Union
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -19,9 +19,14 @@ from .field import FieldCtx, f2_gcd
 from .vbf import Multinomial, TruthTable, evaluate, multinomial
 
 
+FAMILIES = ("thm1", "thm2")
+
+
 @dataclass(frozen=True)
-class Thm1Params:
-    """First family: f = c*x^(q+1) + sum r_k x^(2^k(q+1))
+class FamilyParams:
+    """A tuple of either family on GF(2^{2m}), q = 2^m; `family` names which.
+
+    thm1: f = c*x^(q+1) + sum r_k x^(2^k(q+1))
     + sum_{k in K} (d^(2^k) x^(2^(s+k)+2^(t+k)) + d^(q 2^k) x^(q(2^(s+k)+2^(t+k)))).
 
     s > t >= 0 are the two fixed exponents (gcd(s-t, n) = 1); r has m-1
@@ -37,28 +42,17 @@ class Thm1Params:
     d*a^e lies in F_q and 2 roots otherwise, and some a != 0 puts d*a^e in
     F_q exactly when d is a gcd(e, q+1)-th power. As gcd(s-t, n) = 1,
     gcd(e, q+1) is 3 for odd m, where the condition is the stated one, and
-    1 for even m, where no tuple is APN. build_thm1 warns (NotApnWarning)
+    1 for even m, where no tuple is APN. build warns (NotApnWarning)
     when the condition fails.
-    """
 
-    m: int
-    s: int
-    t: int
-    K: Tuple[int, ...]
-    c: int
-    d: int
-    r: Tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
-class Thm2Params:
-    """Second family: f = c*x^(q+1) + sum r_k x^(2^k(q+1))
+    thm2: f = c*x^(q+1) + sum r_k x^(2^k(q+1))
     + sum_{k in K} (x^(2^(s+k)+2^(t+k)) + d x^(q(2^(s+k)+2^(t+k)))).
 
     Requires d^(q+1) = 1, c + d*c^q != 0, d not a (2^s+2^t)-power, and each
     r_k either 0 or satisfying d = r_k^(1-q).
     """
 
+    family: str
     m: int
     s: int
     t: int
@@ -67,8 +61,9 @@ class Thm2Params:
     d: int
     r: Tuple[int, ...] = ()
 
-
-FamilyParams = Union[Thm1Params, Thm2Params]
+    def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise InvalidInput(f"unknown family {self.family!r}")
 
 
 def _r_padded(p: FamilyParams) -> Tuple[int, ...]:
@@ -95,7 +90,14 @@ def linearized_is_bijective(ctx: FieldCtx, K: Sequence[int]) -> bool:
     return f2_gcd(l_K, (1 << ctx.n) | 1) == 1
 
 
-def _validate_shared(ctx: FieldCtx, p: FamilyParams) -> List[str]:
+def _power_exponent(p: FamilyParams) -> int:
+    return (1 << p.s) + (1 << p.t)
+
+
+def validate(ctx: FieldCtx, p: FamilyParams) -> List[str]:
+    """All violated hypotheses of p's family; empty list means valid. The
+    hypotheses both families share are checked first, and the family's own
+    only when those all hold."""
     if ctx.n != 2 * p.m:
         raise DegreeMismatch(f"ctx degree {ctx.n} != 2m = {2 * p.m}")
     bad = []
@@ -118,32 +120,16 @@ def _validate_shared(ctx: FieldCtx, p: FamilyParams) -> List[str]:
         bad.append(f"r has more than m-1 = {p.m - 1} entries")
     if any(v >> ctx.n for v in (p.c, p.d, *p.r)):
         bad.append("element outside GF(2^n)")
-    return bad
-
-
-def _power_exponent(p: FamilyParams) -> int:
-    return (1 << p.s) + (1 << p.t)
-
-
-def validate_thm1(ctx: FieldCtx, p: Thm1Params) -> List[str]:
-    """All violated hypotheses of the first family; empty list means valid."""
-    bad = _validate_shared(ctx, p)
     if bad:
         return bad
-    if ctx.in_subfield(p.c, p.m):
-        bad.append("c lies in the subfield F_{2^m}")
-    if p.d == 0 or ctx.is_eth_power(p.d, _power_exponent(p)):
-        bad.append("d is a (2^s+2^t)-power")
-    for k, rv in enumerate(_r_padded(p), start=1):
-        if rv and not ctx.in_subfield(rv, p.m):
-            bad.append(f"r[{k}] outside the subfield F_{{2^m}}")
-    return bad
-
-
-def validate_thm2(ctx: FieldCtx, p: Thm2Params) -> List[str]:
-    """All violated hypotheses of the second family; empty list means valid."""
-    bad = _validate_shared(ctx, p)
-    if bad:
+    if p.family == "thm1":
+        if ctx.in_subfield(p.c, p.m):
+            bad.append("c lies in the subfield F_{2^m}")
+        if p.d == 0 or ctx.is_eth_power(p.d, _power_exponent(p)):
+            bad.append("d is a (2^s+2^t)-power")
+        for k, rv in enumerate(_r_padded(p), start=1):
+            if rv and not ctx.in_subfield(rv, p.m):
+                bad.append(f"r[{k}] outside the subfield F_{{2^m}}")
         return bad
     q = 1 << p.m
     if p.d == 0 or ctx.pow(p.d, q + 1) != 1:
@@ -167,7 +153,7 @@ def _family_terms(ctx: FieldCtx, p: FamilyParams) -> Multinomial:
             terms.append((rv, (q + 1) << k))
     for k in p.K:
         e = (1 << (p.s + k)) + (1 << (p.t + k))
-        if isinstance(p, Thm1Params):
+        if p.family == "thm1":
             terms.append((ctx.pow(p.d, 1 << k), e))
             terms.append((ctx.pow(p.d, q << k), q * e))
         else:
@@ -176,29 +162,22 @@ def _family_terms(ctx: FieldCtx, p: FamilyParams) -> Multinomial:
     return multinomial(ctx, terms)
 
 
-def build_thm1(ctx: FieldCtx, p: Thm1Params) -> Multinomial:
-    """The first-family multinomial; raises InvalidParams on violated stated
-    hypotheses and warns (NotApnWarning) when the derived APN condition in
-    Thm1Params fails."""
-    bad = validate_thm1(ctx, p)
+def build(ctx: FieldCtx, p: FamilyParams) -> Multinomial:
+    """The multinomial of p's family; raises InvalidParams on violated stated
+    hypotheses and, for thm1, warns (NotApnWarning) when the derived APN
+    condition in FamilyParams fails."""
+    bad = validate(ctx, p)
     if bad:
         raise InvalidParams(bad)
     q = 1 << p.m
     g = gcd(_power_exponent(p), q + 1)
-    if ctx.is_eth_power(p.d, g):
+    if p.family == "thm1" and ctx.is_eth_power(p.d, g):
         warnings.warn(
             f"d is a gcd(2^s+2^t, 2^m+1)-th power (gcd = {g}): the stated "
             f"hypotheses hold, but f is not APN (delta = 2^m = {q})",
             NotApnWarning,
             stacklevel=2,
         )
-    return _family_terms(ctx, p)
-
-
-def build_thm2(ctx: FieldCtx, p: Thm2Params) -> Multinomial:
-    bad = validate_thm2(ctx, p)
-    if bad:
-        raise InvalidParams(bad)
     return _family_terms(ctx, p)
 
 
@@ -261,8 +240,8 @@ def search_params(
 
     The seed shuffles the (s, t) with 0 <= t < s < n and gcd(s - t, n) = 1,
     listed by t then s, and the K of _k_candidates. For each (s, t, K) the
-    search keeps the first (d, c) that the family's validator accepts, d and
-    then c running over the nonzero elements, primitive ones first, then in
+    search keeps the first (d, c) that `validate` accepts, d and then c
+    running over the nonzero elements, primitive ones first, then in
     increasing bit value. With c0 the first primitive element, it asks only
     about the pairs that order reaches first. First family: (c0, c0), as c0
     lies in no proper subfield and is a (2^s+2^t)-power only when every
@@ -272,12 +251,12 @@ def search_params(
     c + d*c^q != 0, found once, when the search first reaches that d.
 
     For even m the second family is empty, and the search returns [] before
-    any validator call. As n = 2m is even and gcd(s-t, n) = 1, s - t is odd
+    any `validate` call. As n = 2m is even and gcd(s-t, n) = 1, s - t is odd
     and gcd(2^(s-t)+1, 2^m+1) = 1. So g = gcd(2^s+2^t, 2^n-1), a divisor of
     (q-1)(q+1) prime to q+1, divides q - 1, and every c0^((q-1)j) is a g-th
     power, hence a (2^s+2^t)-power.
     """
-    if family not in ("thm1", "thm2"):
+    if family not in FAMILIES:
         raise InvalidInput(f"unknown family {family!r}")
     if ctx.n % 2:
         raise DegreeMismatch("family search needs even n")
@@ -297,9 +276,8 @@ def search_params(
     rng.shuffle(k_opts)
     c0 = next(_primitive_first(ctx))
     if family == "thm1":
-        cls, validate, ds, c_for = Thm1Params, validate_thm1, [c0], lambda d: c0
+        ds, c_for = [c0], lambda d: c0
     else:
-        cls, validate = Thm2Params, validate_thm2
         roots = accumulate(repeat(ctx.pow(c0, q - 1), q), ctx.mul, initial=1)
         imprimitive = (gcd((q - 1) * j, ctx.mult_order) != 1 for j in range(q + 1))
         ds = [d for _, d in sorted(zip(imprimitive, roots))]
@@ -309,7 +287,7 @@ def search_params(
         for K in k_opts:
             if len(out) >= budget:
                 return out
-            tuples = (cls(m=m, s=s, t=t, K=K, c=c_for(d), d=d, r=(0,) * (m - 1)) for d in ds)
+            tuples = (FamilyParams(family, m, s, t, K, c_for(d), d, (0,) * (m - 1)) for d in ds)
             p = next((p for p in tuples if not validate(ctx, p)), None)
             if p is not None:
                 out.append(p)
@@ -334,7 +312,7 @@ def proof_identity_check(f: TruthTable, p: FamilyParams) -> bool:
     """
     ctx = f.ctx
     q = 1 << p.m
-    d = 1 if isinstance(p, Thm1Params) else p.d  # the first family twists by v^q alone
+    d = 1 if p.family == "thm1" else p.d  # the first family twists by v^q alone
     coeff = p.c ^ ctx.mul(d, ctx.pow(p.c, q))
     lhs = f.values ^ evaluate(ctx, [(d, q)], f.values)
     return bool(np.array_equal(lhs, evaluate(ctx, [(coeff, q + 1)], np.arange(ctx.order))))

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 from unittest import mock
 
 from crooked import funcfile, spectral, vbf
-from crooked.families import FamilyParams, Thm1Params, Thm2Params, validate_thm1, validate_thm2
+from crooked.families import FamilyParams, validate
 from crooked.field import FieldCtx
 from crooked.vbf import TruthTable
 
@@ -143,7 +143,7 @@ def naive_pair_identity(f: TruthTable, p: FamilyParams) -> bool:
 
     def twist(v: int) -> int:
         vq = ctx.pow(v, q)
-        return v ^ (vq if isinstance(p, Thm1Params) else ctx.mul(p.d, vq))
+        return v ^ (vq if p.family == "thm1" else ctx.mul(p.d, vq))
 
     coeff = twist(p.c)
     for a in range(1, ctx.order):
@@ -181,14 +181,13 @@ def naive_search(ctx: FieldCtx, family: str, budget: int, seed: int) -> List[Fam
     rng.shuffle(st_pairs)
     rng.shuffle(k_opts)
     elems = sorted(range(1, ctx.order), key=lambda v: (mult_order(v) != ctx.order - 1, v))
-    cls, validate = (Thm1Params, validate_thm1) if family == "thm1" else (Thm2Params, validate_thm2)
     out: List[FamilyParams] = []
     for s, t in st_pairs:
         for K in k_opts:
             if len(out) >= budget:
                 return out
             pairs = ((d, c) for d in elems for c in elems)
-            tuples = (cls(m=m, s=s, t=t, K=K, c=c, d=d, r=(0,) * (m - 1)) for d, c in pairs)
+            tuples = (FamilyParams(family, m=m, s=s, t=t, K=K, c=c, d=d, r=(0,) * (m - 1)) for d, c in pairs)
             p = next((p for p in tuples if not validate(ctx, p)), None)
             if p is not None:
                 out.append(p)

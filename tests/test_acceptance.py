@@ -18,16 +18,13 @@ import numpy as np
 from crooked import families, funcfile, invariants, spectral, vbf
 from crooked.errors import NotApnWarning
 from crooked.families import (
-    Thm1Params,
-    Thm2Params,
+    FamilyParams,
+    build,
     build_gold,
     build_ref7,
-    build_thm1,
-    build_thm2,
     proof_identity_check,
     search_params,
-    validate_thm1,
-    validate_thm2,
+    validate,
 )
 from crooked.field import FieldCtx
 from helpers import (
@@ -61,14 +58,14 @@ def run_cli(*args):
 def test_criterion_01_n12_flagship_instance():
     # m = 6 is even, so gcd(2^s+2^t, 2^m+1) = 1 and every d is a power of it:
     # the stated hypotheses hold but, by the derived condition in the
-    # Thm1Params docstring, the instance is not APN. Check it is flagged.
+    # FamilyParams docstring, the instance is not APN. Check it is flagged.
     ctx = FieldCtx(12)
     c = _first_primitive(ctx)
-    p = Thm1Params(m=6, s=8, t=1, K=(0,), c=c, d=c, r=(0,) * 5)
-    ok = validate_thm1(ctx, p) == []
+    p = FamilyParams("thm1", m=6, s=8, t=1, K=(0,), c=c, d=c, r=(0,) * 5)
+    ok = validate(ctx, p) == []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        f = vbf.from_multinomial(build_thm1(ctx, p))
+        f = vbf.from_multinomial(build(ctx, p))
     ok &= [w.category for w in caught] == [NotApnWarning]
     ok &= all("gcd(2^s+2^t, 2^m+1)-th power" in str(w.message) for w in caught)
     delta, _ = vbf.differential_spectrum(f)
@@ -103,7 +100,7 @@ def test_criterion_02_first_family_small_instances():
         hits = search_params(ctx, "thm1", budget=5, seed=n)
         ok &= bool(hits)
         for p in hits:
-            f = vbf.from_multinomial(build_thm1(ctx, p))
+            f = vbf.from_multinomial(build(ctx, p))
             ok &= vbf.differential_spectrum(f)[0] == 2 and vbf.is_crooked(f).is_crooked
     _criterion(2, ok, "every searched first-family tuple at n=6,10 is APN and crooked")
 
@@ -114,14 +111,14 @@ def test_criterion_03_second_family_and_hypothesis_corruption():
         ctx = FieldCtx(n)
         hits = search_params(ctx, "thm2", budget=1, seed=1)
         ok &= bool(hits)
-        ok &= vbf.is_crooked(vbf.from_multinomial(build_thm2(ctx, hits[0]))).is_crooked
+        ok &= vbf.is_crooked(vbf.from_multinomial(build(ctx, hits[0]))).is_crooked
     ctx = FieldCtx(6)
     p = search_params(ctx, "thm2", budget=1, seed=1)[0]
     q = 1 << p.m
     e = (1 << p.s) + (1 << p.t)
 
     def broken(bad):
-        return bool(validate_thm2(ctx, bad)) or not proof_identity_check(
+        return bool(validate(ctx, bad)) or not proof_identity_check(
             vbf.from_multinomial(families._family_terms(ctx, bad)), bad
         )
 
@@ -158,9 +155,9 @@ def test_criterion_04_three_term_special_case():
                 for v in range(2, ctx.order)
                 if not ctx.is_eth_power(v, (1 << s) + 1)
             )
-            p = Thm1Params(m=m, s=s, t=0, K=(0,), c=c, d=d, r=(0,) * (m - 1))
-            ok &= validate_thm1(ctx, p) == []
-            f1 = vbf.from_multinomial(build_thm1(ctx, p))
+            p = FamilyParams("thm1", m=m, s=s, t=0, K=(0,), c=c, d=d, r=(0,) * (m - 1))
+            ok &= validate(ctx, p) == []
+            f1 = vbf.from_multinomial(build(ctx, p))
             f2 = vbf.from_multinomial(build_ref7(ctx, m, s, c, d))
             ok &= bool(np.array_equal(f1.values, f2.values))
     _criterion(
@@ -180,7 +177,7 @@ def test_criterion_05_conjugation_identity_suite():
 
     ctx12 = FieldCtx(12)
     c = _first_primitive(ctx12)
-    p1 = Thm1Params(m=6, s=8, t=1, K=(0,), c=c, d=c, r=(0,) * 5)
+    p1 = FamilyParams("thm1", m=6, s=8, t=1, K=(0,), c=c, d=c, r=(0,) * 5)
     ok &= proof_identity_check(vbf.from_multinomial(families._family_terms(ctx12, p1)), p1)
     # No tuple at n=12 passes the full second-family validator, but the
     # conjugation identity is algebraic: it needs only d^(q+1) = 1 and
@@ -193,7 +190,7 @@ def test_criterion_05_conjugation_identity_suite():
         for v in range(1, ctx12.order)
         if (v ^ ctx12.mul(d, ctx12.pow(v, 64))) != 0
     )
-    p2 = Thm2Params(m=6, s=8, t=1, K=(0,), c=c2, d=d, r=(0,) * 5)
+    p2 = FamilyParams("thm2", m=6, s=8, t=1, K=(0,), c=c2, d=d, r=(0,) * 5)
     ok &= proof_identity_check(vbf.from_multinomial(families._family_terms(ctx12, p2)), p2)
     _criterion(
         5,
@@ -222,7 +219,7 @@ def test_criterion_06_oracle_equivalence():
                 ok &= int((w.astype("int64") ** 2).sum()) == 4**n
     ctx6 = FieldCtx(6)
     f6 = vbf.from_multinomial(
-        build_thm1(ctx6, search_params(ctx6, "thm1", budget=1, seed=1)[0])
+        build(ctx6, search_params(ctx6, "thm1", budget=1, seed=1)[0])
     )
     for a in rng.sample(range(1, 64), 5):
         w = spectral.walsh_component(f6, a)
@@ -274,7 +271,7 @@ def _naive_development_rank(two_n, points):
 def test_criterion_08_ea_invariance():
     ctx = FieldCtx(6)
     f = vbf.from_multinomial(
-        build_thm1(ctx, search_params(ctx, "thm1", budget=1, seed=1)[0])
+        build(ctx, search_params(ctx, "thm1", budget=1, seed=1)[0])
     )
     base_ext = spectral.walsh_spectrum(f).extended
     base_diff = vbf.differential_spectrum(f)[1]

@@ -9,6 +9,7 @@ import pytest
 
 from crooked import cli, funcfile, gf2mat, invariants, vbf
 from crooked.errors import DegreeMismatch, InfeasibleSize, InvalidInput, InvalidModulus, MalformedFile
+from crooked.families import search_params
 from crooked.field import FieldCtx
 from helpers import from_truthtable_repr
 
@@ -253,6 +254,9 @@ EXIT_CASES = [
     (("construct", "--family", "thm2", "--n", "8", "--auto"), 2, "out", "no valid parameters"),
     (("construct", "--family", "ref7", "--n", "7"), 2, "out", "n must be even"),
     (("construct", "--family", "ref7", "--n", "1"), 2, "out", "n must be even"),
+    # An odd n is refused before the field is built, as search refuses it.
+    (("construct", "--family", "thm1", "--n", "7", "--modulus", "zz"), 2, "out", "n must be even"),
+    (("construct", "--family", "thm1", "--n", "25"), 2, "out", "n must be even"),
     # An unparsable flag is reported before a violated hypothesis.
     (("construct", "--family", "ref7", "--n", "6", "--s", "2", "--c", "zz"), 2, "err", "'zz'"),
     (("verify", "--in", GOLD, "--checks", "apn,nope"), 2, "err", "unknown check 'nope'"),
@@ -313,7 +317,7 @@ def test_search_even_m_warns():
                    expect=0)
     assert len(thm1.stdout.splitlines()) == 2
     assert thm1.stderr.splitlines() == [
-        "warning: m = 4 is even: no first-family tuple is APN (see Thm1Params)",
+        "warning: m = 4 is even: no first-family tuple is APN (see FamilyParams)",
         "# 2 valid tuple(s)",
     ]
     thm2 = run_cli("search", "--family", "thm2", "--n", "8", "--budget", "2", expect=0)
@@ -397,6 +401,21 @@ def test_search_pinned(family):
     proc = run_cli("search", "--family", family, "--n", "10", "--budget", "5", "--seed", "1",
                    expect=0)
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == SEARCH_SHA256[family]
+
+
+@pytest.mark.parametrize("family", ["thm1", "thm2"])
+def test_provenance_round_trip(family, tmp_path):
+    # The tuple a construct --auto file records reads back as the tuple the
+    # search gave, family included.
+    path = tmp_path / "f.json"
+    for n in (6, 10):
+        ctx = FieldCtx(n)
+        for seed in range(3):
+            argv = ["construct", "--family", family, "--n", str(n), "--auto",
+                    "--seed", str(seed), "--out", str(path)]
+            assert cli.main(argv) == 0
+            p = cli._params_from_provenance(funcfile.parse(path.read_text()))
+            assert p == search_params(ctx, family, 1, seed)[0]
 
 
 def test_invariants_refuses_before_any_spectrum(tmp_path, monkeypatch, capsys):

@@ -7,19 +7,16 @@ import numpy as np
 import pytest
 
 from crooked import families, vbf
-from crooked.errors import DegreeMismatch, InvalidParams, NotApnWarning
+from crooked.errors import DegreeMismatch, InvalidInput, InvalidParams, NotApnWarning
 from crooked.families import (
-    Thm1Params,
-    Thm2Params,
+    FamilyParams,
+    build,
     build_gold,
     build_ref7,
-    build_thm1,
-    build_thm2,
     gold_representatives,
     proof_identity_check,
     search_params,
-    validate_thm1,
-    validate_thm2,
+    validate,
 )
 from crooked.field import FieldCtx
 from helpers import IRREDUCIBLES, naive_pair_identity, naive_search
@@ -41,57 +38,56 @@ def ctx12():
 
 def test_validate_thm1_n12_primitive_cd(ctx12):
     c = _first_primitive(ctx12)
-    p = Thm1Params(m=6, s=8, t=1, K=(0,), c=c, d=c, r=(0,) * 5)
-    assert validate_thm1(ctx12, p) == []
+    p = FamilyParams("thm1", m=6, s=8, t=1, K=(0,), c=c, d=c, r=(0,) * 5)
+    assert validate(ctx12, p) == []
 
 
 def test_validate_thm1_subfield_c(ctx12):
     sub = next(v for v in range(2, 4096) if ctx12.in_subfield(v, 6))
     c = _first_primitive(ctx12)
-    p = Thm1Params(m=6, s=8, t=1, K=(0,), c=sub, d=c, r=(0,) * 5)
-    assert any("subfield" in v for v in validate_thm1(ctx12, p))
+    p = FamilyParams("thm1", m=6, s=8, t=1, K=(0,), c=sub, d=c, r=(0,) * 5)
+    assert any("subfield" in v for v in validate(ctx12, p))
 
 
 def test_validate_thm1_power_d(ctx12):
     c = _first_primitive(ctx12)
     d = ctx12.pow(7, (1 << 8) + 2)  # a (2^s+2^t)-power by construction
-    p = Thm1Params(m=6, s=8, t=1, K=(0,), c=c, d=d, r=(0,) * 5)
-    assert any("power" in v for v in validate_thm1(ctx12, p))
+    p = FamilyParams("thm1", m=6, s=8, t=1, K=(0,), c=c, d=d, r=(0,) * 5)
+    assert any("power" in v for v in validate(ctx12, p))
 
 
 def test_validate_thm1_gcd_and_k(ctx6):
     c = _first_primitive(ctx6)
-    p = Thm1Params(m=3, s=3, t=1, K=(0,), c=c, d=c, r=())
-    assert any("gcd" in v for v in validate_thm1(ctx6, p))
-    p2 = Thm1Params(m=3, s=2, t=1, K=(0, 1), c=c, d=c, r=())
-    assert any("K" in v for v in validate_thm1(ctx6, p2))
+    p = FamilyParams("thm1", m=3, s=3, t=1, K=(0,), c=c, d=c, r=())
+    assert any("gcd" in v for v in validate(ctx6, p))
+    p2 = FamilyParams("thm1", m=3, s=2, t=1, K=(0, 1), c=c, d=c, r=())
+    assert any("K" in v for v in validate(ctx6, p2))
 
 
 def test_validator_is_pure(ctx6):
     c = _first_primitive(ctx6)
-    p = Thm1Params(m=3, s=2, t=1, K=(0,), c=1, d=1, r=())
-    assert validate_thm1(ctx6, p) == validate_thm1(ctx6, p)
+    p = FamilyParams("thm1", m=3, s=2, t=1, K=(0,), c=1, d=1, r=())
+    assert validate(ctx6, p) == validate(ctx6, p)
 
 
 def test_build_thm1_smallest_instance(ctx6):
     hits = search_params(ctx6, "thm1", budget=1, seed=0)
     assert hits
-    m = build_thm1(ctx6, hits[0])
+    m = build(ctx6, hits[0])
     assert len(m.terms) == 3  # r = 0, |K| = 1
     assert vbf.is_crooked(vbf.from_multinomial(m)).is_crooked
 
 
 def test_build_thm1_rejects_invalid(ctx6):
-    p = Thm1Params(m=3, s=2, t=1, K=(0,), c=1, d=1, r=())  # c in subfield, d a power
+    p = FamilyParams("thm1", m=3, s=2, t=1, K=(0,), c=1, d=1, r=())  # c in subfield, d a power
     with pytest.raises(InvalidParams, match="subfield"):
-        build_thm1(ctx6, p)
+        build(ctx6, p)
 
 
 def test_builders_raise_sorted_violations(ctx6):
     # s >= n and an empty K: the validators list "requires s < n" first.
-    for cls, build, validate in ((Thm1Params, build_thm1, validate_thm1),
-                                 (Thm2Params, build_thm2, validate_thm2)):
-        p = cls(m=3, s=7, t=0, K=(), c=2, d=2, r=())
+    for family in ("thm1", "thm2"):
+        p = FamilyParams(family, m=3, s=7, t=0, K=(), c=2, d=2, r=())
         with pytest.raises(InvalidParams) as info:
             build(ctx6, p)
         assert validate(ctx6, p) != sorted(validate(ctx6, p))
@@ -108,21 +104,21 @@ def test_builders_raise_sorted_violations(ctx6):
 
 def test_build_thm1_degree_mismatch(ctx6):
     with pytest.raises(DegreeMismatch):
-        validate_thm1(ctx6, Thm1Params(m=4, s=2, t=1, K=(0,), c=2, d=2, r=()))
+        validate(ctx6, FamilyParams("thm1", m=4, s=2, t=1, K=(0,), c=2, d=2, r=()))
 
 
 def test_thm2_search_and_crooked(ctx6):
     hits = search_params(ctx6, "thm2", budget=2, seed=5)
     assert hits
     for p in hits:
-        f = vbf.from_multinomial(build_thm2(ctx6, p))
+        f = vbf.from_multinomial(build(ctx6, p))
         assert vbf.is_crooked(f).is_crooked
 
 
 def test_validate_thm2_d_one(ctx6):
     # d = 1 satisfies d^(q+1) = 1 but is itself a (2^s+2^t)-power
-    p = Thm2Params(m=3, s=1, t=0, K=(0,), c=_first_primitive(ctx6), d=1, r=())
-    assert any("power" in v for v in validate_thm2(ctx6, p))
+    p = FamilyParams("thm2", m=3, s=1, t=0, K=(0,), c=_first_primitive(ctx6), d=1, r=())
+    assert any("power" in v for v in validate(ctx6, p))
 
 
 def test_validate_thm2_r_coupling(ctx6):
@@ -134,8 +130,8 @@ def test_validate_thm2_r_coupling(ctx6):
         for v in range(1, 64)
         if ctx6.mul(p.d, ctx6.pow(v, 8)) != v
     )
-    p_bad = Thm2Params(m=p.m, s=p.s, t=p.t, K=p.K, c=p.c, d=p.d, r=(bad_r, 0))
-    assert any("r[1]" in v for v in validate_thm2(ctx6, p_bad))
+    p_bad = FamilyParams("thm2", m=p.m, s=p.s, t=p.t, K=p.K, c=p.c, d=p.d, r=(bad_r, 0))
+    assert any("r[1]" in v for v in validate(ctx6, p_bad))
 
 
 def test_thm2_r_satisfying_coupling_still_crooked(ctx6):
@@ -143,9 +139,9 @@ def test_thm2_r_satisfying_coupling_still_crooked(ctx6):
     q = 8
     good_r = [v for v in range(1, 64) if ctx6.mul(p.d, ctx6.pow(v, q)) == v]
     if good_r:
-        p2 = Thm2Params(m=p.m, s=p.s, t=p.t, K=p.K, c=p.c, d=p.d, r=(good_r[0], 0))
-        assert validate_thm2(ctx6, p2) == []
-        assert vbf.is_crooked(vbf.from_multinomial(build_thm2(ctx6, p2))).is_crooked
+        p2 = FamilyParams("thm2", m=p.m, s=p.s, t=p.t, K=p.K, c=p.c, d=p.d, r=(good_r[0], 0))
+        assert validate(ctx6, p2) == []
+        assert vbf.is_crooked(vbf.from_multinomial(build(ctx6, p2))).is_crooked
 
 
 def test_build_gold(ctx6):
@@ -177,9 +173,9 @@ def test_ref7_matches_thm1_special_case():
             c = next(v for v in range(2, ctx.order) if not ctx.in_subfield(v, m))
             e = (1 << s) + 1
             d = next(v for v in range(2, ctx.order) if not ctx.is_eth_power(v, e))
-            p = Thm1Params(m=m, s=s, t=0, K=(0,), c=c, d=d, r=(0,) * (m - 1))
-            assert validate_thm1(ctx, p) == []
-            f1 = vbf.from_multinomial(build_thm1(ctx, p))
+            p = FamilyParams("thm1", m=m, s=s, t=0, K=(0,), c=c, d=d, r=(0,) * (m - 1))
+            assert validate(ctx, p) == []
+            f1 = vbf.from_multinomial(build(ctx, p))
             f2 = vbf.from_multinomial(build_ref7(ctx, m, s, c, d))
             assert np.array_equal(f1.values, f2.values)
 
@@ -193,9 +189,9 @@ def test_search_determinism(ctx6):
 
 def test_search_revalidates(ctx6):
     for p in search_params(ctx6, "thm1", budget=5, seed=2):
-        assert validate_thm1(ctx6, p) == []
+        assert validate(ctx6, p) == []
     for p in search_params(ctx6, "thm2", budget=3, seed=2):
-        assert validate_thm2(ctx6, p) == []
+        assert validate(ctx6, p) == []
 
 
 @pytest.mark.parametrize("family", ["thm1", "thm2"])
@@ -242,9 +238,16 @@ def test_thm2_search_is_empty_at_even_m(monkeypatch):
                     images = vbf.evaluate(ctx, [(1, (1 << s) + (1 << t))], units)
                     assert np.isin(roots, images).all(), (s, t)
     # The search returns before any validator call.
-    monkeypatch.setattr(families, "validate_thm2", lambda ctx, p: pytest.fail("validator called"))
+    monkeypatch.setattr(families, "validate", lambda ctx, p: pytest.fail("validator called"))
     for n in (4, 8, 12, 16):
         assert search_params(FieldCtx(n), "thm2", budget=5, seed=1) == []
+
+
+def test_unknown_family_refused(ctx6):
+    with pytest.raises(InvalidInput, match="unknown family 'thm3'"):
+        FamilyParams("thm3", m=3, s=2, t=1, K=(0,), c=2, d=2, r=())
+    with pytest.raises(InvalidInput, match="unknown family 'thm3'"):
+        search_params(ctx6, "thm3", 1)
 
 
 def test_search_odd_n_rejected():
@@ -267,10 +270,10 @@ def test_proof_identity_exhaustive_n6(ctx6):
 def test_proof_identity_detects_corrupted_d(ctx6):
     p = search_params(ctx6, "thm2", budget=1, seed=1)[0]
     g = _first_primitive(ctx6)
-    bad = Thm2Params(m=p.m, s=p.s, t=p.t, K=p.K, c=p.c, d=g, r=p.r)
+    bad = FamilyParams("thm2", m=p.m, s=p.s, t=p.t, K=p.K, c=p.c, d=g, r=p.r)
     # primitive d violates d^(q+1) = 1; either the validator or the proof
     # identity must notice
-    assert validate_thm2(ctx6, bad) or not proof_identity_check(_built(ctx6, bad), bad)
+    assert validate(ctx6, bad) or not proof_identity_check(_built(ctx6, bad), bad)
     assert not proof_identity_check(_built(ctx6, bad), bad)
 
 
@@ -326,7 +329,7 @@ def test_family_instances_crooked_odd_half_degree():
     for n in (6, 10):
         ctx = FieldCtx(n)
         for p in search_params(ctx, "thm1", budget=2, seed=n):
-            assert vbf.is_crooked(vbf.from_multinomial(build_thm1(ctx, p))).is_crooked
+            assert vbf.is_crooked(vbf.from_multinomial(build(ctx, p))).is_crooked
 
 
 def test_even_half_degree_hypotheses_insufficient():
@@ -338,12 +341,12 @@ def test_even_half_degree_hypotheses_insufficient():
     ctx = FieldCtx(4)
     hits = search_params(ctx, "thm1", budget=1, seed=4)
     assert hits  # hypotheses are satisfiable...
-    f = vbf.from_multinomial(build_thm1(ctx, hits[0]))
+    f = vbf.from_multinomial(build(ctx, hits[0]))
     assert vbf.differential_spectrum(f)[0] != 2  # ...but the conclusion fails
 
 
 def test_thm1_warning_iff_not_apn():
-    # build_thm1 warns on a validated tuple exactly when brute force finds it
+    # build warns on a validated tuple exactly when brute force finds it
     # is not APN: every accepted d at n = 4, 6 and a seeded sample at n = 8,
     # for the (s, t, K) of three searched tuples, with and without r.
     rng = random.Random(8)
@@ -353,7 +356,7 @@ def test_thm1_warning_iff_not_apn():
         sub = next(v for v in range(2, ctx.order) if ctx.in_subfield(v, m))
         for base in search_params(ctx, "thm1", budget=3, seed=n):
             ps = [dataclasses.replace(base, d=d) for d in range(1, ctx.order)]
-            ps = [p for p in ps if validate_thm1(ctx, p) == []]
+            ps = [p for p in ps if validate(ctx, p) == []]
             assert ps
             if sample:
                 ps = rng.sample(ps, sample)
@@ -362,6 +365,6 @@ def test_thm1_warning_iff_not_apn():
                     p = dataclasses.replace(p, r=(sub,) + (0,) * (m - 2))
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
-                    f = vbf.from_multinomial(build_thm1(ctx, p))
+                    f = vbf.from_multinomial(build(ctx, p))
                 warned = any(issubclass(w.category, NotApnWarning) for w in caught)
                 assert warned == (vbf.differential_spectrum(f)[0] != 2), p

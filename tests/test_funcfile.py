@@ -3,7 +3,7 @@ import pytest
 
 from crooked import funcfile, vbf
 from crooked.errors import MalformedFile
-from crooked.families import build_gold, build_thm1, search_params
+from crooked.families import build_gold, build, search_params
 from crooked.field import FieldCtx
 from helpers import from_truthtable_repr
 
@@ -11,7 +11,7 @@ from helpers import from_truthtable_repr
 def test_multinomial_round_trip():
     ctx = FieldCtx(6)
     p = search_params(ctx, "thm1", budget=1, seed=3)[0]
-    m = build_thm1(ctx, p)
+    m = build(ctx, p)
     ff = funcfile.from_multinomial_repr(m, {"family": "thm1"})
     back = funcfile.parse(funcfile.serialize(ff))
     assert back.n == 6 and back.modulus == ctx.modulus

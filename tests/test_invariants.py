@@ -5,7 +5,7 @@ import pytest
 
 from crooked import gf2mat, invariants, vbf
 from crooked.errors import InfeasibleSize
-from crooked.families import build_gold, search_params, build_thm1
+from crooked.families import build_gold, search_params, build
 from crooked.field import FieldCtx
 from helpers import ea_transform, naive_rank, random_invertible, apply_linear
 
@@ -201,7 +201,7 @@ def test_compare_symmetry_and_mismatch():
 def test_verdict_iff_some_invariant_differs():
     ctx = FieldCtx(6)
     p = search_params(ctx, "thm1", budget=1, seed=1)[0]
-    f = vbf.from_multinomial(build_thm1(ctx, p))
+    f = vbf.from_multinomial(build(ctx, p))
     g = vbf.from_multinomial(build_gold(ctx, 1))
     depth = "spectra+ranks"
     rep = invariants.compare(_invariants(f, depth), _invariants(g, depth))

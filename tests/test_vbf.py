@@ -92,11 +92,11 @@ def test_evaluate_whole_field_matches_scalar_arithmetic():
 def test_flagship_shape_exponents_n12():
     # the three-term n=12 instance has exponents {65, 258, 132} before r-terms
     ctx = FieldCtx(12)
-    from crooked.families import Thm1Params, build_thm1
+    from crooked.families import FamilyParams, build
 
     c = next(v for v in range(2, 4096) if ctx.is_primitive(v))
-    p = Thm1Params(m=6, s=8, t=1, K=(0,), c=c, d=c, r=(0,) * 5)
-    m = build_thm1(ctx, p)
+    p = FamilyParams("thm1", m=6, s=8, t=1, K=(0,), c=c, d=c, r=(0,) * 5)
+    m = build(ctx, p)
     assert sorted(e for _, e in m.terms) == [65, 132, 258]
 
 
