@@ -22,7 +22,7 @@ import warnings
 from collections import Counter
 from itertools import islice
 from math import prod
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from . import families, funcfile, invariants, spectral, vbf
 from .errors import (
@@ -85,23 +85,53 @@ def _half(n: int) -> int:
     return n // 2
 
 
-def _load(path: str, over: Optional[FieldCtx] = None) -> Tuple[funcfile.FunctionFile, vbf.TruthTable]:
-    """The function file at path and its truth table, over `over` when given:
-    a file over another field is DegreeMismatch, refused from its header
-    before its table is built. Any failure to read or parse it is MalformedFile."""
+def _load(
+    path: str, over: Optional[FieldCtx] = None
+) -> Tuple[funcfile.FunctionFile, FieldCtx, Callable[[], vbf.TruthTable]]:
+    """(file, field, table): the function file at path, its field (`over`
+    when given) and a call that builds its truth table. Everything but the
+    evaluation is checked here, so that a caller can refuse by size from the
+    header before any table is built. A file over another field than `over`
+    is DegreeMismatch; any failure to read, parse or check it is
+    MalformedFile."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             ff = funcfile.parse(fh.read())
         if over is not None and (ff.n, ff.modulus) != (over.n, over.modulus):
             raise DegreeMismatch("functions live over different fields")
-        return ff, ff.to_truthtable(over)
+        ctx = over or FieldCtx(ff.n, ff.modulus)
+        if ff.representation == "truthtable":
+            f = ff.to_truthtable(ctx)  # the file holds the table itself
+            return ff, ctx, lambda: f
+        ff.to_multinomial(ctx)  # checks the terms, which the table evaluates
+        return ff, ctx, lambda: ff.to_truthtable(ctx)
     except DegreeMismatch:
         raise
     except (OSError, UnicodeDecodeError, CrookedError) as e:
         raise MalformedFile(str(e)) from None
 
 
+# The tuple flags each family reads; a thm1/thm2 tuple under --auto reads none.
+_TUPLE_FLAGS = ("s", "t", "K", "c", "d", "r")
+_READS = {"gold": ("s",), "ref7": ("s", "c", "d")}
+
+
+def _refuse_unread_flags(args) -> None:
+    """InvalidInput naming the given flags that the family or --auto does not read."""
+    reads = _READS.get(args.family, () if args.auto else _TUPLE_FLAGS)
+    unread = [f"--{k}" for k in _TUPLE_FLAGS if k not in reads and getattr(args, k) is not None]
+    if args.auto and args.family in _READS:
+        unread.append("--auto")
+    if unread:
+        mode = " --auto" if args.auto and args.family not in _READS else ""
+        raise InvalidInput(f"construct --family {args.family}{mode} does not read {', '.join(unread)}")
+
+
 def cmd_construct(args) -> int:
+    _refuse_unread_flags(args)
+    # No default in the parser, so that a given --s or --t can be told apart.
+    args.s = 1 if args.s is None else args.s
+    args.t = 0 if args.t is None else args.t
     # The families live on GF(2^(2m)): an odd n is refused before the field
     # is built, in the order search refuses it.
     half = None if args.family == "gold" else _half(args.n)
@@ -200,7 +230,20 @@ def cmd_verify(args) -> int:
     for check in checks:
         if check not in ("apn", "crooked", "walsh", "identity"):
             raise InvalidInput(f"unknown check {check!r}")
-    ff, f = _load(args.infile)
+    ff, _, table = _load(args.infile)
+    # What the header decides comes first, in check order, so that a file
+    # above a size cap is refused before its table is built.
+    params = None
+    for check in checks:
+        if check == "identity":
+            params = _params_from_provenance(ff)
+            if params is None:
+                raise MalformedFile("identity check needs thm1/thm2 provenance")
+        elif check == "walsh":
+            spectral.check_walsh_size(ff.n)
+        else:
+            vbf.check_sweep_size(ff.n)
+    f = table()
     report: dict = {"n": ff.n, "checks": sorted(checks)}
     ok = True
     for check in checks:
@@ -228,9 +271,6 @@ def cmd_verify(args) -> int:
             report["walsh_spectrum"] = _counter_to_list(summary.gamma)
             report["extended_walsh"] = _counter_to_list(summary.extended)
         else:  # identity
-            params = _params_from_provenance(ff)
-            if params is None:
-                raise MalformedFile("identity check needs thm1/thm2 provenance")
             good = families.proof_identity_check(f, params)
             report["identity"] = good
             ok &= good
@@ -262,19 +302,20 @@ def _invariants_doc(rep: invariants.InvariantReport, label: str) -> dict:
 
 
 def cmd_invariants(args) -> int:
-    f = _load(args.infile)[1]
+    ff, ctx, table = _load(args.infile)
     with_ranks = args.depth == "ranks"
-    targets = []
     if args.against == "gold-all":
-        for s in families.gold_representatives(f.ctx.n):
-            targets.append(
-                (f"gold-s{s}", vbf.from_multinomial(families.build_gold(f.ctx, s)))
-            )
+        targets = [
+            (f"gold-s{s}", lambda s=s: vbf.from_multinomial(families.build_gold(ctx, s)))
+            for s in families.gold_representatives(ctx.n)
+        ]
     else:
-        targets.append((args.against, _load(args.against, f.ctx)[1]))
-    left = invariants.function_invariants(f, with_ranks)
-    for label, g in targets:
-        right = invariants.function_invariants(g, with_ranks)
+        targets = [(args.against, _load(args.against, ctx)[2])]
+    # Both files are checked, so the size cap refuses before any table is built.
+    invariants.check_size(ff.n, with_ranks)
+    left = invariants.function_invariants(table(), with_ranks)
+    for label, right_table in targets:
+        right = invariants.function_invariants(right_table(), with_ranks)
         _emit(_invariants_doc(invariants.compare(left, right), label), args.json)
     return EXIT_OK
 
@@ -304,8 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--family", required=True, choices=[*families.FAMILIES, "gold", "ref7"])
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--modulus", help="hex bitmask of the field modulus")
-    c.add_argument("--s", type=int, default=1)
-    c.add_argument("--t", type=int, default=0)
+    c.add_argument("--s", type=int, help="default 1")
+    c.add_argument("--t", type=int, help="default 0")
     c.add_argument("--K", help="comma-separated indices, e.g. 0,3")
     c.add_argument("--c", help="hex element or 'primitive'")
     c.add_argument("--d", help="hex element or 'primitive'")

@@ -1,17 +1,20 @@
-"""GF(2) elimination in two shapes: many small systems at once and one
-large matrix.
+"""GF(2) elimination in three shapes: many small systems at once, one
+large matrix, and a few small matrices of Python ints.
 
 `rank_and_normal_batched` reduces many systems of uint32 bitset vectors,
 one system per array element: the derivatives and components of the
 quadratic path. `pack_rows` and `rank_packed` reduce one bit-packed uint64
-matrix: the development matrices (2^{2n} square) of the rank invariants.
-`rank_packed` is word-column Four-Russians elimination: 64 columns at a
-time, cleared by 256-entry table lookups from the rows that reach them.
+matrix: what is left of a development matrix (2^{2n} square) of the rank
+invariants once `invariants.development_rank` has taken out its unit
+pivots over the group ring. `rank_packed` is word-column Four-Russians
+elimination: 64 columns at a time, cleared by 256-entry table lookups from
+the rows that reach them. `rank_ints` ranks the small matrices that count
+those unit pivots.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -50,6 +53,21 @@ def rank_and_normal_batched(
     for r, p in zip(rows, pivots):
         normal |= p * ((r & j) != 0)
     return rank, normal
+
+
+def rank_ints(rows: Iterable[int]) -> int:
+    """Rank over GF(2) of rows given as Python-int bitsets, keeping one row
+    per leading bit: for small matrices, where a numpy call would cost more
+    than the whole elimination."""
+    leading = {}
+    for r in rows:
+        while r:
+            top = r.bit_length()
+            if top not in leading:
+                leading[top] = r
+                break
+            r ^= leading[top]
+    return len(leading)
 
 
 def pack_rows(bool_rows: np.ndarray) -> np.ndarray:

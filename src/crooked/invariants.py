@@ -4,16 +4,17 @@ development matrices."""
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from . import gf2mat
 from .errors import InfeasibleSize
 from .spectral import walsh_spectrum
-from .vbf import TruthTable, differential_spectrum
+from .vbf import TruthTable, check_sweep_size, differential_spectrum
 
 RANK_MAX_N = 7  # development matrices are 2^(2n) square
 
@@ -38,6 +39,64 @@ def difference_points(f: TruthTable) -> np.ndarray:
     return np.flatnonzero(seen).astype(np.uint32)
 
 
+# The ring R = F_2[y_0..y_5]/(y_i^2) of `development_rank`: one element per
+# uint64 word, bit u the coefficient of y^u.
+_RING_BITS = 64
+# Ring products are read from 16-entry tables, one per 4-bit group of the
+# coefficient: 16 * 16 rows per pivot row to build, 16 lookups per product.
+_NIBBLE = 4
+
+
+@functools.cache
+def _ring_shifts(low: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(masks, u) with y^u * a = (a & masks[u]) << u for a ring element a of
+    `low` bits: masks[u] holds the bits v with v & u = 0."""
+    u = np.arange(low, dtype=np.uint64)
+    return gf2mat.pack_rows((u[:, None] & u) == 0)[:, 0], u
+
+
+def _rotl(x, k, bits: int):
+    """x rotated left by k within `bits` bits."""
+    return ((x << k) | (x >> (bits - k))) & ((1 << bits) - 1)
+
+
+def _unit_pivots(N: np.ndarray) -> int:
+    """Eliminates the unit pivots of the square matrix N over R in place, in
+    Markowitz order, and returns how many there were; N is left holding the
+    Schur complement, with each pivot's row and column zero.
+
+    A unit u (constant bit 1) is its own inverse, since u^2 is u's constant
+    term. Pivot (p, q) takes (N[i, q] * u) * N[p] from every other row i:
+    the 64 shifts y^b * N[p] are summed into one table per 4 bits of the
+    coefficient, and N[i, q] * u is the q entry of N[i, q] * N[p]."""
+    size = N.shape[0]
+    masks, shifts = _ring_shifts(_RING_BITS)
+    group = np.arange(0, _RING_BITS, _NIBBLE, dtype=np.uint64)[:, None]  # low bit of each
+    g = np.arange(group.size)[:, None]
+    nibble = np.uint64((1 << _NIBBLE) - 1)
+    units = 0
+    while True:
+        nonzero = N != 0
+        cost = np.outer(nonzero.sum(1) - 1, nonzero.sum(0) - 1)
+        cost[(N & np.uint64(1)) == 0] = size * size
+        at = int(cost.argmin())
+        if cost.flat[at] == size * size:
+            return units
+        p, q = divmod(at, size)
+        cols = np.flatnonzero(N[p])
+        rows = np.flatnonzero(N[:, q])
+        rows = rows[rows != p]
+        by = ((N[p, cols] & masks[:, None]) << shifts[:, None]).reshape(g.size, _NIBBLE, -1)
+        tables = np.zeros((g.size, 1 << _NIBBLE, cols.size), dtype=np.uint64)
+        for j in range(_NIBBLE):
+            np.bitwise_xor(tables[:, : 1 << j], by[:, j, None], out=tables[:, 1 << j : 2 << j])
+        c = (N[rows, q] >> group) & nibble
+        d = np.bitwise_xor.reduce(tables[g, c, np.searchsorted(cols, q)], axis=0)
+        N[rows[:, None], cols] ^= np.bitwise_xor.reduce(tables[g, (d >> group) & nibble], axis=0)
+        N[p] = 0
+        units += 1
+
+
 def development_rank(two_n: int, points: np.ndarray) -> int:
     """GF(2) rank of the 2^(2n)-square incidence matrix whose row g is the
     indicator vector of the translate S + g of the point set.
@@ -50,12 +109,18 @@ def development_rank(two_n: int, points: np.ndarray) -> int:
     v is w -> t[w ^ v] for w containing v, and 0 elsewhere. That matrix is
     upper triangular, with t[0] = |S| mod 2 on its diagonal: a set of odd
     size gives full rank without elimination, and one of even size a
-    singular matrix. It is also sparse, so few of its rows reach each
-    word, and `rank_packed` skips the rest.
+    singular matrix.
 
-    Row v = 64*v_h + v_l is packed row v_l with its 64-bit words permuted by
-    j -> j ^ v_h and zeroed outside the words j containing v_h, so only the
-    rows v < 64 are packed and the rest gathered.
+    With R = F_2[y_0..y_5]/(y_i^2) on the low 6 coordinates, the algebra is
+    free over R with basis y^(64 h), and the map is the 2^(2n-6)-square
+    matrix N over R with N[v, w] = sigma[w ^ v] for w containing v, where
+    sigma[u] is the word t[64u : 64u + 64]; F_2 row 64 v + b is
+    y^b * N[v]. R is local, so its units (constant bit 1) give 64 pivots
+    each, and their number is the F_2 rank of N's constant bits: the
+    development rank of the set projected off the ring coordinates. Of
+    the 2n cyclic windows of 6 coordinates, the one with the most units is
+    rotated to the bottom. Unit pivots are eliminated over R, and only the
+    nonzero rows y^b * N[v] of what is left are expanded for `rank_packed`.
     """
     size = 1 << two_n
     if points.size % 2:
@@ -67,32 +132,52 @@ def development_rank(two_n: int, points: np.ndarray) -> int:
         v = t.reshape(-1, 2 * h)
         v[:, :h] ^= v[:, h:]
         h *= 2
-    low = min(size, 64)
-    bits = np.arange(low)
-    v_l = bits[:, None]
-    # rows[j, v_l, b] = t[64j + (b ^ v_l)] where b contains v_l.
-    rows = t.reshape(-1, low)[:, bits ^ v_l] & ((bits & v_l) == v_l)
-    packed = gf2mat.pack_rows(rows.transpose(1, 0, 2).reshape(low, size))
-    words = packed.shape[1]
-    j = np.arange(words)[None, :]
-    v_h = np.arange(size // low)[:, None]
-    matrix = packed[np.arange(low)[None, :, None], (j ^ v_h)[:, None, :]]
-    matrix *= ((j & v_h) == v_h)[:, None, :]
-    return gf2mat.rank_packed(matrix.reshape(size, words), size)
+    low = min(size, _RING_BITS)
+    v = np.arange(size // low)
+    above = (v[:, None] & v) == v[:, None]  # w contains v
+    apart = v[:, None] ^ v
+    k = 0
+    if v.size > 1:
+        # offered[k]: the units with the coordinates rotated right by k, the
+        # F_2 rank of N's constant bits t[64 (w ^ v)], on Python-int rows.
+        constant = t[_rotl(v * low, np.arange(two_n)[:, None], two_n)][:, apart] & above
+        packed = np.packbits(constant, axis=2, bitorder="little")
+        offered = [gf2mat.rank_ints(int.from_bytes(row, "little") for row in m) for m in packed]
+        k = offered.index(max(offered))
+    t = t[_rotl(np.arange(size), k, two_n)]
+    sigma = gf2mat.pack_rows(t.reshape(-1, low))[:, 0]
+    N = np.where(above, sigma[apart], np.uint64(0))
+    units = _unit_pivots(N)
+    rest = N[N.any(1)][:, N.any(0)]
+    masks, shifts = _ring_shifts(low)
+    r, b = np.nonzero((np.bitwise_or.reduce(rest, axis=1)[:, None] & masks) != 0)
+    rows = (rest[r] & masks[b, None]) << shifts[b, None]
+    return low * units + gf2mat.rank_packed(rows, low * rest.shape[1])
+
+
+def _check_rank_size(n: int, which: str) -> None:
+    if n > RANK_MAX_N:
+        raise InfeasibleSize(f"{which} rank capped at n={RANK_MAX_N}")
 
 
 def gamma_rank(f: TruthTable) -> int:
     """Rank of the graph development matrix; CCZ-invariant."""
-    if f.ctx.n > RANK_MAX_N:
-        raise InfeasibleSize(f"gamma rank capped at n={RANK_MAX_N}")
+    _check_rank_size(f.ctx.n, "gamma")
     return development_rank(2 * f.ctx.n, graph_points(f))
 
 
 def delta_rank(f: TruthTable) -> int:
     """Rank of the difference-set development matrix; CCZ-invariant."""
-    if f.ctx.n > RANK_MAX_N:
-        raise InfeasibleSize(f"delta rank capped at n={RANK_MAX_N}")
+    _check_rank_size(f.ctx.n, "delta")
     return development_rank(2 * f.ctx.n, difference_points(f))
+
+
+def check_size(n: int, with_ranks: bool) -> None:
+    """The refusal of `function_invariants` at degree n, from n alone: the
+    Γ-rank's cap, then the differential sweep's."""
+    if with_ranks:
+        _check_rank_size(n, "gamma")
+    check_sweep_size(n)
 
 
 @dataclass(frozen=True)
@@ -114,7 +199,7 @@ class InvariantReport:
 
 
 def function_invariants(f: TruthTable, with_ranks: bool) -> FunctionInvariants:
-    # Ranks first, so that their size cap refuses before any spectrum is built.
+    check_size(f.ctx.n, with_ranks)
     g_rank = gamma_rank(f) if with_ranks else None
     d_rank = delta_rank(f) if with_ranks else None
     delta, dspec = differential_spectrum(f)

@@ -67,10 +67,15 @@ class SpectrumSummary:
     nl: int             # 2^(n-1) - max|W|/2
 
 
-def walsh_spectrum(f: TruthTable) -> SpectrumSummary:
-    n = f.ctx.n
+def check_walsh_size(n: int) -> None:
+    """The Walsh spectrum's refusal above n = EXHAUSTIVE_MAX_N, from n alone."""
     if n > EXHAUSTIVE_MAX_N:
         raise InfeasibleSize(f"walsh spectrum capped at n={EXHAUSTIVE_MAX_N}")
+
+
+def walsh_spectrum(f: TruthTable) -> SpectrumSummary:
+    n = f.ctx.n
+    check_walsh_size(n)
     order = f.ctx.order
     # |W| <= 2^n, so hist[v + 2^n] counts the Walsh value v over all (omega, a).
     hist = np.zeros(2 * order + 1, dtype=np.int64)

@@ -223,6 +223,12 @@ def is_crooked(f: TruthTable) -> CrookedReport:
     return f._derivatives[2]
 
 
+def check_sweep_size(n: int) -> None:
+    """The derivative sweep's refusal above n = EXHAUSTIVE_MAX_N, from n alone."""
+    if n > EXHAUSTIVE_MAX_N:
+        raise InfeasibleSize(f"exhaustive differential scan capped at n={EXHAUSTIVE_MAX_N}")
+
+
 def _derivative_sweep(f: TruthTable) -> Tuple[int, Counter, CrookedReport]:
     """(delta, spectrum, crooked report) of f from one pass over its
     derivatives, on the path `TruthTable.path` picks.
@@ -241,8 +247,7 @@ def _derivative_sweep(f: TruthTable) -> Tuple[int, Counter, CrookedReport]:
     precondition, ahead of any direction. A hyperplane's normal is unique,
     so every path gives the (b, eps) the sweep of every direction finds.
     Above n = EXHAUSTIVE_MAX_N it refuses on every path (InfeasibleSize)."""
-    if f.ctx.n > EXHAUSTIVE_MAX_N:
-        raise InfeasibleSize(f"exhaustive differential scan capped at n={EXHAUSTIVE_MAX_N}")
+    check_sweep_size(f.ctx.n)
     ctx, n, order = f.ctx, f.ctx.n, f.ctx.order
     hist = np.zeros(order + 1, dtype=np.int64)  # hist[v] = pairs (a, b) with v solutions
     path, d = f.path

@@ -266,6 +266,17 @@ EXIT_CASES = [
     (("verify", "--in", NOT_UTF8, "--checks", "apn"), 3, "err", "'utf-8' codec"),
     (("construct", "--family", "gold", "--n", "6", "--out", NO_DIR), 2, "err",
      "cannot write --out"),
+    # A flag the family or --auto does not read is refused, not ignored.
+    (("construct", "--family", "thm1", "--n", "6", "--auto", "--K", "0,3", "--s", "5", "--c", "7"),
+     2, "err", "construct --family thm1 --auto does not read --s, --K, --c"),
+    (("construct", "--family", "gold", "--n", "6", "--auto", "--K", "0,3", "--r", "5", "--t", "2"),
+     2, "err", "construct --family gold does not read --t, --K, --r, --auto"),
+    (("construct", "--family", "thm2", "--n", "6", "--auto", "--s", "1"), 2, "err",
+     "construct --family thm2 --auto does not read --s"),
+    (("construct", "--family", "ref7", "--n", "6", "--t", "0", "--r", "1"), 2, "err",
+     "construct --family ref7 does not read --t, --r"),
+    (("construct", "--family", "gold", "--n", "6", "--d", "2"), 2, "err",
+     "construct --family gold does not read --d"),
 ]
 
 
@@ -566,10 +577,10 @@ def test_verify_crooked_runs_no_differential_sweep(tmp_path, monkeypatch, capsys
 
 
 def test_refusals_above_16_make_few_scalar_calls(tmp_path, monkeypatch, capsys):
-    # A file at n = 20 is evaluated through the field's numpy tables, so the
-    # apn and crooked checks and the Gold comparison refuse (exit 4), with
-    # the derivative sweep's one cap message, after a few scalar mul/pow
-    # calls, not several per field element.
+    # A file at n = 20 is refused from its header, so the apn and crooked
+    # checks and the Gold comparison refuse (exit 4), with the derivative
+    # sweep's one cap message, after a few scalar mul/pow calls, not
+    # several per field element.
     path = tmp_path / "g20.json"
     assert cli.main(["construct", "--family", "gold", "--n", "20", "--s", "1", "--out", str(path)]) == 0
     calls = []
@@ -594,6 +605,41 @@ def test_refusals_above_16_make_few_scalar_calls(tmp_path, monkeypatch, capsys):
         assert capsys.readouterr() == ("", "exhaustive differential scan capped at n=16\n")
 
 
+def test_size_caps_refuse_from_the_header(tmp_path, monkeypatch, capsys):
+    # Above a size cap no truth table is built: the refusal is decided from
+    # the header, in check order, with the exit code and the line the
+    # computation itself would give.
+    files = {}
+    for n in (18, 20):
+        files[n] = tmp_path / f"g{n}.json"
+        assert cli.main(["construct", "--family", "gold", "--n", str(n), "--s", "1",
+                         "--out", str(files[n])]) == 0
+    g6 = tmp_path / "g6.json"
+    assert cli.main(["construct", "--family", "gold", "--n", "6", "--out", str(g6)]) == 0
+    capsys.readouterr()
+
+    def no_table(ff, ctx=None):
+        raise AssertionError("a truth table was built")
+
+    monkeypatch.setattr(funcfile.FunctionFile, "to_truthtable", no_table)
+    sweep, walsh = "exhaustive differential scan capped at n=16\n", "walsh spectrum capped at n=16\n"
+    identity = "identity check needs thm1/thm2 provenance\n"
+    for n, path in files.items():
+        for command, code, err in (
+            (["verify", "--checks", "apn"], 4, sweep),
+            (["verify", "--checks", "crooked,apn"], 4, sweep),
+            (["verify", "--checks", "walsh,apn"], 4, walsh),
+            (["verify", "--checks", "apn,identity"], 4, sweep),
+            (["verify", "--checks", "identity,apn"], 3, identity),
+            (["invariants", "--against", "gold-all"], 4, sweep),
+            (["invariants", "--against", "gold-all", "--depth", "ranks"], 4, "gamma rank capped at n=7\n"),
+            (["invariants", "--against", str(path)], 4, sweep),
+            (["invariants", "--against", str(g6)], 5, "functions live over different fields\n"),
+        ):
+            assert cli.main([command[0], "--in", str(path), *command[1:]]) == code, (n, command)
+            assert capsys.readouterr() == ("", err), (n, command)
+
+
 def _count_evaluations(monkeypatch):
     """The (n, modulus) of every field a function is evaluated over."""
     fields = []
@@ -608,8 +654,8 @@ def _count_evaluations(monkeypatch):
 
 def test_against_file_over_another_field_is_refused_from_its_header(tmp_path, monkeypatch, capsys):
     # The --against file's (n, modulus) is compared with the left side's
-    # field before its truth table is built: a Gold file at n = 20, or one
-    # at n = 6 over another modulus, exits 5 without being evaluated.
+    # field before any truth table is built: a Gold file at n = 20, or one
+    # at n = 6 over another modulus, exits 5 with neither side evaluated.
     thm1, g20, g6 = tmp_path / "thm1.json", tmp_path / "g20.json", tmp_path / "g6.json"
     assert cli.main(["construct", "--family", "thm1", "--n", "6", "--auto", "--seed", "1",
                      "--out", str(thm1)]) == 0
@@ -622,7 +668,7 @@ def test_against_file_over_another_field_is_refused_from_its_header(tmp_path, mo
         fields.clear()
         assert cli.main(["invariants", "--in", str(thm1), "--against", str(other)]) == 5
         assert capsys.readouterr() == ("", "functions live over different fields\n")
-        assert fields == [(6, FieldCtx(6).modulus)]
+        assert fields == []
 
 
 def test_verify_refuses_an_unknown_check_before_reading_the_file(tmp_path, monkeypatch, capsys):

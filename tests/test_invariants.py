@@ -65,13 +65,15 @@ def test_rank_packed_vs_naive_rank():
 def _point_sets(rng):
     """(two_n, points): random sets of several sizes, then structured ones."""
     # 2n = 2 and 4 give matrices narrower than one word; 2n = 8 has four
-    # words per row, so the rows g >= 64 come from the word permutation.
-    for two_n in (2, 4, 6, 8):
+    # words per row, so the rows g >= 64 come from the word permutation; at
+    # 2n = 8 and 10 the ring elimination runs on a 4- and 16-square matrix.
+    for two_n in (2, 4, 6, 8, 10):
         size = 1 << two_n
         for npoints in (0, 1, 3, size // 4, size // 2 + 1, size):
-            yield two_n, rng.sample(range(size), npoints)
+            if two_n < 10 or npoints in (0, 3, size // 4):
+                yield two_n, rng.sample(range(size), npoints)
     # A subgroup and one of its cosets, whose superset counts t are sparse.
-    for two_n, dim in ((4, 2), (6, 3), (8, 5)):
+    for two_n, dim in ((4, 2), (6, 3), (8, 5), (10, 4)):
         group = {0}
         while len(group) < 1 << dim:
             b = rng.randrange(1 << two_n)
@@ -81,19 +83,52 @@ def _point_sets(rng):
         yield two_n, sorted(group)
         yield two_n, sorted(g ^ shift for g in group)
     # The graph and the difference set of a random function.
-    for n in (3, 4):
+    for n in (3, 4, 5):
         f = [rng.randrange(1 << n) for _ in range(1 << n)]
         yield 2 * n, [(x << n) | f[x] for x in range(1 << n)]
         yield 2 * n, sorted(
             {(a << n) | (f[x] ^ f[x ^ a]) for a in range(1, 1 << n) for x in range(1 << n)}
         )
+    yield from _unit_cases(rng)
 
 
-def test_development_rank_vs_naive():
+def _unit_cases(rng):
+    """Sets at 2n = 10 for each regime of the ring elimination."""
+    # No unit: invariant under the translations by e_0 and e_5, one of which
+    # lies in every cyclic window of 6 coordinates, so every projection off
+    # a window has even multiplicities.
+    base = rng.sample(range(1 << 10), 40)
+    yield 10, sorted({b ^ g for b in base for g in (0, 1, 32, 33)})
+    # One unit, in the corner: the graph of a permutation of 4 bits with its
+    # outputs padded to the 6 ring coordinates; the projection off them is
+    # every input once, whose development matrix is one bit in its corner.
+    yield 10, [(x << 6) | x for x in range(16)]
+    # The most units there are, half of the 16 rows: any s in the maximal
+    # ideal has s^2 = 0, so its image lies in its kernel.
+    f = [rng.randrange(1 << 5) for _ in range(1 << 5)]
+    yield 10, [(x << 5) | f[x] for x in range(1 << 5)]
+
+
+def _record_units(monkeypatch):
+    """The number of unit pivots of every `development_rank` call."""
+    units = []
+
+    def recorded(N, original=invariants._unit_pivots):
+        units.append(original(N))
+        return units[-1]
+
+    monkeypatch.setattr(invariants, "_unit_pivots", recorded)
+    return units
+
+
+def test_development_rank_vs_naive(monkeypatch):
+    units = _record_units(monkeypatch)
     for two_n, pts in _point_sets(random.Random(31)):
         rows = [sum(1 << (p ^ g) for p in pts) for g in range(1 << two_n)]
         rank = invariants.development_rank(two_n, np.array(pts, dtype=np.uint32))
         assert rank == naive_rank(rows), (two_n, pts)
+    # The last sets are _unit_cases': no unit, the corner unit, the most units.
+    assert units[-3:] == [0, 1, 8]
 
 
 def test_development_rank_is_full_exactly_at_odd_size(monkeypatch):
@@ -138,9 +173,63 @@ def test_ranks_n6_pinned():
     assert (invariants.gamma_rank(inverse), invariants.delta_rank(inverse)) == (2016, 4096)
 
 
+def _full_expansion_rank(two_n, points):
+    """`rank_packed` of the whole 2^(2n)-square matrix in the monomial basis,
+    with no ring elimination: row 64 h + l is row l with its words permuted
+    by j -> j ^ h and zeroed outside the words j containing h."""
+    size = 1 << two_n
+    t = np.zeros(size, dtype=bool)
+    t[points] = True
+    for i in range(two_n):
+        u = np.arange(size)
+        lacks = (u >> i) & 1 == 0
+        t[u[lacks]] ^= t[u[lacks] | (1 << i)]
+    bits = np.arange(64)
+    rows = t.reshape(-1, 64)[:, bits ^ bits[:, None]] & ((bits & bits[:, None]) == bits[:, None])
+    packed = gf2mat.pack_rows(rows.transpose(1, 0, 2).reshape(64, size))
+    j = np.arange(size // 64)
+    h = j[:, None]
+    matrix = packed[bits[None, :, None], (j ^ h)[:, None, :]]
+    matrix *= ((j & h) == h)[:, None, :]
+    return gf2mat.rank_packed(matrix.reshape(size, size // 64), size)
+
+
+def _rank_inputs():
+    """(label, function, its Gamma units at least): the rank-invariants
+    inputs at n = 6, and Gold and the inverse at n = 7."""
+    ctx = FieldCtx(6)
+    for family in ("thm1", "thm2"):
+        yield family, vbf.from_multinomial(build(ctx, search_params(ctx, family, 1, 1)[0])), 14
+    for n in (6, 7):
+        ctx = FieldCtx(n)
+        yield f"gold n={n}", vbf.from_multinomial(build_gold(ctx, 1)), 14
+        yield f"inverse n={n}", vbf.from_multinomial(vbf.multinomial(ctx, [(1, (1 << n) - 2)])), 28
+
+
+def test_unit_stage_matches_the_full_expansion(monkeypatch):
+    # 64 per unit pivot plus the rank of the expanded Schur complement is the
+    # rank of the whole F_2 matrix, on every matrix the benchmark ranks and
+    # on Gold and the inverse at n = 7.
+    units = _record_units(monkeypatch)
+    for label, f, gamma_units in _rank_inputs():
+        two_n = 2 * f.ctx.n
+        graph, difference = invariants.graph_points(f), invariants.difference_points(f)
+        for points in (graph, difference):
+            units.clear()
+            rank = invariants.development_rank(two_n, points)
+            assert rank == _full_expansion_rank(two_n, points), label
+            # An odd-size set (the inverse's Delta at n = 6) is not eliminated.
+            assert len(units) == 1 - points.size % 2, label
+            if points is graph:
+                assert units[0] >= gamma_units, label
+
+
 def test_ranks_n7_pinned():
-    gold = vbf.from_multinomial(build_gold(FieldCtx(7), 1))
+    ctx = FieldCtx(7)
+    gold = vbf.from_multinomial(build_gold(ctx, 1))
+    inverse = vbf.from_multinomial(vbf.multinomial(ctx, [(1, 126)]))
     assert (invariants.gamma_rank(gold), invariants.delta_rank(gold)) == (3610, 198)
+    assert (invariants.gamma_rank(inverse), invariants.delta_rank(inverse)) == (8128, 4928)
 
 
 def test_rank_invariance_under_linear_permutations():
