@@ -66,20 +66,26 @@ def serialize(ff: FunctionFile) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _integer(value, what: str) -> int:
+    if isinstance(value, (bool, float)):  # int() would read true as 1, 3.5 as 3
+        raise MalformedFile(f"{what} = {json.dumps(value)} is not an integer")
+    return int(value)
+
+
 def parse(text: str) -> FunctionFile:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise MalformedFile(f"not valid JSON: {e}") from None
     try:
-        n = int(doc["n"])
+        n = _integer(doc["n"], "n")
         # Checked before anything is sized by 2^n.
         if not 1 <= n <= MAX_DEGREE:
             raise MalformedFile(f"n = {n} outside [1, {MAX_DEGREE}]")
         modulus = int(doc["modulus"], 16)
         rep = doc["representation"]
         if rep == "multinomial":
-            terms = [(int(t["coeff"], 16), int(t["exp"])) for t in doc["terms"]]
+            terms = [(int(t["coeff"], 16), _integer(t["exp"], "exp")) for t in doc["terms"]]
             values = None
         elif rep == "truthtable":
             values = [int(v, 16) for v in doc["values"]]

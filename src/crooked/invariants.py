@@ -139,10 +139,10 @@ def development_rank(two_n: int, points: np.ndarray) -> int:
     k = 0
     if v.size > 1:
         # offered[k]: the units with the coordinates rotated right by k, the
-        # F_2 rank of N's constant bits t[64 (w ^ v)], on Python-int rows.
+        # F_2 rank of N's constant bits t[64 (w ^ v)].
         constant = t[_rotl(v * low, np.arange(two_n)[:, None], two_n)][:, apart] & above
         packed = np.packbits(constant, axis=2, bitorder="little")
-        offered = [gf2mat.rank_ints(int.from_bytes(row, "little") for row in m) for m in packed]
+        offered = [gf2mat.rank_packed(m) for m in packed]
         k = offered.index(max(offered))
     t = t[_rotl(np.arange(size), k, two_n)]
     sigma = gf2mat.pack_rows(t.reshape(-1, low))[:, 0]
@@ -152,7 +152,7 @@ def development_rank(two_n: int, points: np.ndarray) -> int:
     masks, shifts = _ring_shifts(low)
     r, b = np.nonzero((np.bitwise_or.reduce(rest, axis=1)[:, None] & masks) != 0)
     rows = (rest[r] & masks[b, None]) << shifts[b, None]
-    return low * units + gf2mat.rank_packed(rows, low * rest.shape[1])
+    return low * units + gf2mat.rank_packed(rows)
 
 
 def _check_rank_size(n: int, which: str) -> None:

@@ -44,6 +44,14 @@ def test_parse_rejects_garbage():
         funcfile.parse(
             '{"n": 4, "modulus": "13", "representation": "weird"}'
         )
+    # x^exp over GF(2^6), with n and exp as written: int() would read the
+    # floats and booleans below as x^3, x^1 and n = 6.
+    one_term = ('{"n": %s, "modulus": "43", "representation": "multinomial", '
+                '"terms": [{"coeff": "1", "exp": %s}]}')
+    assert funcfile.parse(one_term % ("6", "3")).terms == [(1, 3)]
+    for n, exp in (("6", "3.5"), ("6", "true"), ("6.9", "3"), ("6.0", "3"), ("true", "3")):
+        with pytest.raises(MalformedFile):
+            funcfile.parse(one_term % (n, exp))
 
 
 def test_parse_rejects_short_table():

@@ -41,25 +41,29 @@ def _rank_cases(rng, cols):
         yield [rng.randrange(1 << cols) >> i << i for i in range(nrows)], None
         yield [(1 << rng.randrange(i, cols)) | (1 << rng.randrange(i, cols)) if i < cols else 0
                for i in range(1, nrows + 1)], None
-        # A word that no row touches: the middle one, or the only one.
+        # A column block of 64 that no row touches, ending at a word
+        # boundary: the middle word, or the only one.
         words = -(-cols // 64)
         gap = ((1 << 64) - 1) << (64 * (words // 2))
         yield [rng.randrange(1 << cols) & ~gap for _ in range(nrows)], None
-        # The top rows miss word 0, so its pivots lie below them and the
-        # top rows move into the pivots' places.
+        # The top rows miss the first 64 columns, so those columns' pivots
+        # lie below them, across the first word boundary.
         top = nrows // 2
         yield ([rng.randrange(1 << cols) >> 64 << 64 for _ in range(top)]
                + [rng.randrange(1 << cols) for _ in range(nrows - top)]), None
 
 
 def test_rank_packed_vs_naive_rank():
+    # On uint64 words, and on the uint8 bytes that the window probes of
+    # `development_rank` pass.
     rng = random.Random(9)
     for cols in (1, 10, 63, 64, 65, 70, 127, 128, 130, 200):
         for rows, expected in _rank_cases(rng, cols):
             bools = np.array([[(r >> j) & 1 for j in range(cols)] for r in rows], dtype=bool)
-            rank = gf2mat.rank_packed(gf2mat.pack_rows(bools), cols)
-            assert rank == naive_rank(rows), (cols, len(rows))
-            assert expected is None or rank == expected, (cols, len(rows))
+            for packed in (gf2mat.pack_rows(bools), np.packbits(bools, axis=1, bitorder="little")):
+                rank = gf2mat.rank_packed(packed)
+                assert rank == naive_rank(rows), (cols, len(rows), packed.dtype)
+                assert expected is None or rank == expected, (cols, len(rows))
 
 
 def _point_sets(rng):
@@ -142,7 +146,7 @@ def test_development_rank_is_full_exactly_at_odd_size(monkeypatch):
             rows = [sum(1 << (p ^ g) for p in pts) for g in range(size)]
             assert (naive_rank(rows) == size) == (npoints % 2 == 1), (two_n, npoints)
 
-    def no_elimination(a, cols):
+    def no_elimination(a):
         raise AssertionError("an odd-size set was eliminated")
 
     monkeypatch.setattr(gf2mat, "rank_packed", no_elimination)
@@ -174,9 +178,11 @@ def test_ranks_n6_pinned():
 
 
 def _full_expansion_rank(two_n, points):
-    """`rank_packed` of the whole 2^(2n)-square matrix in the monomial basis,
+    """`naive_rank` of the whole 2^(2n)-square matrix in the monomial basis,
     with no ring elimination: row 64 h + l is row l with its words permuted
-    by j -> j ^ h and zeroed outside the words j containing h."""
+    by j -> j ^ h and zeroed outside the words j containing h. The matrix
+    is upper triangular, so its rows are fed bottom row first, where they
+    are sparse; the rank does not depend on the order."""
     size = 1 << two_n
     t = np.zeros(size, dtype=bool)
     t[points] = True
@@ -191,7 +197,8 @@ def _full_expansion_rank(two_n, points):
     h = j[:, None]
     matrix = packed[bits[None, :, None], (j ^ h)[:, None, :]]
     matrix *= ((j & h) == h)[:, None, :]
-    return gf2mat.rank_packed(matrix.reshape(size, size // 64), size)
+    rows = matrix.reshape(size, size // 64)[::-1]
+    return naive_rank([int.from_bytes(row.tobytes(), "little") for row in rows])
 
 
 def _rank_inputs():
