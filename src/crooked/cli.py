@@ -227,9 +227,11 @@ def _params_from_provenance(ff: funcfile.FunctionFile):
 
 def cmd_verify(args) -> int:
     checks = args.checks.split(",")
-    for check in checks:
+    for i, check in enumerate(checks):
         if check not in ("apn", "crooked", "walsh", "identity"):
             raise InvalidInput(f"unknown check {check!r}")
+        if check in checks[:i]:
+            raise InvalidInput(f"check {check!r} given twice")
     ff, _, table = _load(args.infile)
     # What the header decides comes first, in check order, so that a file
     # above a size cap is refused before its table is built.
@@ -239,10 +241,8 @@ def cmd_verify(args) -> int:
             params = _params_from_provenance(ff)
             if params is None:
                 raise MalformedFile("identity check needs thm1/thm2 provenance")
-        elif check == "walsh":
-            spectral.check_walsh_size(ff.n)
         else:
-            vbf.check_sweep_size(ff.n)
+            vbf.check_size(ff.n, check)
     f = table()
     report: dict = {"n": ff.n, "checks": sorted(checks)}
     ok = True
@@ -311,8 +311,8 @@ def cmd_invariants(args) -> int:
         ]
     else:
         targets = [(args.against, _load(args.against, ctx)[2])]
-    # Both files are checked, so the size cap refuses before any table is built.
-    invariants.check_size(ff.n, with_ranks)
+    # Both files are checked, so the caps refuse before any table is built.
+    vbf.check_size(ff.n, *(("gamma", "delta") if with_ranks else ()), "apn", "walsh")
     left = invariants.function_invariants(table(), with_ranks)
     for label, right_table in targets:
         right = invariants.function_invariants(right_table(), with_ranks)
@@ -321,6 +321,8 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if args.budget < 1:
+        raise InvalidInput(f"--budget {args.budget} is below 1")
     m = _half(args.n)
     ctx = _field(args)
     if m % 2 == 0:

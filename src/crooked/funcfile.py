@@ -26,19 +26,18 @@ class FunctionFile:
     terms: Optional[list] = None   # [(coeff, exp)] when multinomial
     values: Optional[list] = None  # length-2^n ints when truthtable
     provenance: dict = field(default_factory=dict)
-    schema_version: int = SCHEMA_VERSION
 
     # Each reads the function over `ctx`, which the caller has checked is
-    # the file's field (n, modulus), or over a new context for it.
-    def to_multinomial(self, ctx: Optional[FieldCtx] = None) -> Multinomial:
+    # the file's field (n, modulus).
+    def to_multinomial(self, ctx: FieldCtx) -> Multinomial:
         if self.representation != "multinomial":
             raise MalformedFile("file does not carry a multinomial")
-        return multinomial(ctx or FieldCtx(self.n, self.modulus), self.terms)
+        return multinomial(ctx, self.terms)
 
-    def to_truthtable(self, ctx: Optional[FieldCtx] = None) -> TruthTable:
+    def to_truthtable(self, ctx: FieldCtx) -> TruthTable:
         if self.representation == "multinomial":
             return from_multinomial(self.to_multinomial(ctx))
-        return TruthTable(ctx or FieldCtx(self.n, self.modulus), self.values)
+        return TruthTable(ctx, self.values)
 
 
 def from_multinomial_repr(m: Multinomial, provenance: Optional[dict] = None) -> FunctionFile:
@@ -53,7 +52,7 @@ def from_multinomial_repr(m: Multinomial, provenance: Optional[dict] = None) -> 
 
 def serialize(ff: FunctionFile) -> str:
     doc = {
-        "schema_version": ff.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "n": ff.n,
         "modulus": _hex(ff.modulus),
         "representation": ff.representation,
@@ -77,7 +76,12 @@ def parse(text: str) -> FunctionFile:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise MalformedFile(f"not valid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise MalformedFile("not a JSON object")
     try:
+        version = _integer(doc.get("schema_version", SCHEMA_VERSION), "schema_version")
+        if version != SCHEMA_VERSION:
+            raise MalformedFile(f"schema_version = {version} is not {SCHEMA_VERSION}")
         n = _integer(doc["n"], "n")
         # Checked before anything is sized by 2^n.
         if not 1 <= n <= MAX_DEGREE:
@@ -104,7 +108,6 @@ def parse(text: str) -> FunctionFile:
             terms=terms,
             values=values,
             provenance=provenance,
-            schema_version=int(doc.get("schema_version", SCHEMA_VERSION)),
         )
     except MalformedFile:
         raise

@@ -7,16 +7,13 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from . import gf2mat
-from .errors import InfeasibleSize
 from .spectral import walsh_spectrum
-from .vbf import TruthTable, check_sweep_size, differential_spectrum
-
-RANK_MAX_N = 7  # development matrices are 2^(2n) square
+from .vbf import TruthTable, check_size, differential_spectrum
 
 
 def graph_points(f: TruthTable) -> np.ndarray:
@@ -155,29 +152,16 @@ def development_rank(two_n: int, points: np.ndarray) -> int:
     return low * units + gf2mat.rank_packed(rows)
 
 
-def _check_rank_size(n: int, which: str) -> None:
-    if n > RANK_MAX_N:
-        raise InfeasibleSize(f"{which} rank capped at n={RANK_MAX_N}")
-
-
 def gamma_rank(f: TruthTable) -> int:
     """Rank of the graph development matrix; CCZ-invariant."""
-    _check_rank_size(f.ctx.n, "gamma")
+    check_size(f.ctx.n, "gamma")
     return development_rank(2 * f.ctx.n, graph_points(f))
 
 
 def delta_rank(f: TruthTable) -> int:
     """Rank of the difference-set development matrix; CCZ-invariant."""
-    _check_rank_size(f.ctx.n, "delta")
+    check_size(f.ctx.n, "delta")
     return development_rank(2 * f.ctx.n, difference_points(f))
-
-
-def check_size(n: int, with_ranks: bool) -> None:
-    """The refusal of `function_invariants` at degree n, from n alone: the
-    Γ-rank's cap, then the differential sweep's."""
-    if with_ranks:
-        _check_rank_size(n, "gamma")
-    check_sweep_size(n)
 
 
 @dataclass(frozen=True)
@@ -199,7 +183,6 @@ class InvariantReport:
 
 
 def function_invariants(f: TruthTable, with_ranks: bool) -> FunctionInvariants:
-    check_size(f.ctx.n, with_ranks)
     g_rank = gamma_rank(f) if with_ranks else None
     d_rank = delta_rank(f) if with_ranks else None
     delta, dspec = differential_spectrum(f)

@@ -15,8 +15,8 @@ from typing import List
 import numpy as np
 
 from . import gf2mat
-from .errors import InfeasibleSize, InvalidInput
-from .vbf import EXHAUSTIVE_MAX_N, TruthTable, parity_table
+from .errors import InvalidInput
+from .vbf import TruthTable, check_size, parity_table
 
 
 def fwht(v: np.ndarray) -> np.ndarray:
@@ -67,15 +67,9 @@ class SpectrumSummary:
     nl: int             # 2^(n-1) - max|W|/2
 
 
-def check_walsh_size(n: int) -> None:
-    """The Walsh spectrum's refusal above n = EXHAUSTIVE_MAX_N, from n alone."""
-    if n > EXHAUSTIVE_MAX_N:
-        raise InfeasibleSize(f"walsh spectrum capped at n={EXHAUSTIVE_MAX_N}")
-
-
 def walsh_spectrum(f: TruthTable) -> SpectrumSummary:
     n = f.ctx.n
-    check_walsh_size(n)
+    check_size(n, "walsh")
     order = f.ctx.order
     # |W| <= 2^n, so hist[v + 2^n] counts the Walsh value v over all (omega, a).
     hist = np.zeros(2 * order + 1, dtype=np.int64)

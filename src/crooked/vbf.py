@@ -25,6 +25,24 @@ from .errors import InfeasibleSize, InvalidInput
 from .field import FieldCtx
 
 EXHAUSTIVE_MAX_N = 16
+RANK_MAX_N = 7  # development matrices are 2^(2n) square
+
+# The size policy: each computation's largest n, and the subject its refusal names.
+SIZE_CAPS: Dict[str, Tuple[int, str]] = {
+    "apn": (EXHAUSTIVE_MAX_N, "exhaustive differential scan"),
+    "crooked": (EXHAUSTIVE_MAX_N, "exhaustive differential scan"),
+    "walsh": (EXHAUSTIVE_MAX_N, "walsh spectrum"),
+    "gamma": (RANK_MAX_N, "gamma rank"),
+    "delta": (RANK_MAX_N, "delta rank"),
+}
+
+
+def check_size(n: int, *computations: str) -> None:
+    """InfeasibleSize for the first computation whose cap is below n, from n alone."""
+    for c in computations:
+        cap, subject = SIZE_CAPS[c]
+        if n > cap:
+            raise InfeasibleSize(f"{subject} capped at n={cap}")
 
 
 @cache
@@ -223,12 +241,6 @@ def is_crooked(f: TruthTable) -> CrookedReport:
     return f._derivatives[2]
 
 
-def check_sweep_size(n: int) -> None:
-    """The derivative sweep's refusal above n = EXHAUSTIVE_MAX_N, from n alone."""
-    if n > EXHAUSTIVE_MAX_N:
-        raise InfeasibleSize(f"exhaustive differential scan capped at n={EXHAUSTIVE_MAX_N}")
-
-
 def _derivative_sweep(f: TruthTable) -> Tuple[int, Counter, CrookedReport]:
     """(delta, spectrum, crooked report) of f from one pass over its
     derivatives, on the path `TruthTable.path` picks.
@@ -247,7 +259,7 @@ def _derivative_sweep(f: TruthTable) -> Tuple[int, Counter, CrookedReport]:
     precondition, ahead of any direction. A hyperplane's normal is unique,
     so every path gives the (b, eps) the sweep of every direction finds.
     Above n = EXHAUSTIVE_MAX_N it refuses on every path (InfeasibleSize)."""
-    check_sweep_size(f.ctx.n)
+    check_size(f.ctx.n, "apn")
     ctx, n, order = f.ctx, f.ctx.n, f.ctx.order
     hist = np.zeros(order + 1, dtype=np.int64)  # hist[v] = pairs (a, b) with v solutions
     path, d = f.path

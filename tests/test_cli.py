@@ -47,7 +47,8 @@ def test_construct_explicit_params(tmp_path):
         "--c", "primitive", "--d", "primitive",
         "--out", str(out), expect=0,
     )
-    f = funcfile.parse(out.read_text()).to_truthtable()
+    ff = funcfile.parse(out.read_text())
+    f = ff.to_truthtable(FieldCtx(ff.n, ff.modulus))
     assert vbf.is_crooked(f).is_crooked
 
 
@@ -123,9 +124,10 @@ def test_search_deterministic_and_exit_codes():
     assert p1.stdout == p2.stdout
     assert len(p1.stdout.splitlines()) == 3
     run_cli("search", "--family", "thm1", "--n", "7", expect=2)
+    # A budget below 1 would print no tuple, as if none existed: refused.
     empty = run_cli("search", "--family", "thm1", "--n", "6", "--budget", "0",
-                    expect=0)
-    assert empty.stdout == ""
+                    expect=2)
+    assert empty.stdout == "" and empty.stderr == "--budget 0 is below 1\n"
 
 
 def test_construct_byte_identical_across_runs():
@@ -173,7 +175,7 @@ def test_construct_odd_half_degree_no_warning():
 
 # Stand-ins for n = 6 thm1 files whose provenance lacks m (None), has a
 # value replaced or is replaced whole (key None), for n = 6 Gold truth-table
-# files with entry 1 or n replaced, for an n = 6 Gold file, for a file that
+# files with entry 1, n or schema_version replaced, for an n = 6 Gold file, for a file that
 # does not exist, for a file that is not UTF-8, and for a path in a directory
 # that does not exist.
 NO_M, C_FFF, M_5 = "<no-m>", "<c=fff>", "<m=5>"
@@ -183,10 +185,12 @@ PROVENANCE_EDITS = {NO_M: ("m", None), C_FFF: ("c", "fff"), M_5: ("m", 5),
                     K_NEG: ("K", [-1]), K_A: ("K", ["a"]), S_99: ("s", 99),
                     PROV_5: (None, 5), PROV_LIST: (None, []), PROV_STR: (None, "x")}
 ENTRY_NEG, ENTRY_BIG = "<entry=-1>", "<entry=100000000>"
-N_2_40, N_10_30 = "<n=2^40>", "<n=10^30>"
+N_2_40, N_10_30, VERSION_7 = "<n=2^40>", "<n=10^30>", "<schema_version=7>"
 TABLE_EDITS = {ENTRY_NEG: ("entry", "-1"), ENTRY_BIG: ("entry", "100000000"),
-               N_2_40: ("n", 1 << 40), N_10_30: ("n", 10 ** 30)}
+               N_2_40: ("n", 1 << 40), N_10_30: ("n", 10 ** 30), VERSION_7: ("schema_version", 7)}
 GOLD, MISSING, NOT_UTF8, NO_DIR = "<gold>", "<missing>", "<not-utf-8>", "<no-dir>"
+TOP_LIST, TOP_NUMBER = "<[]>", "<5>"
+RAW_FILES = {NOT_UTF8: b"\xff\xfe\x00", TOP_LIST: b"[]", TOP_NUMBER: b"5"}
 
 
 def _thm1_file_with(path, key, value):
@@ -260,10 +264,16 @@ EXIT_CASES = [
     # An unparsable flag is reported before a violated hypothesis.
     (("construct", "--family", "ref7", "--n", "6", "--s", "2", "--c", "zz"), 2, "err", "'zz'"),
     (("verify", "--in", GOLD, "--checks", "apn,nope"), 2, "err", "unknown check 'nope'"),
+    (("verify", "--in", MISSING, "--checks", "apn,walsh,apn"), 2, "err", "check 'apn' given twice"),
+    (("verify", "--in", VERSION_7, "--checks", "apn"), 3, "err", "schema_version = 7 is not 1"),
     (("verify", "--in", GOLD, "--checks", "identity"), 3, "err", "thm1/thm2 provenance"),
     (("invariants", "--in", MISSING, "--against", "gold-all"), 3, "err", "No such file"),
     (("search", "--family", "thm1", "--n", "7"), 2, "out", "n must be even"),
+    (("search", "--family", "thm1", "--n", "6", "--budget", "0"), 2, "err", "--budget 0 is below 1"),
+    (("search", "--family", "thm1", "--n", "6", "--budget", "-1"), 2, "err", "--budget -1 is below 1"),
     (("verify", "--in", NOT_UTF8, "--checks", "apn"), 3, "err", "'utf-8' codec"),
+    (("verify", "--in", TOP_LIST, "--checks", "apn"), 3, "err", "not a JSON object"),
+    (("verify", "--in", TOP_NUMBER, "--checks", "apn"), 3, "err", "not a JSON object"),
     (("construct", "--family", "gold", "--n", "6", "--out", NO_DIR), 2, "err",
      "cannot write --out"),
     # A flag the family or --auto does not read is refused, not ignored.
@@ -286,8 +296,9 @@ def test_documented_exit_codes(argv, code, stream, part, tmp_path, capsys):
     path = tmp_path / "f.json"
     if GOLD in argv:
         assert cli.main(["construct", "--family", "gold", "--n", "6", "--out", str(path)]) == 0
-    if NOT_UTF8 in argv:
-        path.write_bytes(b"\xff\xfe\x00")
+    for stand_in, raw in RAW_FILES.items():
+        if stand_in in argv:
+            path.write_bytes(raw)
     for stand_in, (key, value) in PROVENANCE_EDITS.items():
         if stand_in in argv:
             _thm1_file_with(path, key, value)
@@ -296,7 +307,7 @@ def test_documented_exit_codes(argv, code, stream, part, tmp_path, capsys):
             _gold_table_file_with(path, key, value)
     capsys.readouterr()
     argv = tuple(str(tmp_path / "no-dir" / "f.json") if a == NO_DIR
-                 else str(path) if a in (GOLD, MISSING, NOT_UTF8, *PROVENANCE_EDITS, *TABLE_EDITS)
+                 else str(path) if a in (GOLD, MISSING, *RAW_FILES, *PROVENANCE_EDITS, *TABLE_EDITS)
                  else a for a in argv)
     assert cli.main(list(argv)) == code
     got = capsys.readouterr()
@@ -390,7 +401,8 @@ def test_thm1_n14_verify_pinned(tmp_path):
                    "--json", expect=0)
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == THM1_N14_SHA256
     # The arrays is_crooked returns hold each direction's hyperplane_of.
-    f = funcfile.parse(path.read_text()).to_truthtable()
+    ff = funcfile.parse(path.read_text())
+    f = ff.to_truthtable(FieldCtx(ff.n, ff.modulus))
     assert f.path == ("quadratic", None)
     rep = vbf.is_crooked(f)
     for a in random.Random(14).sample(range(1, f.ctx.order), 64):

@@ -107,6 +107,34 @@ def test_build_thm1_degree_mismatch(ctx6):
         validate(ctx6, FamilyParams("thm1", m=4, s=2, t=1, K=(0,), c=2, d=2, r=()))
 
 
+# Edits of a valid n = 6 tuple (m = 3) that each break one hypothesis, the
+# families that check it, and the one violation validate then lists.
+VALIDATE_EDITS = [
+    (lambda p: {"s": 1, "t": 1}, families.FAMILIES, "requires s > t >= 0"),
+    (lambda p: {"t": -1}, families.FAMILIES, "requires s > t >= 0"),
+    (lambda p: {"K": (1, 0)}, families.FAMILIES, "K must be strictly increasing within [0, n-1]"),
+    (lambda p: {"K": (0, 0)}, families.FAMILIES, "K must be strictly increasing within [0, n-1]"),
+    (lambda p: {"K": (0, 6)}, families.FAMILIES, "K must be strictly increasing within [0, n-1]"),
+    # 1 + x^2 = (1 + x)^2 divides x^6 + 1.
+    (lambda p: {"K": (0, 2)}, families.FAMILIES, "linearized map of K has nontrivial kernel"),
+    (lambda p: {"r": (0, 0, 0)}, families.FAMILIES, "r has more than m-1 = 2 entries"),
+    (lambda p: {"c": 64}, families.FAMILIES, "element outside GF(2^n)"),
+    (lambda p: {"d": 64}, families.FAMILIES, "element outside GF(2^n)"),
+    (lambda p: {"r": (0, 65)}, families.FAMILIES, "element outside GF(2^n)"),
+    # c lies outside F_8, so as r[1] it breaks thm1's subfield hypothesis.
+    (lambda p: {"r": (p.c,)}, ("thm1",), "r[1] outside the subfield F_{2^m}"),
+]
+
+
+@pytest.mark.parametrize("edit, fams, message", VALIDATE_EDITS,
+                         ids=[f"{row[2]} {i}" for i, row in enumerate(VALIDATE_EDITS)])
+def test_validate_names_each_violation(ctx6, edit, fams, message):
+    for family in fams:
+        p = search_params(ctx6, family, budget=1, seed=5)[0]
+        assert validate(ctx6, p) == []
+        assert validate(ctx6, dataclasses.replace(p, **edit(p))) == [message], family
+
+
 def test_thm2_search_and_crooked(ctx6):
     hits = search_params(ctx6, "thm2", budget=2, seed=5)
     assert hits
@@ -341,7 +369,8 @@ def test_even_half_degree_hypotheses_insufficient():
     ctx = FieldCtx(4)
     hits = search_params(ctx, "thm1", budget=1, seed=4)
     assert hits  # hypotheses are satisfiable...
-    f = vbf.from_multinomial(build(ctx, hits[0]))
+    with pytest.warns(NotApnWarning):
+        f = vbf.from_multinomial(build(ctx, hits[0]))
     assert vbf.differential_spectrum(f)[0] != 2  # ...but the conclusion fails
 
 

@@ -15,7 +15,7 @@ def test_multinomial_round_trip():
     ff = funcfile.from_multinomial_repr(m, {"family": "thm1"})
     back = funcfile.parse(funcfile.serialize(ff))
     assert back.n == 6 and back.modulus == ctx.modulus
-    assert back.to_multinomial() == m
+    assert back.to_multinomial(FieldCtx(back.n, back.modulus)) == m
     assert back.provenance == {"family": "thm1"}
 
 
@@ -23,7 +23,8 @@ def test_truthtable_round_trip():
     ctx = FieldCtx(4)
     t = vbf.from_multinomial(build_gold(ctx, 1))
     ff = from_truthtable_repr(t)
-    back = funcfile.parse(funcfile.serialize(ff)).to_truthtable()
+    parsed = funcfile.parse(funcfile.serialize(ff))
+    back = parsed.to_truthtable(FieldCtx(parsed.n, parsed.modulus))
     assert back.ctx == t.ctx
     assert np.array_equal(back.values, t.values)
 
@@ -40,6 +41,9 @@ def test_parse_rejects_garbage():
         funcfile.parse("not json at all {")
     with pytest.raises(MalformedFile):
         funcfile.parse('{"n": 4}')
+    for top_level in ("[]", "5", '"x"', "null"):
+        with pytest.raises(MalformedFile, match="not a JSON object"):
+            funcfile.parse(top_level)
     with pytest.raises(MalformedFile):
         funcfile.parse(
             '{"n": 4, "modulus": "13", "representation": "weird"}'
@@ -52,6 +56,13 @@ def test_parse_rejects_garbage():
     for n, exp in (("6", "3.5"), ("6", "true"), ("6.9", "3"), ("6.0", "3"), ("true", "3")):
         with pytest.raises(MalformedFile):
             funcfile.parse(one_term % (n, exp))
+    # A missing schema_version means 1; any other version, or a non-integer
+    # one that int() would read as 1, is refused.
+    versioned = '{"schema_version": %s, ' + one_term[1:]
+    assert funcfile.parse(versioned % ("1", "6", "3")).terms == [(1, 3)]
+    for version in ("7", "0", "2", "true", "1.5"):
+        with pytest.raises(MalformedFile, match="schema_version"):
+            funcfile.parse(versioned % (version, "6", "3"))
 
 
 def test_parse_rejects_short_table():

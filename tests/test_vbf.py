@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from crooked import vbf
-from crooked.errors import InvalidInput
+from crooked.errors import InvalidInput, NotApnWarning
 from crooked.families import build_gold
 from crooked.field import FieldCtx
 from helpers import crooked_form, naive_diff_spectrum, random_quadratic
@@ -96,7 +96,8 @@ def test_flagship_shape_exponents_n12():
 
     c = next(v for v in range(2, 4096) if ctx.is_primitive(v))
     p = FamilyParams("thm1", m=6, s=8, t=1, K=(0,), c=c, d=c, r=(0,) * 5)
-    m = build(ctx, p)
+    with pytest.warns(NotApnWarning):  # m = 6 is even: delta = 64
+        m = build(ctx, p)
     assert sorted(e for _, e in m.terms) == [65, 132, 258]
 
 
