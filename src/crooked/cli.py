@@ -20,6 +20,7 @@ import json
 import sys
 import warnings
 from collections import Counter
+from functools import cache
 from itertools import islice
 from math import prod
 from typing import Callable, List, Optional, Tuple
@@ -48,12 +49,38 @@ def _counter_to_list(c: Counter) -> list:
     return [[int(v), int(m)] for v, m in sorted(c.items())]
 
 
+class _Rendered(str):
+    """A report value already rendered in the form `_emit` prints it in."""
+
+
 def _emit(doc: dict, as_json: bool):
+    """One report: canonical JSON (json.dumps with sort_keys), or one
+    `key: value` line per key in key order. The top-level keys are joined
+    here, so that a `_Rendered` value drops in as it is."""
     if as_json:
-        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+        items = (
+            f"{json.dumps(k)}:"
+            + (v if isinstance(v, _Rendered) else json.dumps(v, sort_keys=True, separators=(",", ":")))
+            for k, v in sorted(doc.items())
+        )
+        print("{" + ",".join(items) + "}")
     else:
         for k in sorted(doc):
             print(f"{k}: {doc[k]}")
+
+
+def _witnesses(res: vbf.CrookedReport, as_json: bool) -> _Rendered:
+    """The hyperplane_witnesses object {hex a: [hex b, eps]}, rendered from
+    the report's arrays as `_emit` would render that dict: for JSON in
+    sort_keys order, which is lexicographic on hex, else as str(dict) in
+    numeric order. No per-direction object is built."""
+    hexes = [format(v, "x") for v in range(len(res.b) + 1)]
+    pairs = zip(hexes[1:], map(hexes.__getitem__, res.b.tolist()), res.eps.tolist())
+    if as_json:
+        # The key's closing quote sorts below every hex digit, so sorting
+        # the entries sorts them by key, as sort_keys does.
+        return _Rendered("{" + ",".join(sorted(f'"{a}":["{b}",{e}]' for a, b, e in pairs)) + "}")
+    return _Rendered("{" + ", ".join(f"'{a}': ['{b}', {e}]" for a, b, e in pairs) + "}")
 
 
 def _int(text: str, base: int = 16) -> int:
@@ -206,9 +233,9 @@ def _params_from_provenance(ff: funcfile.FunctionFile):
     try:
         p = families.FamilyParams(
             fam,
-            m=int(prov["m"]),
-            s=int(prov["s"]),
-            t=int(prov["t"]),
+            m=funcfile._integer(prov["m"], f"{fam} provenance m"),
+            s=funcfile._integer(prov["s"], f"{fam} provenance s"),
+            t=funcfile._integer(prov["t"], f"{fam} provenance t"),
             K=tuple(prov["K"]),
             c=int(prov["c"], 16),
             d=int(prov["d"], 16),
@@ -256,10 +283,7 @@ def cmd_verify(args) -> int:
             res = vbf.is_crooked(f)
             report["crooked"] = res.is_crooked
             if res.is_crooked and not args.summary:
-                report["hyperplane_witnesses"] = {
-                    format(a, "x"): [format(b, "x"), eps]
-                    for a, b, eps in zip(range(1, f.ctx.order), res.b.tolist(), res.eps.tolist())
-                }
+                report["hyperplane_witnesses"] = _witnesses(res, args.json)
             if not res.is_crooked:
                 report["crooked_failed_at"] = (
                     "apn" if res.failed_apn else format(res.failed_at, "x")
@@ -339,7 +363,10 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built by the first call and shared by every later
+    one in the process."""
     ap = argparse.ArgumentParser(prog="crooked", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

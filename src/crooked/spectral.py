@@ -2,8 +2,10 @@
 Walsh-Hadamard butterfly, each a plain int64 array indexed by the mask, and
 full-spectrum summaries with nonlinearity. The full spectrum takes the
 table's `TruthTable.path`: gcd(d, 2^n - 1) transformed components for a
-power function x^d, the rank of every component's symplectic matrix for f
-of degree <= 2, and every component otherwise."""
+power function x^d; for f of degree <= 2, the radical of every component's
+symplectic form, counted off the derivative sweep's hyperplane normals
+(the ortho-derivative) when f is APN and ranked by one batched elimination
+of the symplectic matrices otherwise; and every component otherwise."""
 
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ import numpy as np
 
 from . import gf2mat
 from .errors import InvalidInput
-from .vbf import TruthTable, check_size, parity_table
+from .vbf import TruthTable, check_size, is_crooked, parity_table
 
 
 def fwht(v: np.ndarray) -> np.ndarray:
@@ -78,10 +80,19 @@ def walsh_spectrum(f: TruthTable) -> SpectrumSummary:
         # tr(a*f) is a quadratic form. With k the dimension of the radical of
         # its symplectic matrix, |W| = 2^((n+k)/2) on 2^(n-k) masks, and
         # sum_omega W(omega) = 2^n (-1)^tr(a*f(0)), so the + values outnumber
-        # the - values by (-1)^tr(a*f(0)) 2^((n-k)/2).
-        rank, _ = gf2mat.rank_and_normal_batched(symplectic_rows(f), n)
+        # the - values by (-1)^tr(a*f(0)) 2^((n-k)/2). The radical is the
+        # x with tr(a*L_x(y)) = 0 for every y, L_x the linear part of D_x f.
+        res = is_crooked(f)
+        if res.is_crooked:
+            # f is APN, so Im L_x is the hyperplane with normal b[x-1] for
+            # x != 0, and the radical of tr(a*f) is {0} and the x with
+            # b[x-1] = a: the derivative sweep already holds every radical,
+            # of 2^k = 1 + #{x : b[x-1] = a} elements (frexp gives k + 1).
+            radical = np.frexp(np.bincount(res.b, minlength=order)[1:] + 1)[1] - 1
+        else:
+            radical = n - gf2mat.rank_and_normal_batched(symplectic_rows(f), n)[0]
         sign = parity_table(n)[f.ctx.trace_masks[1:] & f.values[0]]
-        for key, count in enumerate(np.bincount(2 * (n - rank) + sign, minlength=2 * n + 2).tolist()):
+        for key, count in enumerate(np.bincount(2 * radical + sign, minlength=2 * n + 2).tolist()):
             k, s = divmod(key, 2)
             support, value = 1 << (n - k), 1 << ((n + k) // 2)
             plus = (support + (1 - 2 * s) * (1 << ((n - k) // 2))) // 2

@@ -6,6 +6,7 @@ code paths it cross-checks.
 
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 from contextlib import contextmanager
@@ -80,6 +81,21 @@ def crooked_form(rep: vbf.CrookedReport):
     1, 2, ... or None): the one form in which tests compare crooked reports."""
     pairs = None if rep.b is None else tuple(zip(rep.b.tolist(), rep.eps.tolist()))
     return rep.is_crooked, rep.failed_at, rep.failed_apn, pairs
+
+
+def witness_dict(rep: vbf.CrookedReport) -> dict:
+    """The hyperplane_witnesses object of `verify` as a dict, {hex a: [hex
+    b, eps]} in numeric order of a."""
+    return {format(a, "x"): [format(b, "x"), eps]
+            for a, b, eps in zip(range(1, len(rep.b) + 1), rep.b.tolist(), rep.eps.tolist())}
+
+
+def emitted(doc: dict, as_json: bool) -> str:
+    """The stdout of a report doc, rendered whole: json.dumps with sorted
+    keys, or one `key: str(value)` line per key in key order."""
+    if as_json:
+        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return "".join(f"{k}: {doc[k]}\n" for k in sorted(doc))
 
 
 def is_ab(f: TruthTable) -> bool:

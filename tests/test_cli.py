@@ -11,7 +11,7 @@ from crooked import cli, funcfile, gf2mat, invariants, vbf
 from crooked.errors import DegreeMismatch, InfeasibleSize, InvalidInput, InvalidModulus, MalformedFile
 from crooked.families import search_params
 from crooked.field import FieldCtx
-from helpers import from_truthtable_repr
+from helpers import emitted, from_truthtable_repr, witness_dict
 
 
 def run_cli(*args, expect=None):
@@ -181,9 +181,11 @@ def test_construct_odd_half_degree_no_warning():
 NO_M, C_FFF, M_5 = "<no-m>", "<c=fff>", "<m=5>"
 K_NEG, K_A, S_99 = "<K=[-1]>", "<K=[a]>", "<s=99>"
 PROV_5, PROV_LIST, PROV_STR = "<provenance=5>", "<provenance=[]>", "<provenance='x'>"
+M_3_0, S_5_9, T_TRUE = "<m=3.0>", "<s=5.9>", "<t=true>"
 PROVENANCE_EDITS = {NO_M: ("m", None), C_FFF: ("c", "fff"), M_5: ("m", 5),
                     K_NEG: ("K", [-1]), K_A: ("K", ["a"]), S_99: ("s", 99),
-                    PROV_5: (None, 5), PROV_LIST: (None, []), PROV_STR: (None, "x")}
+                    PROV_5: (None, 5), PROV_LIST: (None, []), PROV_STR: (None, "x"),
+                    M_3_0: ("m", 3.0), S_5_9: ("s", 5.9), T_TRUE: ("t", True)}
 ENTRY_NEG, ENTRY_BIG = "<entry=-1>", "<entry=100000000>"
 N_2_40, N_10_30, VERSION_7 = "<n=2^40>", "<n=10^30>", "<schema_version=7>"
 TABLE_EDITS = {ENTRY_NEG: ("entry", "-1"), ENTRY_BIG: ("entry", "100000000"),
@@ -241,6 +243,10 @@ EXIT_CASES = [
     (("verify", "--in", K_NEG, "--checks", "identity"), 3, "err", "K within [0, n-1]"),
     (("verify", "--in", K_A, "--checks", "identity"), 3, "err", "K within [0, n-1]"),
     (("verify", "--in", S_99, "--checks", "identity"), 3, "err", "0 <= t < s < n"),
+    # int() would read 3.0 as 3, 5.9 as 5 and true as 1.
+    (("verify", "--in", M_3_0, "--checks", "identity"), 3, "err", "thm1 provenance m = 3.0 is not an integer"),
+    (("verify", "--in", S_5_9, "--checks", "identity"), 3, "err", "thm1 provenance s = 5.9 is not an integer"),
+    (("verify", "--in", T_TRUE, "--checks", "identity"), 3, "err", "thm1 provenance t = true is not an integer"),
     (("verify", "--in", PROV_5, "--checks", "identity"), 3, "err", "provenance is not"),
     (("verify", "--in", PROV_5, "--checks", "apn"), 3, "err", "provenance is not"),
     (("verify", "--in", PROV_LIST, "--checks", "identity"), 3, "err", "provenance is not"),
@@ -497,8 +503,9 @@ def test_verify_certifies_the_path_once(tmp_path, monkeypatch, capsys):
 
 def test_verify_sweeps_the_differential_spectrum_once(tmp_path, monkeypatch, capsys):
     # The apn and crooked checks read one derivative sweep. On a quadratic
-    # input, verify runs two batched eliminations: one for the derivatives
-    # and one for the symplectic matrices of the Walsh check.
+    # APN input, verify runs one batched elimination, of the derivatives,
+    # and the Walsh check reads its radicals off that sweep's normals; a
+    # non-APN quadratic input adds one of the symplectic matrices.
     sweeps, eliminations = [], []
 
     def counted(f, original=vbf._derivative_sweep):
@@ -517,6 +524,13 @@ def test_verify_sweeps_the_differential_spectrum_once(tmp_path, monkeypatch, cap
     sweeps.clear()
     eliminations.clear()
     assert cli.main(["verify", "--in", str(thm1), "--checks", "apn,crooked,walsh"]) == 0
+    assert (len(sweeps), len(eliminations)) == (1, 1)
+    # m = 4 is even, so the thm1 tuple is not APN (construct warns on stderr).
+    assert cli.main(["construct", "--family", "thm1", "--n", "8", "--auto", "--seed", "1",
+                     "--out", str(thm1)]) == 0
+    sweeps.clear()
+    eliminations.clear()
+    assert cli.main(["verify", "--in", str(thm1), "--checks", "apn,crooked,walsh"]) == 1
     assert (len(sweeps), len(eliminations)) == (1, 2)
     capsys.readouterr()
     # The inverse at n = 7 is APN but not crooked: direction 1 has no
@@ -531,6 +545,50 @@ def test_verify_sweeps_the_differential_spectrum_once(tmp_path, monkeypatch, cap
     assert len(sweeps) == 1
     doc = json.loads(capsys.readouterr().out)
     assert (doc["delta"], doc["crooked"], doc["crooked_failed_at"]) == (2, False, "1")
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 6, 9, 12])
+@pytest.mark.parametrize("terms", [((1, 3),), ((1, 3), (1, 1))], ids=["x^3", "x^3+x"])
+def test_witnesses_render_as_their_dict(n, terms, tmp_path, capsys):
+    # x^3 takes the power path and x^3 + x the quadratic one; both are
+    # crooked. From n = 5 on, the hex keys in lexicographic order ("10"
+    # before "2") are no longer in numeric order.
+    ctx = FieldCtx(n)
+    m = vbf.multinomial(ctx, terms)
+    path = tmp_path / "f.json"
+    path.write_text(funcfile.serialize(funcfile.from_multinomial_repr(m)))
+    witnesses = witness_dict(vbf.is_crooked(vbf.from_multinomial(m)))
+    doc = {"checks": ["crooked"], "crooked": True, "hyperplane_witnesses": witnesses, "n": n, "pass": True}
+    for as_json in (True, False):
+        assert cli.main(["verify", "--in", str(path), "--checks", "crooked", *["--json"] * as_json]) == 0
+        out = capsys.readouterr().out
+        assert out == emitted(doc, as_json)
+        if as_json:
+            keys = list(json.loads(out)["hyperplane_witnesses"])
+            assert (keys == list(witnesses)) == (n < 5)
+
+
+def test_one_parser_per_process(tmp_path, capsys):
+    cli.build_parser.cache_clear()
+    path = tmp_path / "gold.json"
+    assert cli.main(["construct", "--family", "gold", "--n", "6"]) == 0
+    path.write_text(capsys.readouterr().out)
+    outs = []
+    for _ in range(2):
+        assert cli.main(["verify", "--in", str(path), "--checks", "apn,crooked,walsh"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert cli.build_parser.cache_info()[:2] == (2, 1)  # (hits, misses)
+    # argparse's own refusal is unchanged: exit 2, the same stderr as from
+    # a parser built afresh.
+    errs = []
+    for parse in (cli.main, cli.build_parser.__wrapped__().parse_args):
+        with pytest.raises(SystemExit) as e:
+            parse(["verify", "--checks", "apn"])
+        assert e.value.code == 2
+        errs.append(capsys.readouterr())
+    assert errs[0] == errs[1] and errs[0].out == ""
+    assert "the following arguments are required: --in" in errs[0].err
 
 
 def test_differential_spectrum_hands_out_its_own_counter():

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from crooked import spectral, vbf
-from crooked.families import build_gold
+from crooked.errors import NotApnWarning
+from crooked.families import build, build_gold, search_params
 from crooked.field import FieldCtx
-from helpers import ea_transform, is_ab, naive_walsh, random_quadratic
+from helpers import _forced_path, ea_transform, is_ab, naive_walsh, random_quadratic
 
 
 def _table(ctx, fn):
@@ -104,3 +105,61 @@ def test_extended_spectrum_and_nl_ea_invariant(n):
         s = spectral.walsh_spectrum(g)
         assert s.extended == base.extended
         assert s.nl == base.nl
+
+
+def _gold_plus_affine(n, s, seed):
+    """x^(2^s+1) + c2 x^2 + c1 x + c0 with seeded c2, c1 and c0 != 0:
+    quadratic and no power function, and APN exactly when gcd(s, n) = 1."""
+    ctx, rng = FieldCtx(n), random.Random(seed)
+    c2, c1, c0 = rng.randrange(ctx.order), rng.randrange(ctx.order), rng.randrange(1, ctx.order)
+    m = vbf.multinomial(ctx, [(1, (1 << s) + 1), (c2, 2), (c1, 1)])
+    return vbf.TruthTable(ctx, vbf.from_multinomial(m).values ^ np.uint32(c0))
+
+
+def _family(family, n, seed):
+    ctx = FieldCtx(n)
+    return vbf.from_multinomial(build(ctx, search_params(ctx, family, budget=1, seed=seed)[0]))
+
+
+def _even_m_thm1():
+    with pytest.warns(NotApnWarning):  # m = 4: no first-family tuple is APN
+        return _family("thm1", 8, 3)
+
+
+# name -> (builder, APN): APN tables, where the quadratic Walsh branch counts
+# the radicals off the derivative sweep's normals, and non-APN ones, where it
+# ranks the symplectic matrices. x^(2^s+1) with gcd(s, n) > 1 is a power
+# function, forced onto the quadratic path below, and taken there with
+# affine terms.
+QUADRATIC_WALSH_CASES = {
+    **{f"gold n={n} s={s} + affine": (lambda n=n, s=s: _gold_plus_affine(n, s, n), True)
+       for n, s in ((3, 1), (5, 2), (6, 1), (7, 3), (8, 3), (10, 3))},
+    **{f"{fam} n=6 seed={seed}": (lambda fam=fam, seed=seed: _family(fam, 6, seed), True)
+       for fam in ("thm1", "thm2") for seed in (1, 2)},
+    **{f"x^{(1 << s) + 1} n={n}": (
+        lambda n=n, s=s: vbf.from_multinomial(vbf.multinomial(FieldCtx(n), [(1, (1 << s) + 1)])), False)
+       for n, s in ((4, 2), (6, 2), (6, 3), (8, 2))},
+    **{f"x^{(1 << s) + 1} n={n} + affine": (lambda n=n, s=s: _gold_plus_affine(n, s, n), False)
+       for n, s in ((4, 2), (6, 2), (6, 3), (8, 2))},
+    "thm1 n=8, even m": (_even_m_thm1, False),
+}
+
+
+@pytest.mark.parametrize("name", QUADRATIC_WALSH_CASES)
+def test_quadratic_walsh_equals_every_component(name, monkeypatch):
+    make, apn = QUADRATIC_WALSH_CASES[name]
+    f = make()
+    ranked = []
+
+    def counted(g, original=spectral.symplectic_rows):
+        ranked.append(g)
+        return original(g)
+
+    monkeypatch.setattr(spectral, "symplectic_rows", counted)
+    assert vbf.has_degree_at_most_2(f)
+    with _forced_path("quadratic"):
+        assert (vbf.differential_spectrum(f)[0] == 2) == apn
+        got = spectral.walsh_spectrum(f)
+    assert len(ranked) == (0 if apn else 1)
+    with _forced_path("exhaustive"):
+        assert got == spectral.walsh_spectrum(f)
