@@ -1,13 +1,16 @@
 """GF(2) elimination in two shapes. `rank_and_normal_batched` reduces many
 systems of uint32 bitset vectors at once, one system per array element:
-the derivatives and components of the quadratic path. `rank_packed` ranks
-one bit-packed matrix on Python-int rows: the window probes and the Schur
-complement of the development ranks (`invariants.development_rank`).
-`pack_rows` packs a boolean matrix into uint64 words.
+the derivatives and components of the quadratic path. `rank_packed` gives
+the F_2 dimension of the module that the rows of one bit-packed matrix
+generate over F_2[y_0..y_(k-1)]/(y_i^2), on Python-int rows: the window
+probes and the Schur complement of the development ranks
+(`invariants.development_rank`). `pack_rows` packs a boolean matrix into
+uint64 words.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -58,26 +61,60 @@ def pack_rows(bool_rows: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(packed).view(np.uint64)
 
 
-def rank_packed(a: np.ndarray) -> int:
-    """Rank over GF(2) of a 2-D array of little-endian bit-packed words of
-    any unsigned dtype, each row read as one Python int; one row is kept
-    per leading bit.
+@functools.cache
+def _graded_shifts(width: int) -> List[Tuple[int, int, int]]:
+    """(b, M_b, above_b) for the shifts b of a `width`-bit ring element, in
+    graded order (popcount, then value): y^b * x = (x & M_b) << b, where
+    M_b holds the v with v & b = 0, and above_b = M_b << b the b' that
+    contain b."""
+    ones = (1 << width) - 1
+    masks = [ones]
+    for b in range(1, width):
+        low = b & -b
+        # The v with bit `low` clear: a run of `low` ones every 2 low bits.
+        masks.append(masks[b ^ low] & ((1 << low) - 1) * (ones // ((1 << 2 * low) - 1)))
+    order = sorted(range(width), key=lambda b: (bin(b).count("1"), b))
+    return [(b, masks[b], masks[b] << b) for b in order]
+
+
+def rank_packed(a: np.ndarray, width: int) -> int:
+    """F_2 dimension of the submodule over R = F_2[y_0..y_(k-1)]/(y_i^2)
+    that the rows of `a` generate, where `a` is a 2-D array of little-endian
+    bit-packed words of any unsigned dtype and each row is a run of ring
+    elements of `width` = 2^k bits, bit u the coefficient of y^u; width 1
+    gives the plain F_2 rank. The width divides the bits of a row.
+
+    Each row R is read once as a Python int, and its shifts
+    y^b * R = (R & M_b) << b are reduced in graded order, one kept row per
+    leading bit. Once y^b * R reduces to zero, every b' containing b is
+    skipped: y^(b' - b) maps that dependency onto shifts of R that come
+    strictly earlier, plus the module of the rows before R.
 
     The rows are read bottom row first, so that the pivot rows found first
-    are sparse: the window probes of `invariants.development_rank` are
-    upper triangular, and its expanded Schur complement, though filled in
-    below the diagonal, keeps the fewest bits in its bottom rows.
+    are sparse: the Schur complement of `invariants.development_rank`,
+    though filled in below the diagonal, keeps the fewest bits in its
+    bottom rows.
     """
-    leading = [0] * (8 * a.itemsize * a.shape[1] + 1)  # the row kept per bit_length
+    bits = 8 * a.itemsize * a.shape[1]
+    each = ((1 << bits) - 1) // ((1 << width) - 1)  # bit 0 of every element
+    shifts = [(b, mask * each, above) for b, mask, above in _graded_shifts(width)]
+    leading = [0] * (bits + 1)  # the row kept per bit_length
     rank = 0
     for row in a[::-1]:
-        r = int.from_bytes(row.tobytes(), "little")
-        while r:
-            top = r.bit_length()
-            p = leading[top]
-            if not p:
-                leading[top] = r
-                rank += 1
-                break
-            r ^= p
+        whole = int.from_bytes(row.tobytes(), "little")
+        spanned = 0  # the shifts b already known to reduce to zero
+        for b, mask, above in shifts:
+            if spanned >> b & 1:
+                continue
+            r = (whole & mask) << b
+            while r:
+                top = r.bit_length()
+                p = leading[top]
+                if not p:
+                    leading[top] = r
+                    rank += 1
+                    break
+                r ^= p
+            else:  # y^b * R reduced to zero
+                spanned |= above
     return rank

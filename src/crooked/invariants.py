@@ -45,10 +45,10 @@ _NIBBLE = 4
 
 
 @functools.cache
-def _ring_shifts(low: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(masks, u) with y^u * a = (a & masks[u]) << u for a ring element a of
-    `low` bits: masks[u] holds the bits v with v & u = 0."""
-    u = np.arange(low, dtype=np.uint64)
+def _ring_shifts() -> Tuple[np.ndarray, np.ndarray]:
+    """(masks, u) with y^u * a = (a & masks[u]) << u for a ring element a:
+    masks[u] holds the bits v with v & u = 0."""
+    u = np.arange(_RING_BITS, dtype=np.uint64)
     return gf2mat.pack_rows((u[:, None] & u) == 0)[:, 0], u
 
 
@@ -67,7 +67,7 @@ def _unit_pivots(N: np.ndarray) -> int:
     the 64 shifts y^b * N[p] are summed into one table per 4 bits of the
     coefficient, and N[i, q] * u is the q entry of N[i, q] * N[p]."""
     size = N.shape[0]
-    masks, shifts = _ring_shifts(_RING_BITS)
+    masks, shifts = _ring_shifts()
     group = np.arange(0, _RING_BITS, _NIBBLE, dtype=np.uint64)[:, None]  # low bit of each
     g = np.arange(group.size)[:, None]
     nibble = np.uint64((1 << _NIBBLE) - 1)
@@ -114,10 +114,12 @@ def development_rank(two_n: int, points: np.ndarray) -> int:
     sigma[u] is the word t[64u : 64u + 64]; F_2 row 64 v + b is
     y^b * N[v]. R is local, so its units (constant bit 1) give 64 pivots
     each, and their number is the F_2 rank of N's constant bits: the
-    development rank of the set projected off the ring coordinates. Of
-    the 2n cyclic windows of 6 coordinates, the one with the most units is
-    rotated to the bottom. Unit pivots are eliminated over R, and only the
-    nonzero rows y^b * N[v] of what is left are expanded for `rank_packed`.
+    development rank of the set projected off the ring coordinates, and
+    the rank of the one element c[u] = sigma[u] & 1 of F_2[Z_2^(two_n-6)],
+    whose multiplication matrix they are. Of the 2n cyclic windows of 6
+    coordinates, the one whose c has the largest rank is rotated to the
+    bottom. Unit pivots are eliminated over R, and `rank_packed` ranks the
+    R-module that the rows of what is left generate.
     """
     size = 1 << two_n
     if points.size % 2:
@@ -131,25 +133,20 @@ def development_rank(two_n: int, points: np.ndarray) -> int:
         h *= 2
     low = min(size, _RING_BITS)
     v = np.arange(size // low)
-    above = (v[:, None] & v) == v[:, None]  # w contains v
-    apart = v[:, None] ^ v
     k = 0
     if v.size > 1:
-        # offered[k]: the units with the coordinates rotated right by k, the
-        # F_2 rank of N's constant bits t[64 (w ^ v)].
-        constant = t[_rotl(v * low, np.arange(two_n)[:, None], two_n)][:, apart] & above
-        packed = np.packbits(constant, axis=2, bitorder="little")
-        offered = [gf2mat.rank_packed(m) for m in packed]
+        # offered[j]: the units with the coordinates rotated right by j, the
+        # rank of the element c[u] = t[rotl(64 u, j)] whose multiplication
+        # matrix is N's constant bits.
+        c = t[_rotl(v * low, np.arange(two_n)[:, None], two_n)]
+        c = np.packbits(c, axis=1, bitorder="little")
+        offered = [gf2mat.rank_packed(c[j : j + 1], v.size) for j in range(two_n)]
         k = offered.index(max(offered))
     t = t[_rotl(np.arange(size), k, two_n)]
     sigma = gf2mat.pack_rows(t.reshape(-1, low))[:, 0]
-    N = np.where(above, sigma[apart], np.uint64(0))
+    N = np.where((v[:, None] & v) == v[:, None], sigma[v[:, None] ^ v], np.uint64(0))
     units = _unit_pivots(N)
-    rest = N[N.any(1)][:, N.any(0)]
-    masks, shifts = _ring_shifts(low)
-    r, b = np.nonzero((np.bitwise_or.reduce(rest, axis=1)[:, None] & masks) != 0)
-    rows = (rest[r] & masks[b, None]) << shifts[b, None]
-    return low * units + gf2mat.rank_packed(rows)
+    return low * units + gf2mat.rank_packed(N[N.any(1)][:, N.any(0)], low)
 
 
 def gamma_rank(f: TruthTable) -> int:

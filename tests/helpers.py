@@ -222,6 +222,30 @@ def naive_rank(rows: List[int]) -> int:
     return len(leading)
 
 
+def ring_shifts(rows: List[int], width: int) -> List[int]:
+    """Every y^b * R, 0 <= b < width, for each row R read as a run of
+    elements of F_2[y_0..y_(k-1)]/(y_i^2), width = 2^k, bit u of an element
+    the coefficient of y^u: the sum over the monomials y^u of R of
+    y^u * y^b = y^(u | b), which is 0 unless b lies in the complement of u.
+    Their F_2 span is the submodule the rows generate."""
+    out: List[int] = []
+    for r in rows:
+        shifted = [0] * width
+        while r:
+            p = (r & -r).bit_length() - 1
+            r ^= 1 << p
+            e, u = divmod(p, width)
+            rest = (width - 1) ^ u
+            b = rest
+            while True:  # every subset b of rest
+                shifted[b] ^= 1 << (e * width + (u | b))
+                if not b:
+                    break
+                b = (b - 1) & rest
+        out += shifted
+    return out
+
+
 def f2_is_irreducible_by_trial_division(p: int) -> bool:
     """Irreducibility over F_2 of the polynomial with bitmask p, by long
     division through every polynomial of degree 1 .. deg(p) // 2."""

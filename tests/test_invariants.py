@@ -7,7 +7,7 @@ from crooked import gf2mat, invariants, vbf
 from crooked.errors import InfeasibleSize
 from crooked.families import build_gold, search_params, build
 from crooked.field import FieldCtx
-from helpers import ea_transform, naive_rank, random_invertible, apply_linear
+from helpers import ea_transform, naive_rank, random_invertible, apply_linear, ring_shifts
 
 
 def _rank_cases(rng, cols):
@@ -53,17 +53,33 @@ def _rank_cases(rng, cols):
                + [rng.randrange(1 << cols) for _ in range(nrows - top)]), None
 
 
+def _packed(rows, cols, width):
+    """The rows as uint64 words and as the uint8 bytes that the window
+    probes of `development_rank` pass, each padded to whole ring elements
+    of `width` bits."""
+    bools = np.array([[(r >> j) & 1 for j in range(cols)] for r in rows], dtype=bool)
+    for packed in (gf2mat.pack_rows(bools), np.packbits(bools, axis=1, bitorder="little")):
+        per = max(1, width // (8 * packed.itemsize))  # words per element
+        yield np.pad(packed, ((0, 0), (0, -packed.shape[1] % per)))
+
+
 def test_rank_packed_vs_naive_rank():
-    # On uint64 words, and on the uint8 bytes that the window probes of
-    # `development_rank` pass.
+    # The dimension of the submodule the rows generate, as ring rows of
+    # width 1 (the plain F_2 rank), 4, 64 and 256 (four words per element,
+    # on fewer shapes: each row has 256 shifts).
     rng = random.Random(9)
-    for cols in (1, 10, 63, 64, 65, 70, 127, 128, 130, 200):
-        for rows, expected in _rank_cases(rng, cols):
-            bools = np.array([[(r >> j) & 1 for j in range(cols)] for r in rows], dtype=bool)
-            for packed in (gf2mat.pack_rows(bools), np.packbits(bools, axis=1, bitorder="little")):
-                rank = gf2mat.rank_packed(packed)
-                assert rank == naive_rank(rows), (cols, len(rows), packed.dtype)
-                assert expected is None or rank == expected, (cols, len(rows))
+    shapes = (1, 10, 63, 64, 65, 70, 127, 128, 130, 200)
+    for width in (1, 4, 64, 256):
+        for cols in shapes if width < 256 else (1, 10, 63, 65, 200):
+            for rows, expected in _rank_cases(rng, cols):
+                # The sparse shifts of high popcount first, which is faster.
+                module = naive_rank(ring_shifts(rows, width)[::-1])
+                if width == 1:
+                    assert module == naive_rank(rows)
+                    assert expected is None or module == expected, (cols, len(rows))
+                for packed in _packed(rows, cols, width):
+                    rank = gf2mat.rank_packed(packed, width)
+                    assert rank == module, (width, cols, len(rows), packed.dtype)
 
 
 def _point_sets(rng):
@@ -146,7 +162,7 @@ def test_development_rank_is_full_exactly_at_odd_size(monkeypatch):
             rows = [sum(1 << (p ^ g) for p in pts) for g in range(size)]
             assert (naive_rank(rows) == size) == (npoints % 2 == 1), (two_n, npoints)
 
-    def no_elimination(a):
+    def no_elimination(a, width):
         raise AssertionError("an odd-size set was eliminated")
 
     monkeypatch.setattr(gf2mat, "rank_packed", no_elimination)
@@ -177,12 +193,8 @@ def test_ranks_n6_pinned():
     assert (invariants.gamma_rank(inverse), invariants.delta_rank(inverse)) == (2016, 4096)
 
 
-def _full_expansion_rank(two_n, points):
-    """`naive_rank` of the whole 2^(2n)-square matrix in the monomial basis,
-    with no ring elimination: row 64 h + l is row l with its words permuted
-    by j -> j ^ h and zeroed outside the words j containing h. The matrix
-    is upper triangular, so its rows are fed bottom row first, where they
-    are sparse; the rank does not depend on the order."""
+def _superset_counts(two_n, points):
+    """t[u] = #{p in points : p contains u} mod 2, one coordinate at a time."""
     size = 1 << two_n
     t = np.zeros(size, dtype=bool)
     t[points] = True
@@ -190,6 +202,17 @@ def _full_expansion_rank(two_n, points):
         u = np.arange(size)
         lacks = (u >> i) & 1 == 0
         t[u[lacks]] ^= t[u[lacks] | (1 << i)]
+    return t
+
+
+def _full_expansion_rank(two_n, points):
+    """`naive_rank` of the whole 2^(2n)-square matrix in the monomial basis,
+    with no ring elimination: row 64 h + l is row l with its words permuted
+    by j -> j ^ h and zeroed outside the words j containing h. The matrix
+    is upper triangular, so its rows are fed bottom row first, where they
+    are sparse; the rank does not depend on the order."""
+    size = 1 << two_n
+    t = _superset_counts(two_n, points)
     bits = np.arange(64)
     rows = t.reshape(-1, 64)[:, bits ^ bits[:, None]] & ((bits & bits[:, None]) == bits[:, None])
     packed = gf2mat.pack_rows(rows.transpose(1, 0, 2).reshape(64, size))
@@ -319,3 +342,39 @@ def test_rank_ea_invariance_small():
         g = ea_transform(f, rng)
         assert invariants.gamma_rank(g) == base_g
         assert invariants.delta_rank(g) == base_d
+
+
+def test_window_probes_count_the_units(monkeypatch):
+    # The probe of the window rotated right by k, the rank of the one ring
+    # element c[u] = t[rotl(64 u, k)], is the F_2 rank of N's constant bits
+    # on that window, and the unit stage finds the most any window offers.
+    units = _record_units(monkeypatch)
+    calls = []
+
+    def recorded(a, width, original=gf2mat.rank_packed):
+        calls.append((a.shape[0], width, original(a, width)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(gf2mat, "rank_packed", recorded)
+    sets = [(two_n, np.array(pts, dtype=np.uint32))
+            for two_n, pts in _point_sets(random.Random(31)) if two_n >= 8]
+    sets += [(2 * f.ctx.n, points) for _, f, _ in _rank_inputs()
+             for points in (invariants.graph_points(f), invariants.difference_points(f))]
+    for two_n, points in sets:
+        calls.clear()
+        invariants.development_rank(two_n, points)
+        if points.size % 2:
+            assert not calls
+            continue
+        size, m = 1 << two_n, 1 << (two_n - 6)
+        t = _superset_counts(two_n, points)
+        v = np.arange(m)
+        constant_ranks = []
+        for k in range(two_n):
+            c = t[((v << 6 << k) | (v << 6 >> (two_n - k))) & (size - 1)]
+            matrix = c[v[:, None] ^ v] & ((v[:, None] & v) == v[:, None])
+            packed = np.packbits(matrix, axis=1, bitorder="little")
+            constant_ranks.append(naive_rank([int.from_bytes(row.tobytes(), "little") for row in packed]))
+        assert [(rows, width) for rows, width, _ in calls[:two_n]] == [(1, m)] * two_n
+        assert [rank for _, _, rank in calls[:two_n]] == constant_ranks, two_n
+        assert units[-1] == max(constant_ranks), two_n
