@@ -25,6 +25,8 @@ from itertools import islice
 from math import prod
 from typing import Callable, List, Optional, Tuple
 
+import numpy as np
+
 from . import families, funcfile, invariants, spectral, vbf
 from .errors import (
     CrookedError,
@@ -69,18 +71,44 @@ def _emit(doc: dict, as_json: bool):
             print(f"{k}: {doc[k]}")
 
 
+_HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+
+
+def _hex_grid(v: np.ndarray, width: int) -> np.ndarray:
+    """(len(v), width) uint8: the lowercase hex digits of each entry of v,
+    left-aligned, then 0 bytes; width must cover the longest entry."""
+    length = np.ones(len(v), dtype=np.int64)
+    for j in range(1, width):
+        length += (v >> 4 * j) != 0
+    shift = 4 * (length[:, None] - 1 - np.arange(width))
+    grid = _HEX_DIGITS[(v[:, None] >> np.maximum(shift, 0)) & 15]
+    grid[shift < 0] = 0
+    return grid
+
+
 def _witnesses(res: vbf.CrookedReport, as_json: bool) -> _Rendered:
     """The hyperplane_witnesses object {hex a: [hex b, eps]}, rendered from
     the report's arrays as `_emit` would render that dict: for JSON in
     sort_keys order, which is lexicographic on hex, else as str(dict) in
-    numeric order. No per-direction object is built."""
-    hexes = [format(v, "x") for v in range(len(res.b) + 1)]
-    pairs = zip(hexes[1:], map(hexes.__getitem__, res.b.tolist()), res.eps.tolist())
+    numeric order. Each direction is one row of a byte grid, its hex digits
+    padded with 0 bytes that one mask drops; no per-direction object is
+    built."""
+    width = (len(res.b).bit_length() + 3) // 4
+    keys = _hex_grid(np.arange(1, len(res.b) + 1), width)
+    q, colon, comma, sep = ('"', ":", ",", ",") if as_json else ("'", ": ", ", ", ", ")
+    columns = [q, keys, f"{q}{colon}[{q}", _hex_grid(res.b, width), q + comma,
+               (ord("0") + res.eps)[:, None], "]" + sep]
+    grid = np.concatenate([
+        c if isinstance(c, np.ndarray)
+        else np.broadcast_to(np.frombuffer(c.encode(), dtype=np.uint8), (len(keys), len(c)))
+        for c in columns
+    ], axis=1)
     if as_json:
-        # The key's closing quote sorts below every hex digit, so sorting
-        # the entries sorts them by key, as sort_keys does.
-        return _Rendered("{" + ",".join(sorted(f'"{a}":["{b}",{e}]' for a, b, e in pairs)) + "}")
-    return _Rendered("{" + ", ".join(f"'{a}': ['{b}', {e}]" for a, b, e in pairs) + "}")
+        # The padding byte 0 ranks below every hex digit, so sorting the
+        # rows by their key digits, first digit first, sorts them by key.
+        grid = grid[np.lexsort(keys.T[::-1])]
+    body = grid[grid != 0].tobytes()[: -len(sep)].decode("ascii")
+    return _Rendered("{" + body + "}")
 
 
 def _int(text: str, base: int = 16) -> int:
@@ -231,6 +259,10 @@ def _params_from_provenance(ff: funcfile.FunctionFile):
     if fam not in families.FAMILIES:
         return None
     try:
+        r = prov.get("r", [])
+        # tuple() would read a string as its characters, an object as its keys.
+        if not isinstance(r, list):
+            raise TypeError(f"r = {json.dumps(r)}, which is not a list")
         p = families.FamilyParams(
             fam,
             m=funcfile._integer(prov["m"], f"{fam} provenance m"),
@@ -239,7 +271,7 @@ def _params_from_provenance(ff: funcfile.FunctionFile):
             K=tuple(prov["K"]),
             c=int(prov["c"], 16),
             d=int(prov["d"], 16),
-            r=tuple(int(v, 16) for v in prov.get("r", [])),
+            r=tuple(int(v, 16) for v in r),
         )
     except (KeyError, TypeError, ValueError) as e:
         raise MalformedFile(f"{fam} provenance lacks or garbles {e}") from None

@@ -11,7 +11,6 @@ log/antilog pair, built on first use at every degree.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import accumulate, repeat
 from math import gcd
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
@@ -24,20 +23,22 @@ MAX_DEGREE = 24
 
 
 def _f2_mul(a: int, b: int) -> int:
-    # Carry-less product of two F_2[x] polynomials given as bitmasks.
+    # Carry-less product of two F_2[x] polynomials given as bitmasks: one
+    # shifted copy of a per set bit of b.
     r = 0
     while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        b >>= 1
+        low = b & -b
+        r ^= a * low
+        b ^= low
     return r
 
 
 def _f2_mod(a: int, m: int) -> int:
     dm = m.bit_length()
-    while a.bit_length() >= dm:
-        a ^= m << (a.bit_length() - dm)
+    shift = a.bit_length() - dm
+    while shift >= 0:
+        a ^= m << shift
+        shift = a.bit_length() - dm
     return a
 
 
@@ -168,18 +169,27 @@ class FieldCtx:
         return r
 
     @cached_property
+    def _traces(self) -> List[int]:
+        """tr(x^k) for 0 <= k < 2n - 1. The conjugates of x are the roots of
+        the modulus, so tr(x^k) is their k-th power sum s_k, which Newton's
+        identities give from the modulus's coefficients e_i (the bits n - i)
+        with no field product: s_0 = n, s_k = sum over 0 < i < k, i <= n of
+        e_i s_(k-i), plus k e_k when k <= n, all mod 2. Computed on first use."""
+        n = self.n
+        e = [self.modulus >> (n - i) & 1 for i in range(n + 1)]
+        s = [n & 1]
+        for k in range(1, 2 * n - 1):
+            t = k & e[k] & 1 if k <= n else 0
+            for i in range(1, min(k, n + 1)):
+                t ^= e[i] & s[k - i]
+            s.append(t)
+        return s
+
+    @cached_property
     def _trace_mask(self) -> int:
         """The n-bit mask w = sum of tr(x^i) 2^i; the trace is F_2-linear,
-        so tr(a) = parity(a & w). Each tr(x^i) is the XOR of the n Frobenius
-        images of x^i. Computed on first use."""
-        w = 0
-        for i in range(self.n):
-            acc = v = 1 << i
-            for _ in range(self.n - 1):
-                v = self.mul(v, v)
-                acc ^= v
-            w |= acc << i  # acc is 0 or 1
-        return w
+        so tr(a) = parity(a & w). Computed on first use."""
+        return sum(t << i for i, t in enumerate(self._traces[: self.n]))
 
     def trace(self, a: int) -> int:
         """Absolute trace to F_2."""
@@ -222,12 +232,7 @@ class FieldCtx:
         """
         import numpy as np
 
-        n = self.n
-        traces = []  # traces[k] = trace(x^k)
-        v = 1
-        for _ in range(2 * n - 1):
-            traces.append(self.trace(v))
-            v = self.mul(v, 2)
+        n, traces = self.n, self._traces
         masks = np.zeros(self.order, dtype=np.uint32)
         for j in range(n):
             basis = sum(traces[i + j] << i for i in range(n))
@@ -249,11 +254,13 @@ class FieldCtx:
         """exp_array[i] = gamma^i for 0 <= i < 2^n - 1, gamma the generator
         `_find_generator` picks, as uint32 (GF(2) has exp_array = [1]).
 
-        Built on first use: the first 64 powers one product at a time, then
-        by doubling, exp[k:2k] = exp[:k] * c with c = gamma^k. Times c is
-        F_2-linear, so it is the XOR of one lookup per byte of its argument,
-        in 256-entry tables spanned by c*x^i for that byte's bits i. Times c
-        applied to the tables' own entries gives the tables of c^2.
+        Built on first use by doubling from exp[0] = 1: exp[k:2k] =
+        exp[:k] * c with c = gamma^k. Times c is F_2-linear, so it is the XOR
+        of one lookup per byte of its argument, in 256-entry tables spanned
+        by c*x^i for that byte's bits i. The first tables, of times gamma,
+        are spanned by gamma*x^i, each the last one times x: a shift, less
+        the modulus when it reaches degree n. Times c applied to the tables'
+        own entries gives the tables of c^2.
         """
         import numpy as np
 
@@ -263,15 +270,19 @@ class FieldCtx:
                 out ^= tables[byte][(v >> 8 * byte) & 255]
             return out
 
-        exp = np.empty(self.mult_order, dtype=np.uint32)
-        gamma, k = self._find_generator(), min(64, self.mult_order)
-        exp[:k] = list(accumulate(repeat(gamma, k - 1), self.mul, initial=1))
-        # The byte tables of times c = gamma^k: row j spans c*x^(8j), ..., c*x^(8j+7).
-        images = [*accumulate(repeat(2, self.n - 1), self.mul, initial=self.pow(gamma, k))]
+        images, v = [], self._find_generator()
+        for _ in range(self.n):
+            images.append(v)
+            v <<= 1
+            if v >> self.n:
+                v ^= self.modulus
+        # Row j of the byte tables spans gamma*x^(8j), ..., gamma*x^(8j+7).
         images = np.array(images + [0] * (-self.n % 8), dtype=np.uint32).reshape(-1, 8, 1)
         tables = np.zeros((len(images), 256), dtype=np.uint32)
         for i in range(8):
             tables[:, 1 << i : 2 << i] = tables[:, : 1 << i] ^ images[:, i]
+        exp = np.empty(self.mult_order, dtype=np.uint32)
+        exp[0], k = 1, 1
         while k < self.mult_order:
             head = exp[: min(k, self.mult_order - k)]
             exp[k : k + head.size] = times(tables, head)
@@ -281,5 +292,11 @@ class FieldCtx:
     @cached_property
     def trace_masks_inverse(self) -> np.ndarray:
         """inverse[w] = the a with trace_masks[a] = w. trace_masks is a
-        permutation, as the trace form is nondegenerate, so argsort inverts it."""
-        return self.trace_masks.argsort().astype(self.trace_masks.dtype)
+        permutation, as the trace form is nondegenerate, so one scatter
+        inverts it."""
+        import numpy as np
+
+        masks = self.trace_masks
+        inverse = np.empty_like(masks)
+        inverse[masks] = np.arange(self.order, dtype=masks.dtype)
+        return inverse

@@ -5,7 +5,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Optional
+
+import numpy as np
 
 from .errors import MalformedFile
 from .field import MAX_DEGREE, FieldCtx
@@ -24,7 +27,7 @@ class FunctionFile:
     modulus: int
     representation: str  # "multinomial" | "truthtable"
     terms: Optional[list] = None   # [(coeff, exp)] when multinomial
-    values: Optional[list] = None  # length-2^n ints when truthtable
+    values: Optional[np.ndarray] = None  # length-2^n ints when truthtable
     provenance: dict = field(default_factory=dict)
 
     # Each reads the function over `ctx`, which the caller has checked is
@@ -92,7 +95,11 @@ def parse(text: str) -> FunctionFile:
             terms = [(int(t["coeff"], 16), _integer(t["exp"], "exp")) for t in doc["terms"]]
             values = None
         elif rep == "truthtable":
-            values = [int(v, 16) for v in doc["values"]]
+            raw = doc["values"]
+            try:
+                values = np.fromiter(map(int, raw, repeat(16)), dtype=np.int64, count=len(raw))
+            except OverflowError:  # an entry at 2^63 or above, or below -2^63
+                raise MalformedFile("table entry outside the field") from None
             terms = None
             if len(values) != 1 << n:
                 raise MalformedFile(f"truth table length {len(values)} != 2^{n}")

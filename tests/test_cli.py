@@ -182,13 +182,16 @@ NO_M, C_FFF, M_5 = "<no-m>", "<c=fff>", "<m=5>"
 K_NEG, K_A, S_99 = "<K=[-1]>", "<K=[a]>", "<s=99>"
 PROV_5, PROV_LIST, PROV_STR = "<provenance=5>", "<provenance=[]>", "<provenance='x'>"
 M_3_0, S_5_9, T_TRUE = "<m=3.0>", "<s=5.9>", "<t=true>"
+R_STR, R_OBJECT = "<r='0000'>", "<r={a:1}>"
 PROVENANCE_EDITS = {NO_M: ("m", None), C_FFF: ("c", "fff"), M_5: ("m", 5),
                     K_NEG: ("K", [-1]), K_A: ("K", ["a"]), S_99: ("s", 99),
                     PROV_5: (None, 5), PROV_LIST: (None, []), PROV_STR: (None, "x"),
-                    M_3_0: ("m", 3.0), S_5_9: ("s", 5.9), T_TRUE: ("t", True)}
-ENTRY_NEG, ENTRY_BIG = "<entry=-1>", "<entry=100000000>"
+                    M_3_0: ("m", 3.0), S_5_9: ("s", 5.9), T_TRUE: ("t", True),
+                    R_STR: ("r", "0000"), R_OBJECT: ("r", {"a": 1})}
+ENTRY_NEG, ENTRY_BIG, ENTRY_2_80 = "<entry=-1>", "<entry=100000000>", "<entry=16^20>"
 N_2_40, N_10_30, VERSION_7 = "<n=2^40>", "<n=10^30>", "<schema_version=7>"
 TABLE_EDITS = {ENTRY_NEG: ("entry", "-1"), ENTRY_BIG: ("entry", "100000000"),
+               ENTRY_2_80: ("entry", "1" + "0" * 20),
                N_2_40: ("n", 1 << 40), N_10_30: ("n", 10 ** 30), VERSION_7: ("schema_version", 7)}
 GOLD, MISSING, NOT_UTF8, NO_DIR = "<gold>", "<missing>", "<not-utf-8>", "<no-dir>"
 TOP_LIST, TOP_NUMBER = "<[]>", "<5>"
@@ -247,12 +250,19 @@ EXIT_CASES = [
     (("verify", "--in", M_3_0, "--checks", "identity"), 3, "err", "thm1 provenance m = 3.0 is not an integer"),
     (("verify", "--in", S_5_9, "--checks", "identity"), 3, "err", "thm1 provenance s = 5.9 is not an integer"),
     (("verify", "--in", T_TRUE, "--checks", "identity"), 3, "err", "thm1 provenance t = true is not an integer"),
+    # tuple() would read a string as its characters and an object as its keys.
+    (("verify", "--in", R_STR, "--checks", "identity"), 3, "err",
+     'thm1 provenance lacks or garbles r = "0000", which is not a list'),
+    (("verify", "--in", R_OBJECT, "--checks", "identity"), 3, "err",
+     'thm1 provenance lacks or garbles r = {"a": 1}, which is not a list'),
     (("verify", "--in", PROV_5, "--checks", "identity"), 3, "err", "provenance is not"),
     (("verify", "--in", PROV_5, "--checks", "apn"), 3, "err", "provenance is not"),
     (("verify", "--in", PROV_LIST, "--checks", "identity"), 3, "err", "provenance is not"),
     (("verify", "--in", PROV_STR, "--checks", "identity"), 3, "err", "provenance is not"),
     (("verify", "--in", ENTRY_NEG, "--checks", "apn"), 3, "err", "outside the field"),
     (("verify", "--in", ENTRY_BIG, "--checks", "apn"), 3, "err", "outside the field"),
+    # Beyond int64, which the table is parsed into.
+    (("verify", "--in", ENTRY_2_80, "--checks", "apn"), 3, "err", "table entry outside the field"),
     (("invariants", "--in", ENTRY_BIG, "--against", "gold-all"), 3, "err",
      "outside the field"),
     # Refused before the table length 2^n is computed.
@@ -547,12 +557,14 @@ def test_verify_sweeps_the_differential_spectrum_once(tmp_path, monkeypatch, cap
     assert (doc["delta"], doc["crooked"], doc["crooked_failed_at"]) == (2, False, "1")
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 6, 9, 12])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 9, 12, 13, 16])
 @pytest.mark.parametrize("terms", [((1, 3),), ((1, 3), (1, 1))], ids=["x^3", "x^3+x"])
 def test_witnesses_render_as_their_dict(n, terms, tmp_path, capsys):
     # x^3 takes the power path and x^3 + x the quadratic one; both are
     # crooked. From n = 5 on, the hex keys in lexicographic order ("10"
-    # before "2") are no longer in numeric order.
+    # before "2") are no longer in numeric order. n = 1 has one direction;
+    # at n = 13 the keys run to 1fff, at n = 16 to ffff, the widths where
+    # the renderer's digit grid changes.
     ctx = FieldCtx(n)
     m = vbf.multinomial(ctx, terms)
     path = tmp_path / "f.json"

@@ -190,8 +190,9 @@ def test_trial_factor():
 
 
 def test_component_mask_matches_trace():
-    for n in (2, 3, 5, 8):
-        ctx = FieldCtx(n)
+    # 0x1F = x^4+x^3+x^2+x+1, where x has order 5 and so does not generate.
+    for n, modulus in ((2, None), (3, None), (5, None), (8, None), (4, 0x1F)):
+        ctx = FieldCtx(n, modulus)
         assert "trace_masks" not in vars(ctx)  # built on first use only
         masks, inverse = ctx.trace_masks, ctx.trace_masks_inverse
         for a in range(ctx.order):
@@ -199,6 +200,48 @@ def test_component_mask_matches_trace():
             for y in range(ctx.order):
                 assert bin(mask & y).count("1") & 1 == ctx.trace(ctx.mul(a, y))
             assert inverse[mask] == a
+
+
+def _frobenius_trace(ctx: FieldCtx, a: int) -> int:
+    """tr(a) by its definition, the XOR of the n Frobenius images a^(2^i)."""
+    acc = 0
+    for _ in range(ctx.n):
+        acc ^= a
+        a = ctx.mul(a, a)
+    return acc
+
+
+def _seeded_irreducibles(n: int, count: int) -> list:
+    rng = random.Random(n)
+    found = []
+    while len(found) < count:
+        p = 1 << n | rng.getrandbits(n) | 1
+        if p not in found and f2_is_irreducible_by_trial_division(p):
+            found.append(p)
+    return found
+
+
+def test_trace_matches_frobenius_on_every_modulus():
+    # Every irreducible modulus of degree 1 to 10, then two seeded ones of
+    # each degree 11 to 24: the traces are read off the modulus's coefficients.
+    moduli = [
+        p for n in range(1, 11) for p in range(1 << n, 2 << n) if f2_is_irreducible_by_trial_division(p)
+    ] + [p for n in range(11, 25) for p in _seeded_irreducibles(n, 2)]
+    for p in moduli:
+        n = p.bit_length() - 1
+        ctx = FieldCtx(n, p)
+        # x^k for k < 2n - 1: the powers trace_masks reads, and the basis.
+        powers = [1]
+        for _ in range(2 * n - 2):
+            powers.append(ctx.mul(powers[-1], 0b10))
+        traces = [_frobenius_trace(ctx, v) for v in powers]
+        assert set(traces) <= {0, 1}
+        assert [ctx.trace(v) for v in powers] == traces, hex(p)
+        if n <= 10:
+            # Bit i of masks[x^j] is tr(x^(i+j)).
+            masks = ctx.trace_masks
+            for j in range(n):
+                assert [int(masks[1 << j]) >> i & 1 for i in range(n)] == traces[j : j + n], hex(p)
 
 
 @pytest.fixture(scope="module")
