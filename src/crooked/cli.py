@@ -21,8 +21,6 @@ import sys
 import warnings
 from collections import Counter
 from functools import cache
-from itertools import islice
-from math import prod
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -122,10 +120,7 @@ def _int(text: str, base: int = 16) -> int:
 
 def _resolve_elem(ctx: FieldCtx, text: str, seed: int) -> int:
     if text == "primitive":
-        # From 1, not 2: 1 is primitive in GF(2), and in no larger field. There
-        # are phi(2^n - 1) primitive elements; the scan stops at the one it returns.
-        phi = prod(p ** (k - 1) * (p - 1) for p, k in ctx.order_facts)
-        return next(islice(filter(ctx.is_primitive, range(1, ctx.order)), seed % phi, None))
+        return ctx.primitive(seed)
     return _int(text)
 
 

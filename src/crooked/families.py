@@ -229,8 +229,8 @@ def _k_candidates(ctx: FieldCtx) -> List[Tuple[int, ...]]:
 
 def _primitive_first(ctx: FieldCtx) -> Iterator[int]:
     """The nonzero elements, lazily: primitive ones first, each part by increasing value."""
-    units = range(1, ctx.order)
-    return chain(filter(ctx.is_primitive, units), filterfalse(ctx.is_primitive, units))
+    primitives = map(ctx.primitive, range(ctx.primitive_count))
+    return chain(primitives, filterfalse(ctx.is_primitive, range(1, ctx.order)))
 
 
 def search_params(

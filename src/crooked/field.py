@@ -11,7 +11,8 @@ log/antilog pair, built on first use at every degree.
 from __future__ import annotations
 
 from functools import cached_property
-from math import gcd
+from itertools import islice
+from math import gcd, prod
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .errors import InvalidInput, InvalidModulus
@@ -133,6 +134,9 @@ class FieldCtx:
         self.order = 1 << n
         self.mult_order = (1 << n) - 1
         self.order_facts = trial_factor(self.mult_order)
+        # phi(2^n - 1), the number of primitive elements.
+        self.primitive_count = prod(p ** (e - 1) * (p - 1) for p, e in self.order_facts)
+        self._primitives: List[int] = []  # the first ones, as far as `primitive` has scanned
 
     def __repr__(self):
         return f"FieldCtx(n={self.n}, modulus={self.modulus:#x})"
@@ -142,10 +146,6 @@ class FieldCtx:
 
     def __hash__(self):
         return hash((self.n, self.modulus))
-
-    def _find_generator(self) -> int:
-        # From 1, not 2: 1 generates GF(2)'s unit group, and no larger one.
-        return next(filter(self.is_primitive, range(1, self.order)))
 
     # -- scalar operations ------------------------------------------------
 
@@ -217,6 +217,21 @@ class FieldCtx:
             raise InvalidInput("0 is not a unit")
         return all(self.pow(a, self.mult_order // p) != 1 for p, _ in self.order_facts)
 
+    def primitive(self, k: int) -> int:
+        """The k-th primitive element by value, k taken mod
+        `primitive_count`. Every caller reads one ascending scan, kept on
+        the context: it tests each element once, and only up to the
+        largest k asked for. From 1, not 2: 1 generates GF(2)'s unit group,
+        and no larger one."""
+        found = self._primitives
+        k %= self.primitive_count
+        if len(found) <= k:
+            # Extended as a new list, so that a context shared by threads
+            # never holds an element twice.
+            rest = filter(self.is_primitive, range(found[-1] + 1 if found else 1, self.order))
+            found = self._primitives = found + list(islice(rest, k + 1 - len(found)))
+        return found[k]
+
     # -- tables for vectorised code -----------------------------------------
     # numpy is imported inside each builder, so that importing this module
     # and every scalar operation stay numpy-free: pipebench draws its inputs
@@ -251,8 +266,8 @@ class FieldCtx:
 
     @cached_property
     def exp_array(self) -> np.ndarray:
-        """exp_array[i] = gamma^i for 0 <= i < 2^n - 1, gamma the generator
-        `_find_generator` picks, as uint32 (GF(2) has exp_array = [1]).
+        """exp_array[i] = gamma^i for 0 <= i < 2^n - 1, gamma = `primitive(0)`
+        the smallest generator, as uint32 (GF(2) has exp_array = [1]).
 
         Built on first use by doubling from exp[0] = 1: exp[k:2k] =
         exp[:k] * c with c = gamma^k. Times c is F_2-linear, so it is the XOR
@@ -270,7 +285,7 @@ class FieldCtx:
                 out ^= tables[byte][(v >> 8 * byte) & 255]
             return out
 
-        images, v = [], self._find_generator()
+        images, v = [], self.primitive(0)
         for _ in range(self.n):
             images.append(v)
             v <<= 1

@@ -1,64 +1,49 @@
 """GF(2) elimination in two shapes. `rank_and_normal_batched` reduces many
-systems of uint32 bitset vectors at once, one system per array element:
-the derivatives and components of the quadratic path. `rank_packed` gives
-the F_2 dimension of the module that the rows of one bit-packed matrix
-generate over F_2[y_0..y_(k-1)]/(y_i^2), on Python-int rows: the window
-probes and the Schur complement of the development ranks
-(`invariants.development_rank`). `pack_rows` packs a boolean matrix into
-uint64 words.
+systems of uint32 bitset vectors at once, held as one array with one system
+per column: the derivatives and components of the quadratic path.
+`rank_packed` gives the F_2 dimension of the module that the rows of one
+bit-packed matrix generate over F_2[y_0..y_(k-1)]/(y_i^2), on Python-int
+rows: the window probes and the Schur complement of the development ranks
+(`invariants.development_rank`).
 """
 
 from __future__ import annotations
 
 import functools
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 
-def rank_and_normal_batched(
-    vectors: Sequence[np.ndarray], cols: int
-) -> Tuple[np.ndarray, np.ndarray]:
+def rank_and_normal_batched(vectors: np.ndarray, cols: int) -> Tuple[np.ndarray, np.ndarray]:
     """Rank and a normal of many systems of small vectors at once.
 
-    vectors[i][s] is vector i of system s, a uint32 bitset of `cols` bits.
-    Returns (rank, normal): rank[s] is the rank of system s, and normal[s]
-    a w != 0 with parity(w & v) = 0 for every vector v of the system, which
-    is the only one when rank[s] = cols - 1, or 0 when rank[s] = cols. The
-    vectors are reduced in place.
+    vectors[i, s] is vector i of system s, a uint32 bitset of `cols` bits,
+    in a (vectors, systems) uint32 array. Returns (rank, normal): rank[s] is
+    the rank of system s, and normal[s] a w != 0 with parity(w & v) = 0 for
+    every vector v of the system, which is the only one when rank[s] =
+    cols - 1, or 0 when rank[s] = cols. The vectors are reduced in place.
     """
-    rows: List[np.ndarray] = []
-    pivots: List[np.ndarray] = []  # lowest set bit of each reduced row, or 0
-    for v in vectors:
+    pivots = np.zeros_like(vectors)  # lowest set bit of each reduced row, or 0
+    # Counted as the rows come: np.count_nonzero(pivots, axis=0) copies the
+    # whole array to bool, which raised verify's peak memory at n = 16.
+    rank = np.zeros(vectors.shape[1], dtype=np.int64)
+    for i, v in enumerate(vectors):
         # Each pivot bit is set in its own row only, so the order of these
         # reductions does not matter.
-        for r, p in zip(rows, pivots):
+        for r, p in zip(vectors[:i], pivots[:i]):
             v ^= r * ((v & p) != 0)
-        p = v & (~v + np.uint32(1))
-        for r in rows:
-            r ^= v * ((r & p) != 0)
-        rows.append(v)
-        pivots.append(p)
-    rank = np.zeros(rows[0].shape, dtype=np.int64)
-    covered = np.zeros(rows[0].shape, dtype=np.uint32)
-    for p in pivots:
+        p = pivots[i]
+        np.bitwise_and(v, ~v + np.uint32(1), out=p)
         rank += p != 0
-        covered |= p
-    free = ~covered & np.uint32((1 << cols) - 1)
+        for r in vectors[:i]:
+            r ^= v * ((r & p) != 0)
+    free = ~np.bitwise_or.reduce(pivots, axis=0) & np.uint32((1 << cols) - 1)
     j = free & (~free + np.uint32(1))
     normal = j.copy()
-    for r, p in zip(rows, pivots):
+    for r, p in zip(vectors, pivots):
         normal |= p * ((r & j) != 0)
     return rank, normal
-
-
-def pack_rows(bool_rows: np.ndarray) -> np.ndarray:
-    """Pack a (R, C) boolean matrix into (R, W) uint64 words, little-endian."""
-    packed = np.packbits(bool_rows, axis=1, bitorder="little")
-    pad = (-packed.shape[1]) % 8
-    if pad:
-        packed = np.pad(packed, ((0, 0), (0, pad)))
-    return np.ascontiguousarray(packed).view(np.uint64)
 
 
 @functools.cache

@@ -47,9 +47,9 @@ _NIBBLE = 4
 @functools.cache
 def _ring_shifts() -> Tuple[np.ndarray, np.ndarray]:
     """(masks, u) with y^u * a = (a & masks[u]) << u for a ring element a:
-    masks[u] holds the bits v with v & u = 0."""
-    u = np.arange(_RING_BITS, dtype=np.uint64)
-    return gf2mat.pack_rows((u[:, None] & u) == 0)[:, 0], u
+    masks[u] holds the bits v with v & u = 0, the M_u of `gf2mat._graded_shifts`."""
+    masks = [m for _, m, _ in sorted(gf2mat._graded_shifts(_RING_BITS))]
+    return np.array(masks, dtype=np.uint64), np.arange(_RING_BITS, dtype=np.uint64)
 
 
 def _rotl(x, k, bits: int):
@@ -143,7 +143,8 @@ def development_rank(two_n: int, points: np.ndarray) -> int:
         offered = [gf2mat.rank_packed(c[j : j + 1], v.size) for j in range(two_n)]
         k = offered.index(max(offered))
     t = t[_rotl(np.arange(size), k, two_n)]
-    sigma = gf2mat.pack_rows(t.reshape(-1, low))[:, 0]
+    weights = np.uint64(1) << _ring_shifts()[1][:low]
+    sigma = (t.reshape(-1, low) * weights).sum(axis=1, dtype=np.uint64)
     N = np.where((v[:, None] & v) == v[:, None], sigma[v[:, None] ^ v], np.uint64(0))
     units = _unit_pivots(N)
     return low * units + gf2mat.rank_packed(N[N.any(1)][:, N.any(0)], low)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import gcd
-from typing import List
 
 import numpy as np
 
@@ -44,21 +43,29 @@ def walsh_component(f: TruthTable, a: int) -> np.ndarray:
     return fwht(signs)[f.ctx.trace_masks]
 
 
-def symplectic_rows(f: TruthTable) -> List[np.ndarray]:
+def symplectic_rows(f: TruthTable) -> np.ndarray:
     """For f of degree <= 2, the symplectic matrix of every component
-    tr(a*f), a = 1, ..., 2^n - 1: entry a - 1 of array i is row i, whose
-    bit j is tr(a*beta_ij) with beta_ij = f(e_i+e_j) + f(e_i) + f(e_j) +
-    f(0). Built one (i, j) pair at a time from (2^n - 1)-long vectors, so
-    that no (2^n - 1, n, n) temporary raises the peak memory."""
+    tr(a*f), a = 1, ..., 2^n - 1, as one (n, 2^n - 1) uint32 array: entry
+    (i, a - 1) is row i, whose bit j is tr(a*beta_ij) with beta_ij =
+    f(e_i+e_j) + f(e_i) + f(e_j) + f(0), and beta_ii = 0.
+
+    Row i is F_2-linear in the trace mask w of a, and its image of w = e_k
+    has bit j equal to bit k of beta_ij. So row i is built for every w by
+    doubling over those n images into one reused 2^n table, the way
+    `FieldCtx.trace_masks` is built, and read at the masks of a: O(n 2^n)."""
     n, v = f.ctx.n, f.values
-    masks, par = f.ctx.trace_masks[1:], parity_table(n)
-    rows = [np.zeros(f.ctx.order - 1, dtype=np.uint32) for _ in range(n)]
-    for i in range(n):
-        for j in range(i):
-            beta = v[(1 << i) | (1 << j)] ^ v[1 << i] ^ v[1 << j] ^ v[0]
-            bit = par[masks & beta].astype(np.uint32)
-            rows[i] |= bit << np.uint32(j)
-            rows[j] |= bit << np.uint32(i)
+    k = np.arange(n, dtype=np.uint32)
+    e = np.uint32(1) << k
+    # e_i ^ e_j, not e_i | e_j, so that beta_ii = f(0) + f(e_i) + f(e_i) + f(0) = 0.
+    beta = v[e[:, None] ^ e] ^ v[e][:, None] ^ v[e] ^ v[0]
+    # images[i, k]: bit j is bit k of beta_ij; the bits are distinct, so sum is OR.
+    images = (((beta[:, :, None] >> k) & np.uint32(1)) << k[:, None]).sum(axis=1, dtype=np.uint32)
+    masks, table = f.ctx.trace_masks[1:], np.zeros(f.ctx.order, dtype=np.uint32)
+    rows = np.empty((n, masks.size), dtype=np.uint32)
+    for row, image in zip(rows, images):
+        for b, x in enumerate(image):
+            np.bitwise_xor(table[: 1 << b], x, out=table[1 << b : 2 << b])
+        row[:] = table[masks]
     return rows
 
 

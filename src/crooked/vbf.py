@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -181,13 +181,18 @@ def has_degree_at_most_2(f: TruthTable) -> bool:
     return not anf[heavy != 0].any()
 
 
-def derivative_columns(f: TruthTable) -> List[np.ndarray]:
+def derivative_columns(f: TruthTable) -> np.ndarray:
     """For f of degree <= 2, D_a f(x) = L_a(x) + D_a f(0) with L_a linear.
-    Entry a - 1 of array j is L_a(e_j) = f(a+e_j) + f(a) + f(e_j) + f(0),
-    for every direction a = 1, ..., 2^n - 1."""
+    Entry (j, a - 1) of the (n, 2^n - 1) uint32 array is L_a(e_j) =
+    f(a+e_j) + f(a) + f(e_j) + f(0), for every direction a = 1, ..., 2^n - 1.
+    Filled one row at a time, so that no index array of that shape is made."""
     v = f.values
     a = np.arange(1, f.ctx.order, dtype=np.uint32)
-    return [v[a ^ np.uint32(1 << j)] ^ v[1:] ^ (v[1 << j] ^ v[0]) for j in range(f.ctx.n)]
+    cols = np.empty((f.ctx.n, a.size), dtype=np.uint32)
+    for j, col in enumerate(cols):
+        np.bitwise_xor(v[a ^ np.uint32(1 << j)], v[1:], out=col)
+        col ^= v[1 << j] ^ v[0]
+    return cols
 
 
 def hyperplane_of(ctx: FieldCtx, s: Iterable[int]) -> Optional[Tuple[int, int]]:

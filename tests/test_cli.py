@@ -168,6 +168,17 @@ def test_construct_flagship_warns_not_apn(tmp_path, capsys):
         assert out.read_bytes() == proc.stdout.encode()
 
 
+def test_construct_flagship_tests_each_element_for_primitivity_once(tmp_path, monkeypatch, capsys):
+    # --c primitive, --d primitive and the field's exp table all read the
+    # context's one scan for primitive elements.
+    tested = []
+    is_primitive = FieldCtx.is_primitive
+    monkeypatch.setattr(FieldCtx, "is_primitive", lambda ctx, a: tested.append(a) or is_primitive(ctx, a))
+    assert cli.main([*FLAGSHIP, "--out", str(tmp_path / "f.json")]) == 0
+    assert tested and len(tested) == len(set(tested))
+    capsys.readouterr()
+
+
 def test_construct_odd_half_degree_no_warning():
     proc = run_cli("construct", "--family", "thm1", "--n", "6", "--auto", expect=0)
     assert proc.stderr == ""
@@ -626,14 +637,15 @@ def test_is_crooked_hands_out_a_read_only_report():
 
 def test_invariants_builds_one_field_table_per_command(tmp_path, monkeypatch, capsys):
     # A file over the left side's field is read onto the left side's
-    # context, so the field's tables are built once.
+    # context, so the field's tables are built once: exp_array asks that
+    # context for primitive(0), and nothing else in this command does.
     builds = []
 
-    def counted(ctx, original=FieldCtx._find_generator):
+    def counted(ctx, k, original=FieldCtx.primitive):
         builds.append(ctx)
-        return original(ctx)
+        return original(ctx, k)
 
-    monkeypatch.setattr(FieldCtx, "_find_generator", counted)
+    monkeypatch.setattr(FieldCtx, "primitive", counted)
     gold, thm1 = tmp_path / "gold.json", tmp_path / "thm1.json"
     assert cli.main(["construct", "--family", "gold", "--n", "6", "--out", str(gold)]) == 0
     assert cli.main(["construct", "--family", "thm1", "--n", "6", "--auto", "--seed", "1",

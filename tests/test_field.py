@@ -262,7 +262,7 @@ def test_tables_match_raw_arithmetic(n, modulus, request):
         assert "exp_array" not in vars(ctx) and "log_array" not in vars(ctx)  # built on first use only
     exp, log = ctx.exp_array, ctx.log_array
     assert exp.size == ctx.mult_order and log.size == ctx.order and log[0] == 0
-    gamma = ctx._find_generator()
+    gamma = ctx.primitive(0)
     assert exp[0] == 1 and exp[1 % ctx.mult_order] == gamma
     if n <= 20:
         assert np.array_equal(np.sort(exp), np.arange(1, ctx.order))  # a permutation of the units

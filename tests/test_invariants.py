@@ -10,6 +10,12 @@ from crooked.field import FieldCtx
 from helpers import ea_transform, naive_rank, random_invertible, apply_linear, ring_shifts
 
 
+def _pack_u64(bools):
+    """A (R, C) boolean matrix as (R, ceil(C / 64)) little-endian uint64 words."""
+    packed = np.packbits(bools, axis=1, bitorder="little")
+    return np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
+
+
 def _rank_cases(rng, cols):
     """(rows, expected rank or None) for fewer and for more rows than cols."""
     for nrows in (max(1, cols // 2), cols + 7):
@@ -58,7 +64,7 @@ def _packed(rows, cols, width):
     probes of `development_rank` pass, each padded to whole ring elements
     of `width` bits."""
     bools = np.array([[(r >> j) & 1 for j in range(cols)] for r in rows], dtype=bool)
-    for packed in (gf2mat.pack_rows(bools), np.packbits(bools, axis=1, bitorder="little")):
+    for packed in (_pack_u64(bools), np.packbits(bools, axis=1, bitorder="little")):
         per = max(1, width // (8 * packed.itemsize))  # words per element
         yield np.pad(packed, ((0, 0), (0, -packed.shape[1] % per)))
 
@@ -215,7 +221,7 @@ def _full_expansion_rank(two_n, points):
     t = _superset_counts(two_n, points)
     bits = np.arange(64)
     rows = t.reshape(-1, 64)[:, bits ^ bits[:, None]] & ((bits & bits[:, None]) == bits[:, None])
-    packed = gf2mat.pack_rows(rows.transpose(1, 0, 2).reshape(64, size))
+    packed = _pack_u64(rows.transpose(1, 0, 2).reshape(64, size))
     j = np.arange(size // 64)
     h = j[:, None]
     matrix = packed[bits[None, :, None], (j ^ h)[:, None, :]]

@@ -10,9 +10,10 @@ from math import gcd
 from operator import xor
 
 import numpy as np
+import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from crooked import gf2mat, vbf
+from crooked import gf2mat, spectral, vbf
 from crooked.field import FieldCtx
 from helpers import (
     IRREDUCIBLES,
@@ -52,7 +53,7 @@ def naive_sweeps(f):
 
 def test_batched_rank_and_normal_match_naive():
     rng = random.Random(5)
-    for cols in range(1, 9):
+    for cols in range(1, 17):
         # cols + 1 vectors per system, each a random sum of a spanning set
         # of random size, so that every rank shows up.
         systems = []
@@ -60,17 +61,34 @@ def test_batched_rank_and_normal_match_naive():
             span = [rng.randrange(1 << cols) for _ in range(rng.randrange(cols + 1))]
             systems.append([reduce(xor, (b for b in span if rng.random() < 0.5), 0)
                             for _ in range(cols + 1)])
-        vectors = [np.array(column, dtype=np.uint32) for column in zip(*systems)]
+        vectors = np.array(systems, dtype=np.uint32).T.copy()  # (cols + 1, systems)
         rank, normal = gf2mat.rank_and_normal_batched(vectors, cols)
-        for s, r, w in zip(systems, rank.tolist(), normal.tolist()):
+        for s, reduced, r, w in zip(systems, vectors.T.tolist(), rank.tolist(), normal.tolist()):
             assert r == naive_rank(s)
-            normals = [u for u in range(1, 1 << cols)
-                       if all(bin(u & v).count("1") % 2 == 0 for v in s)]
-            assert (w == 0) == (r == cols) == (not normals)
-            if w:
-                assert w in normals
-            if r == cols - 1:
-                assert normals == [w]
+            # Reduced in place by row operations: the span is unchanged.
+            assert naive_rank(s + reduced) == r
+            # The nonzero normals are the orthogonal complement less 0, of
+            # dimension cols - r: none at full rank, and only w at cols - 1.
+            assert (w == 0) == (r == cols)
+            assert w < 1 << cols
+            assert all(bin(w & v).count("1") % 2 == 0 for v in s)
+
+
+@pytest.mark.parametrize("n, modulus", [(n, None) for n in range(1, 9)]
+                         + [(n, IRREDUCIBLES[n][-1]) for n in range(3, 9)])
+def test_symplectic_rows_match_brute_force(n, modulus):
+    # Bit j of entry (i, a - 1) is tr(a*beta_ij) off the diagonal and 0 on it.
+    ctx = FieldCtx(n, modulus)
+    rng = random.Random(n)
+    f = quadratic_table(ctx, rng.randrange(ctx.order), [rng.randrange(ctx.order) for _ in range(n)],
+                        [[rng.randrange(ctx.order) for _ in range(i)] for i in range(n)])
+    rows = spectral.symplectic_rows(f)
+    assert rows.shape == (n, ctx.order - 1) and rows.dtype == np.uint32 and rows.flags.c_contiguous
+    for i in range(n):
+        for j in range(n):
+            beta = f[(1 << i) | (1 << j)] ^ f[1 << i] ^ f[1 << j] ^ f[0]
+            want = [0 if i == j else ctx.trace(ctx.mul(a, beta)) for a in range(1, ctx.order)]
+            assert ((rows[i] >> j) & 1).tolist() == want, (i, j)
 
 
 def test_every_table_at_n1_and_n2():
