@@ -330,26 +330,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _invariants_doc(rep: invariants.InvariantReport, label: str) -> dict:
-    def side(inv):
-        doc = {
-            "delta": inv.delta,
-            "diff_spectrum": _counter_to_list(inv.diff_spectrum),
-            "extended_walsh": _counter_to_list(inv.extended_walsh),
-            "nl": inv.nl,
-        }
-        if inv.gamma_rank is not None:
-            doc["gamma_rank"] = inv.gamma_rank
-            doc["delta_rank"] = inv.delta_rank
-        return doc
-
-    return {
-        "against": label,
-        "depth": rep.depth,
-        "left": side(rep.left),
-        "right": side(rep.right),
-        "verdict": rep.verdict,
-    }
+def _side(inv: dict) -> dict:
+    """One side of an invariants report: its spectra as [value, count] lists."""
+    return {k: _counter_to_list(v) if isinstance(v, Counter) else v for k, v in inv.items()}
 
 
 def cmd_invariants(args) -> int:
@@ -367,7 +350,13 @@ def cmd_invariants(args) -> int:
     left = invariants.function_invariants(table(), with_ranks)
     for label, right_table in targets:
         right = invariants.function_invariants(right_table(), with_ranks)
-        _emit(_invariants_doc(invariants.compare(left, right), label), args.json)
+        _emit({
+            "against": label,
+            "depth": "spectra+ranks" if with_ranks else "spectra",
+            "left": _side(left),
+            "right": _side(right),
+            "verdict": invariants.compare(left, right),
+        }, args.json)
     return EXIT_OK
 
 
@@ -456,5 +445,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_CODES.get(type(e), EXIT_INVALID_PARAMS)
 
 
-if __name__ == "__main__":
+def entry() -> None:
+    """`main` as a process (the `crooked` script, `python -m crooked.cli`),
+    under SIGPIPE's default action: a reader that closes the pipe ends it as
+    it ends `cat`, with no traceback. In-process `main` calls are unchanged."""
+    import signal  # here, so that importing the CLI does not load it
+
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -1,13 +1,11 @@
-"""CCZ-equivalence invariants and comparison reports: differential spectrum,
-extended Walsh spectrum, and the GF(2) ranks of the graph / difference-set
-development matrices."""
+"""CCZ-equivalence invariants and the comparison verdict: differential
+spectrum, extended Walsh spectrum, and the GF(2) ranks of the graph /
+difference-set development matrices."""
 
 from __future__ import annotations
 
 import functools
-from collections import Counter
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -162,46 +160,23 @@ def delta_rank(f: TruthTable) -> int:
     return development_rank(2 * f.ctx.n, difference_points(f))
 
 
-@dataclass(frozen=True)
-class FunctionInvariants:
-    delta: int
-    diff_spectrum: Counter
-    extended_walsh: Counter
-    nl: int
-    gamma_rank: Optional[int] = None
-    delta_rank: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class InvariantReport:
-    left: FunctionInvariants
-    right: FunctionInvariants
-    depth: str
-    verdict: str  # "distinguished" | "indistinguishable-by-computed-invariants"
-
-
-def function_invariants(f: TruthTable, with_ranks: bool) -> FunctionInvariants:
-    g_rank = gamma_rank(f) if with_ranks else None
-    d_rank = delta_rank(f) if with_ranks else None
+def function_invariants(f: TruthTable, with_ranks: bool) -> dict:
+    """The invariants of f in report order: delta, diff_spectrum and
+    extended_walsh (Counters), nl, and gamma_rank and delta_rank when
+    `with_ranks`. The ranks are computed first, so that the rank caps refuse
+    before any spectrum is swept."""
+    ranks = {"gamma_rank": gamma_rank(f), "delta_rank": delta_rank(f)} if with_ranks else {}
     delta, dspec = differential_spectrum(f)
     summary = walsh_spectrum(f)
-    return FunctionInvariants(
-        delta=delta,
-        diff_spectrum=dspec,
-        extended_walsh=summary.extended,
-        nl=summary.nl,
-        gamma_rank=g_rank,
-        delta_rank=d_rank,
-    )
+    return {"delta": delta, "diff_spectrum": dspec, "extended_walsh": summary.extended,
+            "nl": summary.nl, **ranks}
 
 
-def compare(left: FunctionInvariants, right: FunctionInvariants) -> InvariantReport:
-    """Invariant comparison of two functions over the same field, both
-    computed by `function_invariants` with the same `with_ranks`, which sets
-    the depth; "distinguished" proves CCZ-inequivalence (hence
-    EA-inequivalence), while the other verdict is explicitly inconclusive."""
-    depth = "spectra" if left.gamma_rank is None else "spectra+ranks"
+def compare(left: dict, right: dict) -> str:
+    """The verdict on two functions over the same field, both computed by
+    `function_invariants` with the same `with_ranks`: "distinguished" proves
+    CCZ-inequivalence (hence EA-inequivalence), while
+    "indistinguishable-by-computed-invariants" is explicitly inconclusive."""
     # delta and nl are read off diff_spectrum and extended_walsh, so the
-    # records differ exactly when a spectrum or a rank does.
-    verdict = "distinguished" if left != right else "indistinguishable-by-computed-invariants"
-    return InvariantReport(left=left, right=right, depth=depth, verdict=verdict)
+    # dicts differ exactly when a spectrum or a rank does.
+    return "distinguished" if left != right else "indistinguishable-by-computed-invariants"

@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
 import random
+import re
+import signal
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -381,8 +385,10 @@ def test_search_even_m_warns():
 # sha256 of the stdout of each command on the constructed file: the verify
 # with its hyperplane witnesses as computed before the GF(2) elimination was
 # rewritten, the Walsh spectrum and the Gold comparison as computed before
-# the trace form moved into the field context, and the full family verify as
-# computed before the identity check stopped sampling pairs.
+# the trace form moved into the field context, the full family verify as
+# computed before the identity check stopped sampling pairs, and the other
+# forms of the Gold comparison as computed while each side passed through
+# two record types.
 PINNED_SHA256 = {
     ("gold", "--n", "10", "--s", "1"): {
         ("verify", "--checks", "apn,crooked", "--json"):
@@ -401,6 +407,12 @@ PINNED_SHA256 = {
             "65a0b2d844e28f54c7fb9bdae43c1dbd255ac186ca5e7ddb4897e970c6c931f2",
         ("verify", "--checks", "apn,crooked,walsh,identity", "--json"):
             "b7a2eb2eac037e99f20872604dc769236d5003c4b141c5576132831fb71f1cc6",
+        ("invariants", "--against", "gold-all"):
+            "ac2f72b9019ca979c7fdb7848a585e466e982a85181218279695d8e556401c7f",
+        ("invariants", "--against", "gold-all", "--depth", "ranks"):
+            "0e042884f8bd8a52caca08e1d5e472a0682b4b57f45c074a06d5747ff1a542f2",
+        ("invariants", "--against", "gold-all", "--depth", "ranks", "--json"):
+            "ff332c0f4cc16067b134d1d6aaf547f35bf9fb81ef37d8015310c39db49a0230",
     },
 }
 
@@ -777,3 +789,30 @@ def test_verify_refuses_an_unknown_check_before_reading_the_file(tmp_path, monke
         assert cli.main(["verify", "--in", str(path), "--checks", "apn,nope"]) == 2
         assert capsys.readouterr() == ("", "unknown check 'nope'\n")
     assert fields == []
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="POSIX signals only")
+@pytest.mark.parametrize("entry", ["python -m", "console script"])
+def test_closed_reader_ends_the_process_like_cat(entry, tmp_path):
+    # A reader that closes the pipe before the command writes ends the
+    # process by SIGPIPE, with empty stderr: no traceback and no exit code
+    # that reads as a failed check. verify writes its 65 kB report while
+    # running; construct writes only when stdout is flushed at exit.
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    module, func = re.search(r'^crooked = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
+    start = {
+        "python -m": [sys.executable, "-m", "crooked.cli"],
+        "console script": [sys.executable, "-c", f"import sys; from {module} import {func}; sys.exit({func}())"],
+    }[entry]
+    g12 = tmp_path / "g12.json"
+    handler = signal.getsignal(signal.SIGPIPE)
+    assert cli.main(["construct", "--family", "gold", "--n", "12", "--s", "1", "--out", str(g12)]) == 0
+    assert signal.getsignal(signal.SIGPIPE) == handler  # in-process calls leave it alone
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    for argv in (("verify", "--in", str(g12), "--checks", "crooked", "--json"),
+                 ("construct", "--family", "gold", "--n", "6")):
+        proc = subprocess.Popen([*start, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (-signal.SIGPIPE, b""), argv

@@ -298,29 +298,30 @@ def _invariants(f, depth="spectra"):
 def test_compare_self_indistinguishable():
     ctx = FieldCtx(4)
     f = vbf.from_multinomial(build_gold(ctx, 1))
-    # The depth is read off the records: ranks when they carry them.
-    for depth in ("spectra", "spectra+ranks"):
-        rep = invariants.compare(_invariants(f, depth), _invariants(f, depth))
-        assert rep.depth == depth
-        assert rep.verdict == "indistinguishable-by-computed-invariants"
+    # The dicts are in report order, and carry the ranks at depth ranks.
+    spectra = ["delta", "diff_spectrum", "extended_walsh", "nl"]
+    for depth, keys in (("spectra", spectra), ("spectra+ranks", spectra + ["gamma_rank", "delta_rank"])):
+        left = _invariants(f, depth)
+        assert list(left) == keys
+        assert invariants.compare(left, _invariants(f, depth)) == "indistinguishable-by-computed-invariants"
 
 
 def test_compare_distinguishes_cube_from_fifth():
     ctx = FieldCtx(4)
     f = vbf.from_multinomial(vbf.multinomial(ctx, [(1, 3)]))
     g = vbf.from_multinomial(vbf.multinomial(ctx, [(1, 5)]))
-    rep = invariants.compare(_invariants(f), _invariants(g))
-    assert rep.verdict == "distinguished"
-    assert rep.left.delta == 2 and rep.right.delta == 4
+    left, right = _invariants(f), _invariants(g)
+    assert invariants.compare(left, right) == "distinguished"
+    assert left["delta"] == 2 and right["delta"] == 4
 
 
 def test_compare_symmetry_and_mismatch():
     # The field mismatch is refused by `crooked invariants` before any
-    # invariant is computed (tests/test_cli.py); compare sees records only.
+    # invariant is computed (tests/test_cli.py); compare sees dicts only.
     ctx = FieldCtx(4)
     f = _invariants(vbf.from_multinomial(vbf.multinomial(ctx, [(1, 3)])))
     g = _invariants(vbf.from_multinomial(vbf.multinomial(ctx, [(1, 5)])))
-    assert invariants.compare(f, g).verdict == invariants.compare(g, f).verdict
+    assert invariants.compare(f, g) == invariants.compare(g, f)
 
 
 def test_verdict_iff_some_invariant_differs():
@@ -329,14 +330,14 @@ def test_verdict_iff_some_invariant_differs():
     f = vbf.from_multinomial(build(ctx, p))
     g = vbf.from_multinomial(build_gold(ctx, 1))
     depth = "spectra+ranks"
-    rep = invariants.compare(_invariants(f, depth), _invariants(g, depth))
+    left, right = _invariants(f, depth), _invariants(g, depth)
     differs = (
-        rep.left.diff_spectrum != rep.right.diff_spectrum
-        or rep.left.extended_walsh != rep.right.extended_walsh
-        or rep.left.gamma_rank != rep.right.gamma_rank
-        or rep.left.delta_rank != rep.right.delta_rank
+        left["diff_spectrum"] != right["diff_spectrum"]
+        or left["extended_walsh"] != right["extended_walsh"]
+        or left["gamma_rank"] != right["gamma_rank"]
+        or left["delta_rank"] != right["delta_rank"]
     )
-    assert (rep.verdict == "distinguished") == differs
+    assert (invariants.compare(left, right) == "distinguished") == differs
 
 
 def test_rank_ea_invariance_small():

@@ -163,3 +163,43 @@ def test_quadratic_walsh_equals_every_component(name, monkeypatch):
     assert len(ranked) == (0 if apn else 1)
     with _forced_path("exhaustive"):
         assert got == spectral.walsh_spectrum(f)
+
+
+def _random_table(n):
+    ctx, rng = FieldCtx(n), random.Random(n)
+    return _table(ctx, lambda x: rng.randrange(ctx.order))
+
+
+def _monomials(n, terms):
+    return vbf.from_multinomial(vbf.multinomial(FieldCtx(n), terms))
+
+
+# name -> (builder, the sweep path its table takes): one group per path.
+MOMENT_CASES = {
+    **{f"random n={n}": (lambda n=n: _random_table(n), "exhaustive") for n in (3, 5, 6, 8)},
+    **{f"x^{d} n={n}": (lambda n=n, d=d: _monomials(n, [(1, d)]), "power")
+       for n, d in ((7, 126), (9, 13), (10, 57), (11, 2046))},
+    **{f"{fam} n={n} seed=1": (lambda fam=fam, n=n: _family(fam, n, 1), "quadratic")
+       for fam in ("thm1", "thm2") for n in (6, 10, 14)},
+    "thm1 n=8, even m": (_even_m_thm1, "quadratic"),
+    "x^3+x^5+7x n=8": (lambda: _monomials(8, [(1, 3), (1, 5), (7, 1)]), "quadratic"),
+}
+
+
+@pytest.mark.parametrize("name", MOMENT_CASES)
+def test_spectra_moment_identities(name):
+    # Over a != 0 (Chabaud & Vaudenay): the differential spectrum counts the
+    # 2^n (2^n - 1) pairs (a, b) and as many solutions; each component
+    # satisfies Parseval; and the fourth Walsh moment is 2^(2n) times the
+    # second moment of the differential spectrum. The two spectra come from
+    # independent computations on every path.
+    make, path = MOMENT_CASES[name]
+    f = make()
+    assert f.path[0] == path
+    n = f.ctx.n
+    pairs = (1 << n) * ((1 << n) - 1)
+    diff = vbf.differential_spectrum(f)[1].items()
+    walsh = spectral.walsh_spectrum(f).gamma.items()
+    assert sum(m for _, m in diff) == sum(v * m for v, m in diff) == pairs
+    assert sum(w * w * m for w, m in walsh) == pairs << n
+    assert sum(v * v * m for v, m in diff) << (2 * n) == sum(w**4 * m for w, m in walsh)
