@@ -49,11 +49,9 @@ def check_size(n: int, *computations: str) -> None:
 def parity_table(n: int) -> np.ndarray:
     """uint8 table of popcount parity for all values below 2^n, built once
     per n and shared by every caller, so read-only."""
-    bits = np.arange(1 << n, dtype=np.uint32)
     t = np.zeros(1 << n, dtype=np.uint8)
-    while bits.any():
-        t ^= (bits & 1).astype(np.uint8)
-        bits >>= 1
+    for j in range(n):
+        t[1 << j : 2 << j] = t[: 1 << j] ^ 1
     t.setflags(write=False)
     return t
 

@@ -346,6 +346,34 @@ def test_documented_exit_codes(argv, code, stream, part, tmp_path, capsys):
     assert len(message.splitlines()) == 1 and part in message and other == ""
 
 
+# Inputs that once made the F_2[x] helpers loop for good, as they never end
+# on a negative operand. Each runs in a subprocess, so that a hang fails.
+NEG_MODULUS = "<modulus=-13>"
+HANG_CASES = [
+    (("construct", "--family", "gold", "--n", "4", "--modulus", "-13"), 2, "modulus -0x13 is negative"),
+    # At n = 6, -13 has too few bits and is refused by its degree, so -43.
+    (("search", "--family", "thm1", "--n", "6", "--modulus", "-43"), 2, "modulus -0x43 is negative"),
+    (("verify", "--in", NEG_MODULUS, "--checks", "apn"), 3, "modulus -0x13 is negative"),
+    (("invariants", "--in", NEG_MODULUS, "--against", "gold-all"), 3, "modulus -0x13 is negative"),
+    (("construct", "--family", "ref7", "--n", "6", "--d", "-5"), 2, "-0x5 outside GF(2^6)"),
+]
+
+
+@pytest.mark.parametrize("argv, code, message", HANG_CASES,
+                         ids=[" ".join(row[0]) for row in HANG_CASES])
+def test_negative_inputs_are_refused(argv, code, message, tmp_path):
+    path = tmp_path / "f.json"
+    if NEG_MODULUS in argv:
+        assert cli.main(["construct", "--family", "gold", "--n", "4", "--out", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        doc["modulus"] = "-13"
+        path.write_text(json.dumps(doc))
+    argv = [str(path) if a == NEG_MODULUS else a for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "crooked.cli", *argv],
+                          capture_output=True, text=True, timeout=20)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", message + "\n")
+
+
 @pytest.mark.parametrize("error, code", [
     (MalformedFile, 3), (InfeasibleSize, 4), (DegreeMismatch, 5), (InvalidInput, 2),
     (InvalidModulus, 2),

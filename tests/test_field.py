@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from crooked.errors import InvalidInput, InvalidModulus
-from crooked.field import FieldCtx, smallest_irreducible, trial_factor
+from crooked.field import FieldCtx, _f2_is_irreducible, smallest_irreducible, trial_factor
 from helpers import f2_is_irreducible_by_trial_division
 
 
@@ -59,10 +59,25 @@ def test_default_modulus_is_smallest():
 
 def test_modulus_agrees_with_general_irreducibility_test():
     # The default modulus has no factor of degree 1..n/2 over F_2, by trial
-    # division independent of the field module's Rabin test.
+    # division independent of the field module's Ben-Or test.
     for n in (2, 3, 5, 8, 12):
         assert f2_is_irreducible_by_trial_division(FieldCtx(n).modulus)
     assert not f2_is_irreducible_by_trial_division(0b10101)  # (x^2+x+1)^2
+
+
+def test_irreducibility_test_agrees_with_trial_division():
+    # Every bitmask below 2^14, with 0, 1 and the even ones.
+    for p in range(1 << 14):
+        assert _f2_is_irreducible(p) == f2_is_irreducible_by_trial_division(p), hex(p)
+
+
+def test_default_moduli_are_pinned():
+    # Every canonical output over a default field depends on these.
+    assert [smallest_irreducible(n) for n in range(1, 25)] == [
+        0x2, 0x7, 0xb, 0x13, 0x25, 0x43, 0x83, 0x11b, 0x203, 0x409, 0x805, 0x1009,
+        0x201b, 0x4021, 0x8003, 0x1002b, 0x20009, 0x40009, 0x80027, 0x100009,
+        0x200005, 0x400003, 0x800021, 0x100001b,
+    ]
 
 
 def test_mul_examples_gf4():
