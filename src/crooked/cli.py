@@ -45,8 +45,10 @@ EXIT_INFEASIBLE = 4
 EXIT_MISMATCH = 5
 
 
-def _counter_to_list(c: Counter) -> list:
-    return [[int(v), int(m)] for v, m in sorted(c.items())]
+def _plain(doc: dict) -> dict:
+    """doc with each Counter value (a spectrum) as its [value, count] list."""
+    return {k: [[int(u), int(m)] for u, m in sorted(v.items())] if isinstance(v, Counter) else v
+            for k, v in doc.items()}
 
 
 class _Rendered(str):
@@ -151,10 +153,10 @@ def _load(
             raise DegreeMismatch("functions live over different fields")
         ctx = over or FieldCtx(ff.n, ff.modulus)
         if ff.representation == "truthtable":
-            f = ff.to_truthtable(ctx)  # the file holds the table itself
+            f = vbf.TruthTable(ctx, ff.values)  # the file holds the table itself
             return ff, ctx, lambda: f
-        ff.to_multinomial(ctx)  # checks the terms, which the table evaluates
-        return ff, ctx, lambda: ff.to_truthtable(ctx)
+        m = vbf.multinomial(ctx, ff.terms)  # checks the terms, which the table evaluates
+        return ff, ctx, lambda: vbf.from_multinomial(m)
     except DegreeMismatch:
         raise
     except (OSError, UnicodeDecodeError, CrookedError) as e:
@@ -303,8 +305,7 @@ def cmd_verify(args) -> int:
     for check in checks:
         if check == "apn":
             delta, spec = vbf.differential_spectrum(f)
-            report["delta"] = delta
-            report["diff_spectrum"] = _counter_to_list(spec)
+            report.update(delta=delta, diff_spectrum=spec)
             ok &= delta == 2
         elif check == "crooked":
             res = vbf.is_crooked(f)
@@ -317,22 +318,14 @@ def cmd_verify(args) -> int:
                 )
             ok &= res.is_crooked
         elif check == "walsh":
-            summary = spectral.walsh_spectrum(f)
-            report["nl"] = summary.nl
-            report["walsh_spectrum"] = _counter_to_list(summary.gamma)
-            report["extended_walsh"] = _counter_to_list(summary.extended)
+            report.update(spectral.walsh_spectrum(f))
         else:  # identity
             good = families.proof_identity_check(f, params)
             report["identity"] = good
             ok &= good
     report["pass"] = ok
-    _emit(report, args.json)
+    _emit(_plain(report), args.json)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
-
-
-def _side(inv: dict) -> dict:
-    """One side of an invariants report: its spectra as [value, count] lists."""
-    return {k: _counter_to_list(v) if isinstance(v, Counter) else v for k, v in inv.items()}
 
 
 def cmd_invariants(args) -> int:
@@ -353,8 +346,8 @@ def cmd_invariants(args) -> int:
         _emit({
             "against": label,
             "depth": "spectra+ranks" if with_ranks else "spectra",
-            "left": _side(left),
-            "right": _side(right),
+            "left": _plain(left),
+            "right": _plain(right),
             "verdict": invariants.compare(left, right),
         }, args.json)
     return EXIT_OK

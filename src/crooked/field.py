@@ -106,10 +106,10 @@ class FieldCtx:
         if modulus is None:
             modulus = smallest_irreducible(n)
         else:
-            if modulus.bit_length() - 1 != n:
-                raise InvalidModulus(f"modulus degree {modulus.bit_length() - 1} != n={n}")
             if modulus < 0:  # the F_2[x] helpers never end on one
                 raise InvalidModulus(f"modulus {modulus:#x} is negative")
+            if modulus.bit_length() - 1 != n:
+                raise InvalidModulus(f"modulus degree {modulus.bit_length() - 1} != n={n}")
             if not _f2_is_irreducible(modulus):
                 raise InvalidModulus(f"modulus {modulus:#x} is reducible over F_2")
         self.n = n
@@ -123,12 +123,6 @@ class FieldCtx:
 
     def __repr__(self):
         return f"FieldCtx(n={self.n}, modulus={self.modulus:#x})"
-
-    def __eq__(self, other):
-        return isinstance(other, FieldCtx) and (self.n, self.modulus) == (other.n, other.modulus)
-
-    def __hash__(self):
-        return hash((self.n, self.modulus))
 
     # -- scalar operations ------------------------------------------------
 
@@ -169,16 +163,6 @@ class FieldCtx:
                 t ^= e[i] & s[k - i]
             s.append(t)
         return s
-
-    @cached_property
-    def _trace_mask(self) -> int:
-        """The n-bit mask w = sum of tr(x^i) 2^i; the trace is F_2-linear,
-        so tr(a) = parity(a & w). Computed on first use."""
-        return sum(t << i for i, t in enumerate(self._traces[: self.n]))
-
-    def trace(self, a: int) -> int:
-        """Absolute trace to F_2."""
-        return bin(a & self._trace_mask).count("1") & 1
 
     def in_subfield(self, a: int, m: int) -> bool:
         """True iff a lies in the subfield F_{2^m}; m must divide n."""

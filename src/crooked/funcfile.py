@@ -11,8 +11,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import MalformedFile
-from .field import MAX_DEGREE, FieldCtx
-from .vbf import Multinomial, TruthTable, from_multinomial, multinomial
+from .field import MAX_DEGREE
+from .vbf import Multinomial
 
 SCHEMA_VERSION = 1
 
@@ -23,24 +23,15 @@ def _hex(v: int) -> str:
 
 @dataclass
 class FunctionFile:
+    """A parsed function file; the caller builds its function over the
+    field (n, modulus)."""
+
     n: int
     modulus: int
     representation: str  # "multinomial" | "truthtable"
     terms: Optional[list] = None   # [(coeff, exp)] when multinomial
     values: Optional[np.ndarray] = None  # length-2^n ints when truthtable
     provenance: dict = field(default_factory=dict)
-
-    # Each reads the function over `ctx`, which the caller has checked is
-    # the file's field (n, modulus).
-    def to_multinomial(self, ctx: FieldCtx) -> Multinomial:
-        if self.representation != "multinomial":
-            raise MalformedFile("file does not carry a multinomial")
-        return multinomial(ctx, self.terms)
-
-    def to_truthtable(self, ctx: FieldCtx) -> TruthTable:
-        if self.representation == "multinomial":
-            return from_multinomial(self.to_multinomial(ctx))
-        return TruthTable(ctx, self.values)
 
 
 def from_multinomial_repr(m: Multinomial, provenance: Optional[dict] = None) -> FunctionFile:

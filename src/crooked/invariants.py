@@ -167,9 +167,9 @@ def function_invariants(f: TruthTable, with_ranks: bool) -> dict:
     before any spectrum is swept."""
     ranks = {"gamma_rank": gamma_rank(f), "delta_rank": delta_rank(f)} if with_ranks else {}
     delta, dspec = differential_spectrum(f)
-    summary = walsh_spectrum(f)
-    return {"delta": delta, "diff_spectrum": dspec, "extended_walsh": summary.extended,
-            "nl": summary.nl, **ranks}
+    walsh = walsh_spectrum(f)
+    return {"delta": delta, "diff_spectrum": dspec, "extended_walsh": walsh["extended_walsh"],
+            "nl": walsh["nl"], **ranks}
 
 
 def compare(left: dict, right: dict) -> str:

@@ -1,7 +1,7 @@
 """Walsh transform machinery: per-component spectra via the fast
 Walsh-Hadamard butterfly, each a plain int64 array indexed by the mask, and
-full-spectrum summaries with nonlinearity. The full spectrum takes the
-table's `TruthTable.path`: gcd(d, 2^n - 1) transformed components for a
+the full spectrum with nonlinearity as report keys. The full spectrum takes
+the table's `TruthTable.path`: gcd(d, 2^n - 1) transformed components for a
 power function x^d; for f of degree <= 2, the radical of every component's
 symplectic form, counted off the derivative sweep's hyperplane normals
 (the ortho-derivative) when f is APN and ranked by one batched elimination
@@ -10,7 +10,6 @@ of the symplectic matrices otherwise; and every component otherwise."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
@@ -69,14 +68,10 @@ def symplectic_rows(f: TruthTable) -> np.ndarray:
     return rows
 
 
-@dataclass(frozen=True)
-class SpectrumSummary:
-    gamma: Counter      # walsh value -> multiplicity, over all (omega, a != 0)
-    extended: Counter   # |walsh value| -> multiplicity
-    nl: int             # 2^(n-1) - max|W|/2
-
-
-def walsh_spectrum(f: TruthTable) -> SpectrumSummary:
+def walsh_spectrum(f: TruthTable) -> dict:
+    """The report keys of f's Walsh spectrum: `walsh_spectrum`, each Walsh
+    value's multiplicity over all (omega, a != 0), and `extended_walsh`, each
+    |value|'s, as Counters, and the nonlinearity `nl` = 2^(n-1) - max|W|/2."""
     n = f.ctx.n
     check_size(n, "walsh")
     order = f.ctx.order
@@ -123,4 +118,5 @@ def walsh_spectrum(f: TruthTable) -> SpectrumSummary:
     extended: Counter = Counter()
     for v, m in gamma.items():
         extended[abs(v)] += m
-    return SpectrumSummary(gamma=gamma, extended=extended, nl=(1 << (n - 1)) - max(extended) // 2)
+    nl = (1 << (n - 1)) - max(extended) // 2
+    return {"walsh_spectrum": gamma, "extended_walsh": extended, "nl": nl}

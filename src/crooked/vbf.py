@@ -118,9 +118,6 @@ class TruthTable:
         # crooked checks read the same sweep.
         return _derivative_sweep(self)
 
-    def __getitem__(self, x: int) -> int:
-        return int(self.values[x])
-
     def __repr__(self):
         return f"TruthTable(n={self.ctx.n}, values[:4]={self.values[:4].tolist()}...)"
 

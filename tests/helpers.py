@@ -10,7 +10,7 @@ import json
 import random
 from collections import Counter
 from contextlib import contextmanager
-from functools import reduce
+from functools import cache, reduce
 from math import gcd
 from operator import xor
 from typing import Dict, List, Optional, Tuple
@@ -33,23 +33,44 @@ def from_truthtable_repr(t: TruthTable, provenance: Optional[dict] = None) -> fu
     )
 
 
+def frobenius_trace(ctx: FieldCtx, a: int) -> int:
+    """tr(a) by its definition, the XOR of the n Frobenius images a^(2^i)."""
+    acc = 0
+    for _ in range(ctx.n):
+        acc ^= a
+        a = ctx.mul(a, a)
+    return acc
+
+
+@cache
+def _frobenius_traces(n: int, modulus: int) -> List[int]:
+    ctx = FieldCtx(n, modulus)
+    return [frobenius_trace(ctx, a) for a in range(ctx.order)]
+
+
+def frobenius_traces(ctx: FieldCtx) -> List[int]:
+    """tr(a) for every a of ctx's field by `frobenius_trace`, listed once
+    per field (n, modulus)."""
+    return _frobenius_traces(ctx.n, ctx.modulus)
+
+
 def naive_walsh(f: TruthTable, a: int, omega: int) -> int:
     """Direct double-sum Walsh value, via field trace only."""
-    ctx = f.ctx
+    ctx, tr, v = f.ctx, frobenius_traces(f.ctx), f.values.tolist()
     acc = 0
     for x in range(ctx.order):
-        bit = ctx.trace(ctx.mul(a, f[x])) ^ ctx.trace(ctx.mul(omega, x))
+        bit = tr[ctx.mul(a, v[x])] ^ tr[ctx.mul(omega, x)]
         acc += -1 if bit else 1
     return acc
 
 
 def naive_diff_spectrum(f: TruthTable) -> Tuple[int, Counter]:
     """Solution counts per (a, b) by plain dict counting."""
-    order = f.ctx.order
+    order, v = f.ctx.order, f.values.tolist()
     spectrum: Counter = Counter()
     delta = 0
     for a in range(1, order):
-        per_b = Counter(f[x] ^ f[x ^ a] for x in range(order))
+        per_b = Counter(v[x] ^ v[x ^ a] for x in range(order))
         delta = max(delta, max(per_b.values()))
         for b in range(order):
             spectrum[per_b.get(b, 0)] += 1
@@ -61,15 +82,15 @@ def naive_crooked(f: TruthTable) -> Tuple[Optional[tuple], Optional[int]]:
     against every affine hyperplane {y : tr(b*y) = eps}, listed by plain
     trace evaluation. Returns the (b, eps) of every direction, or None, and
     the first direction whose image is no hyperplane (None when every one is)."""
-    ctx = f.ctx
+    ctx, tr, v = f.ctx, frobenius_traces(f.ctx), f.values.tolist()
     flats = {
-        frozenset(y for y in range(ctx.order) if ctx.trace(ctx.mul(b, y)) == eps): (b, eps)
+        frozenset(y for y in range(ctx.order) if tr[ctx.mul(b, y)] == eps): (b, eps)
         for b in range(1, ctx.order)
         for eps in (0, 1)
     }
     witnesses = []
     for a in range(1, ctx.order):
-        wit = flats.get(frozenset(f[x] ^ f[x ^ a] for x in range(ctx.order)))
+        wit = flats.get(frozenset(v[x] ^ v[x ^ a] for x in range(ctx.order)))
         if wit is None:
             return None, a
         witnesses.append(wit)
@@ -104,7 +125,7 @@ def is_ab(f: TruthTable) -> bool:
     if n % 2 == 0:
         return False
     v = 1 << ((n + 1) // 2)
-    return set(spectral.walsh_spectrum(f).gamma) == {0, v, -v}
+    return set(spectral.walsh_spectrum(f)["walsh_spectrum"]) == {0, v, -v}
 
 
 def sweeps(f: TruthTable):
@@ -154,7 +175,7 @@ def naive_pair_identity(f: TruthTable, p: FamilyParams) -> bool:
     F(x) = f(x) + f(x+a) + f(a) and q = 2^m:
       first family:  F(x) + F(x)^q = (c + c^q)(x^q a + x a^q);
       second family: F(x) + d F(x)^q = (c + d c^q)(x^q a + x a^q)."""
-    ctx = f.ctx
+    ctx, v = f.ctx, f.values.tolist()
     q = 1 << p.m
 
     def twist(v: int) -> int:
@@ -164,7 +185,7 @@ def naive_pair_identity(f: TruthTable, p: FamilyParams) -> bool:
     coeff = twist(p.c)
     for a in range(1, ctx.order):
         for x in range(ctx.order):
-            big_f = f[x] ^ f[x ^ a] ^ f[a]
+            big_f = v[x] ^ v[x ^ a] ^ v[a]
             cross = ctx.mul(ctx.pow(x, q), a) ^ ctx.mul(x, ctx.pow(a, q))
             if twist(big_f) != ctx.mul(coeff, cross):
                 return False
@@ -289,10 +310,10 @@ def ea_transform(f: TruthTable, rng: random.Random) -> TruthTable:
     a2 = random_invertible(n, rng)
     la = [rng.randrange(1 << n) for _ in range(n)]
     c1, c2, ca = (rng.randrange(1 << n) for _ in range(3))
-    vals = [0] * f.ctx.order
+    v, vals = f.values.tolist(), [0] * f.ctx.order
     for x in range(f.ctx.order):
         inner = apply_linear(a2, x) ^ c2
-        vals[x] = apply_linear(a1, f[inner]) ^ c1 ^ apply_linear(la, x) ^ ca
+        vals[x] = apply_linear(a1, v[inner]) ^ c1 ^ apply_linear(la, x) ^ ca
     return TruthTable(f.ctx, vals)
 
 

@@ -51,8 +51,7 @@ def test_construct_explicit_params(tmp_path):
         "--c", "primitive", "--d", "primitive",
         "--out", str(out), expect=0,
     )
-    ff = funcfile.parse(out.read_text())
-    f = ff.to_truthtable(FieldCtx(ff.n, ff.modulus))
+    f = cli._load(str(out))[2]()
     assert vbf.is_crooked(f).is_crooked
 
 
@@ -351,7 +350,8 @@ def test_documented_exit_codes(argv, code, stream, part, tmp_path, capsys):
 NEG_MODULUS = "<modulus=-13>"
 HANG_CASES = [
     (("construct", "--family", "gold", "--n", "4", "--modulus", "-13"), 2, "modulus -0x13 is negative"),
-    # At n = 6, -13 has too few bits and is refused by its degree, so -43.
+    # Refused as negative before its degree, which has the wrong bit length.
+    (("construct", "--family", "gold", "--n", "4", "--modulus", "-5"), 2, "modulus -0x5 is negative"),
     (("search", "--family", "thm1", "--n", "6", "--modulus", "-43"), 2, "modulus -0x43 is negative"),
     (("verify", "--in", NEG_MODULUS, "--checks", "apn"), 3, "modulus -0x13 is negative"),
     (("invariants", "--in", NEG_MODULUS, "--against", "gold-all"), 3, "modulus -0x13 is negative"),
@@ -447,11 +447,16 @@ PINNED_SHA256 = {
 
 @pytest.mark.parametrize("flags", list(PINNED_SHA256), ids=" ".join)
 def test_verify_witnesses_pinned(flags, tmp_path):
-    path = tmp_path / "f.json"
+    # Each command gives the same bytes on the constructed multinomial file
+    # and on its truth table with the same provenance.
+    path, table = tmp_path / "f.json", tmp_path / "t.json"
     run_cli("construct", "--family", *flags, "--out", str(path), expect=0)
+    provenance = funcfile.parse(path.read_text()).provenance
+    table.write_text(funcfile.serialize(from_truthtable_repr(cli._load(str(path))[2](), provenance)))
     for (command, *rest), digest in PINNED_SHA256[flags].items():
-        proc = run_cli(command, "--in", str(path), *rest, expect=0)
-        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest, rest
+        for infile in (path, table):
+            proc = run_cli(command, "--in", str(infile), *rest, expect=0)
+            assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest, (infile.name, rest)
 
 
 # sha256 of `verify --checks apn,crooked,walsh,identity --json` on
@@ -468,8 +473,7 @@ def test_thm1_n14_verify_pinned(tmp_path):
                    "--json", expect=0)
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == THM1_N14_SHA256
     # The arrays is_crooked returns hold each direction's hyperplane_of.
-    ff = funcfile.parse(path.read_text())
-    f = ff.to_truthtable(FieldCtx(ff.n, ff.modulus))
+    f = cli._load(str(path))[2]()
     assert f.path == ("quadratic", None)
     rep = vbf.is_crooked(f)
     for a in random.Random(14).sample(range(1, f.ctx.order), 64):
@@ -752,10 +756,10 @@ def test_size_caps_refuse_from_the_header(tmp_path, monkeypatch, capsys):
     assert cli.main(["construct", "--family", "gold", "--n", "6", "--out", str(g6)]) == 0
     capsys.readouterr()
 
-    def no_table(ff, ctx=None):
+    def no_table(m):
         raise AssertionError("a truth table was built")
 
-    monkeypatch.setattr(funcfile.FunctionFile, "to_truthtable", no_table)
+    monkeypatch.setattr(vbf, "from_multinomial", no_table)
     sweep, walsh = "exhaustive differential scan capped at n=16\n", "walsh spectrum capped at n=16\n"
     identity = "identity check needs thm1/thm2 provenance\n"
     for n, path in files.items():

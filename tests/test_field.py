@@ -10,7 +10,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from crooked.errors import InvalidInput, InvalidModulus
 from crooked.field import FieldCtx, _f2_is_irreducible, smallest_irreducible, trial_factor
-from helpers import f2_is_irreducible_by_trial_division
+from helpers import f2_is_irreducible_by_trial_division, frobenius_trace, frobenius_traces
 
 
 def test_create_gf4_default_modulus():
@@ -132,18 +132,21 @@ def test_fermat_and_frobenius_additivity():
 
 
 def test_trace_examples_and_balance():
+    # tr(a) = tr(a*1) is bit 0 of trace_masks[a].
     ctx = FieldCtx(2)
-    assert ctx.trace(0) == 0
-    assert ctx.trace(1) == 0
-    assert ctx.trace(0b10) == 1
+    trace = (ctx.trace_masks & 1).tolist()
+    assert trace[0] == 0
+    assert trace[1] == 0
+    assert trace[0b10] == 1
     for n in (2, 3, 4, 6, 8, 10, 12):
         c = FieldCtx(n)
-        zeros = sum(1 for a in range(c.order) if c.trace(a) == 0)
+        trace = (c.trace_masks & 1).tolist()
+        zeros = sum(1 for a in range(c.order) if trace[a] == 0)
         assert zeros == c.order // 2
         # linearity, sampled
         for a in range(0, c.order, 5):
             for b in range(0, c.order, 7):
-                assert c.trace(a ^ b) == c.trace(a) ^ c.trace(b)
+                assert trace[a ^ b] == trace[a] ^ trace[b]
 
 
 def test_in_subfield():
@@ -209,21 +212,12 @@ def test_component_mask_matches_trace():
     for n, modulus in ((2, None), (3, None), (5, None), (8, None), (4, 0x1F)):
         ctx = FieldCtx(n, modulus)
         assert "trace_masks" not in vars(ctx)  # built on first use only
-        masks, inverse = ctx.trace_masks, ctx.trace_masks_inverse
+        masks, inverse, tr = ctx.trace_masks, ctx.trace_masks_inverse, frobenius_traces(ctx)
         for a in range(ctx.order):
             mask = int(masks[a])
             for y in range(ctx.order):
-                assert bin(mask & y).count("1") & 1 == ctx.trace(ctx.mul(a, y))
+                assert bin(mask & y).count("1") & 1 == tr[ctx.mul(a, y)]
             assert inverse[mask] == a
-
-
-def _frobenius_trace(ctx: FieldCtx, a: int) -> int:
-    """tr(a) by its definition, the XOR of the n Frobenius images a^(2^i)."""
-    acc = 0
-    for _ in range(ctx.n):
-        acc ^= a
-        a = ctx.mul(a, a)
-    return acc
 
 
 def _seeded_irreducibles(n: int, count: int) -> list:
@@ -249,9 +243,9 @@ def test_trace_matches_frobenius_on_every_modulus():
         powers = [1]
         for _ in range(2 * n - 2):
             powers.append(ctx.mul(powers[-1], 0b10))
-        traces = [_frobenius_trace(ctx, v) for v in powers]
+        traces = [frobenius_trace(ctx, v) for v in powers]
         assert set(traces) <= {0, 1}
-        assert [ctx.trace(v) for v in powers] == traces, hex(p)
+        assert ctx._traces == traces, hex(p)
         if n <= 10:
             # Bit i of masks[x^j] is tr(x^(i+j)).
             masks = ctx.trace_masks
@@ -301,7 +295,7 @@ def test_gf2_has_the_trivial_tables():
     assert [gf2.pow(1, e) for e in range(6)] == [1] * 6
     assert [gf2.mul(a, b) for a in (0, 1) for b in (0, 1)] == [0, 0, 0, 1]
     assert gf2.is_primitive(1) and gf2.order_facts == []
-    assert gf2.trace(1) == 1 and gf2.trace(0) == 0
+    assert gf2._traces == [1] and gf2.trace_masks.tolist() == [0, 1]
 
 
 @functools.cache
@@ -326,9 +320,11 @@ def test_scalar_arithmetic_is_a_field(data):
     assert pw(a, ctx.order) == a and pw(a ^ b, 2) == pw(a, 2) ^ pw(b, 2)
     if a:
         assert mul(a, pw(a, ctx.mult_order - 1)) == 1 and pw(a, 0) == 1
-    # The parity trace against its definition, the XOR of the n Frobenius images.
+    # The parity trace against its definition, the XOR of the n Frobenius
+    # images: tr(a) = parity(a & w), w the mask of the traces of the basis.
     frobenius = functools.reduce(operator.xor, (pw(a, 1 << i) for i in range(n)), 0)
-    assert frobenius in (0, 1) and ctx.trace(a) == frobenius
+    w = sum(t << i for i, t in enumerate(ctx._traces[:n]))
+    assert frobenius in (0, 1) and bin(a & w).count("1") & 1 == frobenius
 
 
 def test_field_import_stays_numpy_free():

@@ -15,7 +15,7 @@ def test_multinomial_round_trip():
     ff = funcfile.from_multinomial_repr(m, {"family": "thm1"})
     back = funcfile.parse(funcfile.serialize(ff))
     assert back.n == 6 and back.modulus == ctx.modulus
-    assert back.to_multinomial(FieldCtx(back.n, back.modulus)) == m
+    assert vbf.multinomial(FieldCtx(back.n, back.modulus), back.terms).terms == m.terms
     assert back.provenance == {"family": "thm1"}
 
 
@@ -24,9 +24,8 @@ def test_truthtable_round_trip():
     t = vbf.from_multinomial(build_gold(ctx, 1))
     ff = from_truthtable_repr(t)
     parsed = funcfile.parse(funcfile.serialize(ff))
-    back = parsed.to_truthtable(FieldCtx(parsed.n, parsed.modulus))
-    assert back.ctx == t.ctx
-    assert np.array_equal(back.values, t.values)
+    assert (parsed.n, parsed.modulus) == (t.ctx.n, t.ctx.modulus)
+    assert np.array_equal(parsed.values, t.values)
 
 
 def test_serialize_is_canonical():

@@ -183,9 +183,9 @@ def test_gamma_delta_rank_vs_naive_n3():
     rows = [sum(1 << (p ^ g) for p in pts.tolist()) for g in range(64)]
     assert invariants.gamma_rank(f) == naive_rank(rows)
 
-    dpts = invariants.difference_points(f)
+    dpts, v = invariants.difference_points(f), f.values.tolist()
     assert dpts.tolist() == sorted(
-        {(a << 3) | (f[x] ^ f[x ^ a]) for a in range(1, 8) for x in range(8)}
+        {(a << 3) | (v[x] ^ v[x ^ a]) for a in range(1, 8) for x in range(8)}
     )
     drows = [sum(1 << (p ^ g) for p in dpts.tolist()) for g in range(64)]
     assert invariants.delta_rank(f) == naive_rank(drows)
@@ -274,9 +274,10 @@ def test_rank_invariance_under_linear_permutations():
     rng = random.Random(17)
     cols = random_invertible(4, rng)
     # input-side linear permutation
-    g_in = vbf.TruthTable(ctx, [f[apply_linear(cols, x)] for x in range(16)])
+    v = f.values.tolist()
+    g_in = vbf.TruthTable(ctx, [v[apply_linear(cols, x)] for x in range(16)])
     # output-side linear permutation
-    g_out = vbf.TruthTable(ctx, [apply_linear(cols, f[x]) for x in range(16)])
+    g_out = vbf.TruthTable(ctx, [apply_linear(cols, v[x]) for x in range(16)])
     for g in (g_in, g_out):
         assert invariants.gamma_rank(g) == invariants.gamma_rank(f)
         assert invariants.delta_rank(g) == invariants.delta_rank(f)

@@ -38,7 +38,7 @@ def test_power_path_matches_naive_oracles(n):
         assert vbf.differential_spectrum(f) == (delta, spectrum)
         values = Counter(naive_walsh(f, a, omega)
                          for a in range(1, ctx.order) for omega in range(ctx.order))
-        assert spectral.walsh_spectrum(f).gamma == values
+        assert spectral.walsh_spectrum(f)["walsh_spectrum"] == values
         assert crooked_form(vbf.is_crooked(f)) == naive_crooked_report(f), d
 
 

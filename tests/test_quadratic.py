@@ -18,6 +18,7 @@ from crooked.field import FieldCtx
 from helpers import (
     IRREDUCIBLES,
     exhaustive_sweeps,
+    frobenius_traces,
     naive_crooked_report,
     naive_diff_spectrum,
     naive_rank,
@@ -84,10 +85,11 @@ def test_symplectic_rows_match_brute_force(n, modulus):
                         [[rng.randrange(ctx.order) for _ in range(i)] for i in range(n)])
     rows = spectral.symplectic_rows(f)
     assert rows.shape == (n, ctx.order - 1) and rows.dtype == np.uint32 and rows.flags.c_contiguous
+    tr, v = frobenius_traces(ctx), f.values.tolist()
     for i in range(n):
         for j in range(n):
-            beta = f[(1 << i) | (1 << j)] ^ f[1 << i] ^ f[1 << j] ^ f[0]
-            want = [0 if i == j else ctx.trace(ctx.mul(a, beta)) for a in range(1, ctx.order)]
+            beta = v[(1 << i) | (1 << j)] ^ v[1 << i] ^ v[1 << j] ^ v[0]
+            want = [0 if i == j else tr[ctx.mul(a, beta)] for a in range(1, ctx.order)]
             assert ((rows[i] >> j) & 1).tolist() == want, (i, j)
 
 
@@ -101,7 +103,7 @@ def test_every_table_at_n1_and_n2():
             loops = exhaustive_sweeps(f)
             assert quadratic_sweeps(f) == loops, code
             diff, walsh, report = loops
-            assert (diff, walsh.gamma, report) == naive_sweeps(f), code
+            assert (diff, walsh["walsh_spectrum"], report) == naive_sweeps(f), code
 
 
 def test_single_entry_edit_fails_the_certificate():
@@ -149,7 +151,7 @@ def test_affine_tables_take_the_quadratic_path():
         assert delta == ctx.order, name
         diff, walsh, report = exhaustive_sweeps(f)
         assert sweeps(f) == (diff, walsh, report), name
-        assert (diff, walsh.gamma, report) == naive_sweeps(f), name
+        assert (diff, walsh["walsh_spectrum"], report) == naive_sweeps(f), name
 
 
 @seed(2)
@@ -179,4 +181,4 @@ def test_quadratic_path_equals_loops_and_oracles(data):
     assert diff == naive_diff_spectrum(f)
     assert report == naive_crooked_report(f)
     if n <= 5:  # the double sum costs 2^(3n) trace evaluations
-        assert walsh.gamma == naive_walsh_values(f)
+        assert walsh["walsh_spectrum"] == naive_walsh_values(f)

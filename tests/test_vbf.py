@@ -8,7 +8,7 @@ from crooked import vbf
 from crooked.errors import InvalidInput, NotApnWarning
 from crooked.families import build_gold
 from crooked.field import FieldCtx
-from helpers import crooked_form, naive_diff_spectrum, random_quadratic
+from helpers import crooked_form, frobenius_traces, naive_diff_spectrum, random_quadratic
 
 
 def _table(ctx, fn):
@@ -152,8 +152,9 @@ def test_hyperplane_witness_gf4():
     ctx = FieldCtx(2)
     b, eps = vbf.hyperplane_of(ctx, {0, 1})
     assert (b, eps) == (1, 0)
+    tr = frobenius_traces(ctx)
     for y in range(4):
-        assert (ctx.trace(ctx.mul(b, y)) == eps) == (y in {0, 1})
+        assert (tr[ctx.mul(b, y)] == eps) == (y in {0, 1})
 
 
 def test_hyperplane_wrong_size_and_non_flat():
@@ -165,13 +166,14 @@ def test_hyperplane_wrong_size_and_non_flat():
 
 def test_hyperplane_witness_consistency_exhaustive():
     ctx = FieldCtx(4)
+    tr = frobenius_traces(ctx)
     # every coset of every hyperplane gets the right witness back
     for b in range(1, 16):
         for eps in (0, 1):
-            s = {y for y in range(16) if ctx.trace(ctx.mul(b, y)) == eps}
+            s = {y for y in range(16) if tr[ctx.mul(b, y)] == eps}
             w = vbf.hyperplane_of(ctx, s)
             assert w is not None
-            assert {y for y in range(16) if ctx.trace(ctx.mul(w[0], y)) == w[1]} == s
+            assert {y for y in range(16) if tr[ctx.mul(w[0], y)] == w[1]} == s
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -179,8 +181,9 @@ def test_hyperplane_of_matches_enumeration(n):
     # Every subset of hyperplane size, against the 2(2^n - 1) affine
     # hyperplanes listed by brute force.
     ctx = FieldCtx(n)
+    tr = frobenius_traces(ctx)
     flats = {
-        frozenset(y for y in range(ctx.order) if ctx.trace(ctx.mul(b, y)) == eps): (b, eps)
+        frozenset(y for y in range(ctx.order) if tr[ctx.mul(b, y)] == eps): (b, eps)
         for b in range(1, ctx.order)
         for eps in (0, 1)
     }
