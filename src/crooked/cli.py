@@ -71,44 +71,21 @@ def _emit(doc: dict, as_json: bool):
             print(f"{k}: {doc[k]}")
 
 
-_HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
-
-
-def _hex_grid(v: np.ndarray, width: int) -> np.ndarray:
-    """(len(v), width) uint8: the lowercase hex digits of each entry of v,
-    left-aligned, then 0 bytes; width must cover the longest entry."""
-    length = np.ones(len(v), dtype=np.int64)
-    for j in range(1, width):
-        length += (v >> 4 * j) != 0
-    shift = 4 * (length[:, None] - 1 - np.arange(width))
-    grid = _HEX_DIGITS[(v[:, None] >> np.maximum(shift, 0)) & 15]
-    grid[shift < 0] = 0
-    return grid
-
-
 def _witnesses(res: vbf.CrookedReport, as_json: bool) -> _Rendered:
     """The hyperplane_witnesses object {hex a: [hex b, eps]}, rendered from
     the report's arrays as `_emit` would render that dict: for JSON in
     sort_keys order, which is lexicographic on hex, else as str(dict) in
-    numeric order. Each direction is one row of a byte grid, its hex digits
-    padded with 0 bytes that one mask drops; no per-direction object is
-    built."""
-    width = (len(res.b).bit_length() + 3) // 4
-    keys = _hex_grid(np.arange(1, len(res.b) + 1), width)
-    q, colon, comma, sep = ('"', ":", ",", ",") if as_json else ("'", ": ", ", ", ", ")
-    columns = [q, keys, f"{q}{colon}[{q}", _hex_grid(res.b, width), q + comma,
-               (ord("0") + res.eps)[:, None], "]" + sep]
-    grid = np.concatenate([
-        c if isinstance(c, np.ndarray)
-        else np.broadcast_to(np.frombuffer(c.encode(), dtype=np.uint8), (len(keys), len(c)))
-        for c in columns
-    ], axis=1)
+    numeric order. One template per direction, all filled by one % call;
+    no dict or string is built per direction."""
+    a = np.arange(1, len(res.b) + 1)
+    template, sep = ('"%x":["%x",%d]', ",") if as_json else ("'%x': ['%x', %d]", ", ")
     if as_json:
-        # The padding byte 0 ranks below every hex digit, so sorting the
-        # rows by their key digits, first digit first, sorts them by key.
-        grid = grid[np.lexsort(keys.T[::-1])]
-    body = grid[grid != 0].tobytes()[: -len(sep)].decode("ascii")
-    return _Rendered("{" + body + "}")
+        # Hex strings sort as their digits left-aligned to the widest key,
+        # and a key that is a prefix of another (1 and 10) sorts first.
+        digits = (np.frexp(a)[1] + 3) // 4
+        a = a[np.lexsort((digits, a << 4 * (digits[-1] - digits)))]
+    fields = np.stack([a, res.b[a - 1], res.eps[a - 1]], axis=1)
+    return _Rendered("{" + sep.join([template] * len(a)) % tuple(fields.ravel().tolist()) + "}")
 
 
 def _int(text: str, base: int = 16) -> int:

@@ -202,26 +202,25 @@ class FieldCtx:
         return found[k]
 
     # -- tables for vectorised code -----------------------------------------
-    # numpy is imported inside each builder, so that importing this module
-    # and every scalar operation stay numpy-free: pipebench draws its inputs
-    # with them, and each benchmark worker's peak RSS includes that parent
-    # process's resident set.
+    # numpy and `gf2mat` are imported inside each builder, so that importing
+    # this module and every scalar operation stay numpy-free: pipebench draws
+    # its inputs with them, and each benchmark worker's peak RSS includes
+    # that parent process's resident set.
 
     @cached_property
     def trace_masks(self) -> np.ndarray:
         """masks[a] = the bitmask w with parity(w & y) = trace(a*y) for every y.
 
-        Bit i of masks[x^j] is trace(x^(i+j)); masks is linear in a, so the
-        rest of the table is XORs of those n basis masks. Built on first use.
+        Bit i of masks[x^j] is trace(x^(i+j)); masks is linear in a, so
+        `span_table` fills it from those n basis masks. Built on first use.
         """
         import numpy as np
 
+        from .gf2mat import span_table
+
         n, traces = self.n, self._traces
-        masks = np.zeros(self.order, dtype=np.uint32)
-        for j in range(n):
-            basis = sum(traces[i + j] << i for i in range(n))
-            masks[1 << j : 2 << j] = masks[: 1 << j] ^ np.uint32(basis)
-        return masks
+        return span_table(np.array([sum(traces[i + j] << i for i in range(n)) for j in range(n)],
+                                   dtype=np.uint32))
 
     @cached_property
     def log_array(self) -> np.ndarray:
@@ -248,6 +247,8 @@ class FieldCtx:
         """
         import numpy as np
 
+        from .gf2mat import span_table
+
         def times(tables, v):
             out = tables[0][v & 255]
             for byte in range(1, len(tables)):
@@ -261,10 +262,7 @@ class FieldCtx:
             if v >> self.n:
                 v ^= self.modulus
         # Row j of the byte tables spans gamma*x^(8j), ..., gamma*x^(8j+7).
-        images = np.array(images + [0] * (-self.n % 8), dtype=np.uint32).reshape(-1, 8, 1)
-        tables = np.zeros((len(images), 256), dtype=np.uint32)
-        for i in range(8):
-            tables[:, 1 << i : 2 << i] = tables[:, : 1 << i] ^ images[:, i]
+        tables = span_table(np.array(images + [0] * (-self.n % 8), dtype=np.uint32).reshape(-1, 8))
         exp = np.empty(self.mult_order, dtype=np.uint32)
         exp[0], k = 1, 1
         while k < self.mult_order:

@@ -1,4 +1,5 @@
-"""GF(2) elimination in two shapes. `rank_and_normal_batched` reduces many
+"""F_2-linear tables and GF(2) elimination. `span_table` tabulates a linear
+map from its basis images. `rank_and_normal_batched` reduces many
 systems of uint32 bitset vectors at once, held as one array with one system
 per column: the derivatives and components of the quadratic path.
 `rank_packed` gives the F_2 dimension of the module that the rows of one
@@ -13,6 +14,18 @@ import functools
 from typing import List, Tuple
 
 import numpy as np
+
+
+def span_table(images: np.ndarray) -> np.ndarray:
+    """table[..., x] = the XOR of images[..., j] over the set bits j of x,
+    for every x below 2^k, k = images.shape[-1]: the F_2-linear map with
+    those basis images, tabulated along the last axis by doubling,
+    table[..., 2^j : 2^(j+1)] = table[..., :2^j] ^ images[..., j]."""
+    k = images.shape[-1]
+    table = np.zeros(images.shape[:-1] + (1 << k,), dtype=images.dtype)
+    for j in range(k):
+        np.bitwise_xor(table[..., : 1 << j], images[..., j, None], out=table[..., 1 << j : 2 << j])
+    return table
 
 
 def rank_and_normal_batched(vectors: np.ndarray, cols: int) -> Tuple[np.ndarray, np.ndarray]:

@@ -83,6 +83,7 @@ def _unit_pivots(N: np.ndarray) -> int:
         rows = rows[rows != p]
         by = ((N[p, cols] & masks[:, None]) << shifts[:, None]).reshape(g.size, _NIBBLE, -1)
         tables = np.zeros((g.size, 1 << _NIBBLE, cols.size), dtype=np.uint64)
+        # Not `gf2mat.span_table`: spanned last, the gathers below would be strided.
         for j in range(_NIBBLE):
             np.bitwise_xor(tables[:, : 1 << j], by[:, j, None], out=tables[:, 1 << j : 2 << j])
         c = (N[rows, q] >> group) & nibble

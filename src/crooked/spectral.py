@@ -16,7 +16,7 @@ import numpy as np
 
 from . import gf2mat
 from .errors import InvalidInput
-from .vbf import TruthTable, check_size, is_crooked, parity_table
+from .vbf import TruthTable, check_size, is_crooked, parity_table, polar_form
 
 
 def fwht(v: np.ndarray) -> np.ndarray:
@@ -44,28 +44,18 @@ def walsh_component(f: TruthTable, a: int) -> np.ndarray:
 
 def symplectic_rows(f: TruthTable) -> np.ndarray:
     """For f of degree <= 2, the symplectic matrix of every component
-    tr(a*f), a = 1, ..., 2^n - 1, as one (n, 2^n - 1) uint32 array: entry
-    (i, a - 1) is row i, whose bit j is tr(a*beta_ij) with beta_ij =
-    f(e_i+e_j) + f(e_i) + f(e_j) + f(0), and beta_ii = 0.
-
-    Row i is F_2-linear in the trace mask w of a, and its image of w = e_k
-    has bit j equal to bit k of beta_ij. So row i is built for every w by
-    doubling over those n images into one reused 2^n table, the way
-    `FieldCtx.trace_masks` is built, and read at the masks of a: O(n 2^n)."""
-    n, v = f.ctx.n, f.values
-    k = np.arange(n, dtype=np.uint32)
-    e = np.uint32(1) << k
-    # e_i ^ e_j, not e_i | e_j, so that beta_ii = f(0) + f(e_i) + f(e_i) + f(0) = 0.
-    beta = v[e[:, None] ^ e] ^ v[e][:, None] ^ v[e] ^ v[0]
-    # images[i, k]: bit j is bit k of beta_ij; the bits are distinct, so sum is OR.
-    images = (((beta[:, :, None] >> k) & np.uint32(1)) << k[:, None]).sum(axis=1, dtype=np.uint32)
-    masks, table = f.ctx.trace_masks[1:], np.zeros(f.ctx.order, dtype=np.uint32)
-    rows = np.empty((n, masks.size), dtype=np.uint32)
-    for row, image in zip(rows, images):
-        for b, x in enumerate(image):
-            np.bitwise_xor(table[: 1 << b], x, out=table[1 << b : 2 << b])
-        row[:] = table[masks]
-    return rows
+    tr(a*f), a = 1, ..., 2^n - 1, as one C-order (n, 2^n - 1) uint32 array:
+    entry (i, a - 1) is row i, whose bit j is tr(a*beta_ij), beta the
+    `polar_form` of f. Row i is F_2-linear in a, with bit j of its image of
+    a = x^k equal to tr(x^k*beta_ij), so one `span_table` of those images
+    gives every row at every a in O(n 2^n)."""
+    n = f.ctx.n
+    bit = np.arange(n, dtype=np.uint32)
+    # bits[i, k, j] = tr(x^k*beta_ij): the parity of beta_ij under x^k's trace mask.
+    bits = parity_table(n)[polar_form(f)[:, None, :] & f.ctx.trace_masks[1 << bit][:, None]]
+    # images[i, k]: bit j is tr(x^k*beta_ij); the bits are distinct, so sum is OR.
+    images = (bits << bit).sum(axis=2, dtype=np.uint32)
+    return gf2mat.span_table(images)[:, 1:].copy()
 
 
 def walsh_spectrum(f: TruthTable) -> dict:

@@ -49,9 +49,7 @@ def check_size(n: int, *computations: str) -> None:
 def parity_table(n: int) -> np.ndarray:
     """uint8 table of popcount parity for all values below 2^n, built once
     per n and shared by every caller, so read-only."""
-    t = np.zeros(1 << n, dtype=np.uint8)
-    for j in range(n):
-        t[1 << j : 2 << j] = t[: 1 << j] ^ 1
+    t = gf2mat.span_table(np.ones(n, dtype=np.uint8))
     t.setflags(write=False)
     return t
 
@@ -176,18 +174,22 @@ def has_degree_at_most_2(f: TruthTable) -> bool:
     return not anf[heavy != 0].any()
 
 
+def polar_form(f: TruthTable) -> np.ndarray:
+    """The (n, n) uint32 array beta[i, j] = f(e_i+e_j) + f(e_i) + f(e_j) + f(0),
+    with beta[i, i] = 0. For f of degree <= 2 it is the Gram matrix of the
+    symmetric F_2-bilinear form B(x, y) = f(x+y) + f(x) + f(y) + f(0)."""
+    v = f.values
+    e = np.uint32(1) << np.arange(f.ctx.n, dtype=np.uint32)
+    # e_i ^ e_j, not e_i | e_j, so that beta_ii = f(0) + f(e_i) + f(e_i) + f(0) = 0.
+    return v[e[:, None] ^ e] ^ v[e][:, None] ^ v[e] ^ v[0]
+
+
 def derivative_columns(f: TruthTable) -> np.ndarray:
     """For f of degree <= 2, D_a f(x) = L_a(x) + D_a f(0) with L_a linear.
     Entry (j, a - 1) of the (n, 2^n - 1) uint32 array is L_a(e_j) =
-    f(a+e_j) + f(a) + f(e_j) + f(0), for every direction a = 1, ..., 2^n - 1.
-    Filled one row at a time, so that no index array of that shape is made."""
-    v = f.values
-    a = np.arange(1, f.ctx.order, dtype=np.uint32)
-    cols = np.empty((f.ctx.n, a.size), dtype=np.uint32)
-    for j, col in enumerate(cols):
-        np.bitwise_xor(v[a ^ np.uint32(1 << j)], v[1:], out=col)
-        col ^= v[1 << j] ^ v[0]
-    return cols
+    f(a+e_j) + f(a) + f(e_j) + f(0), for a = 1, ..., 2^n - 1: linear in a,
+    so row j is the `span_table` of column j of the `polar_form`."""
+    return gf2mat.span_table(polar_form(f).T)[:, 1:]
 
 
 def hyperplane_of(ctx: FieldCtx, s: Iterable[int]) -> Optional[Tuple[int, int]]:

@@ -192,6 +192,35 @@ def naive_pair_identity(f: TruthTable, p: FamilyParams) -> bool:
     return True
 
 
+def family_values(ctx: FieldCtx, p: FamilyParams) -> List[int]:
+    """f(x) at every x by the families' formulas, with q = 2^m, e = 2^s+2^t
+    and every 2^k-th power taken as k squarings:
+      thm1: c x^(q+1) + sum_k r_k (x^(q+1))^(2^k)
+            + sum_{k in K} ((d x^e)^(2^k) + ((d x^e)^q)^(2^k));
+      thm2: c x^(q+1) + sum_k r_k (x^(q+1))^(2^k)
+            + sum_{k in K} ((x^e)^(2^k) + d ((x^e)^q)^(2^k)),
+    where r_k = r[k - 1], k = 1, ..., m - 1."""
+    q, e = 1 << p.m, (1 << p.s) + (1 << p.t)
+
+    def frobenius(y: int, k: int) -> int:
+        for _ in range(k):
+            y = ctx.mul(y, y)
+        return y
+
+    values = []
+    for x in range(ctx.order):
+        norm, xe = ctx.pow(x, q + 1), ctx.pow(x, e)
+        y = ctx.mul(p.c, norm)
+        for k, rk in enumerate(p.r, start=1):
+            y ^= ctx.mul(rk, frobenius(norm, k))
+        lead = ctx.mul(p.d, xe) if p.family == "thm1" else xe
+        for k in p.K:
+            twin = frobenius(ctx.pow(lead, q), k)
+            y ^= frobenius(lead, k) ^ (twin if p.family == "thm1" else ctx.mul(p.d, twin))
+        values.append(y)
+    return values
+
+
 def naive_search(ctx: FieldCtx, family: str, budget: int, seed: int) -> List[FamilyParams]:
     """`families.search_params` as its docstring states it: the seeded
     shuffle of the (s, t) and K lists, then for each (s, t, K) the first

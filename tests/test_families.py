@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 import warnings
 from math import gcd
@@ -6,7 +7,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from crooked import families, vbf
+from crooked import cli, families, funcfile, vbf
 from crooked.errors import DegreeMismatch, InvalidInput, InvalidParams, NotApnWarning
 from crooked.families import (
     FamilyParams,
@@ -19,7 +20,7 @@ from crooked.families import (
     validate,
 )
 from crooked.field import FieldCtx
-from helpers import IRREDUCIBLES, naive_pair_identity, naive_search
+from helpers import IRREDUCIBLES, family_values, naive_pair_identity, naive_search
 
 
 def _first_primitive(ctx):
@@ -397,3 +398,38 @@ def test_thm1_warning_iff_not_apn():
                     f = vbf.from_multinomial(build(ctx, p))
                 warned = any(issubclass(w.category, NotApnWarning) for w in caught)
                 assert warned == (vbf.differential_spectrum(f)[0] != 2), p
+
+
+# Tuples with r != 0 that meet the stated hypotheses: thm1's r entries lie
+# in F_{2^m}, and thm2's satisfy d = r^(1-q).
+R_TUPLES = [
+    FamilyParams("thm1", m=3, s=2, t=1, K=(0,), c=2, d=2, r=(0xE, 0xF)),
+    FamilyParams("thm2", m=3, s=2, t=1, K=(0,), c=2, d=6, r=(7, 0xB)),
+    FamilyParams("thm1", m=5, s=6, t=3, K=(1,), c=2, d=2, r=(0xE, 0, 0, 0xF)),
+    FamilyParams("thm2", m=5, s=6, t=3, K=(1,), c=2, d=0xA, r=(0xB, 0, 0, 0x62)),
+]
+
+
+@pytest.mark.parametrize("p", R_TUPLES, ids=[f"{p.family}-n{2 * p.m}" for p in R_TUPLES])
+def test_family_with_r_is_crooked_and_follows_its_formula(p, tmp_path, capsys):
+    ctx = FieldCtx(2 * p.m)
+    assert validate(ctx, p) == []
+    out = tmp_path / "f.json"
+    flags = {"s": p.s, "t": p.t, "K": ",".join(map(str, p.K)), "c": f"{p.c:x}", "d": f"{p.d:x}",
+             "r": ",".join(f"{v:x}" for v in p.r)}
+    argv = ["construct", "--family", p.family, "--n", str(ctx.n), "--out", str(out)]
+    assert cli.main(argv + [arg for k, v in flags.items() for arg in (f"--{k}", str(v))]) == 0
+    assert cli.main(["verify", "--in", str(out), "--checks", "apn,crooked,identity", "--summary", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["delta"], doc["crooked"], doc["identity"], doc["pass"]) == (2, True, True, True)
+    f = vbf.from_multinomial(vbf.multinomial(ctx, funcfile.parse(out.read_text()).terms))
+    assert f.values.tolist() == family_values(ctx, p)
+
+
+def test_thm1_d_zero_is_one_violated_hypothesis(ctx6, capsys):
+    # 0 = 0^(2^s+2^t): a violated hypothesis on stdout, not a refusal.
+    p = FamilyParams("thm1", m=3, s=2, t=1, K=(0,), c=2, d=0, r=(0, 0))
+    assert validate(ctx6, p) == ["d is a (2^s+2^t)-power"]
+    argv = "construct --family thm1 --n 6 --s 2 --t 1 --K 0 --c 2 --d 0".split()
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("d is a (2^s+2^t)-power\n", "")

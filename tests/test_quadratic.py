@@ -24,6 +24,7 @@ from helpers import (
     naive_rank,
     naive_walsh,
     quadratic_sweeps,
+    random_quadratic,
     sweeps,
 )
 
@@ -73,6 +74,40 @@ def test_batched_rank_and_normal_match_naive():
             assert (w == 0) == (r == cols)
             assert w < 1 << cols
             assert all(bin(w & v).count("1") % 2 == 0 for v in s)
+
+
+@seed(3)
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.data())
+def test_span_table_matches_naive_xor(data):
+    k = data.draw(st.integers(0, 10), label="k")
+    shape = data.draw(st.sampled_from([(), (3,), (2, 3)]), label="shape")
+    dtype = data.draw(st.sampled_from([np.uint8, np.uint32, np.uint64]), label="dtype")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="images"))
+    images = rng.integers(0, np.iinfo(dtype).max, size=shape + (k,), dtype=dtype, endpoint=True)
+    table = gf2mat.span_table(images)
+    assert table.shape == shape + (1 << k,) and table.dtype == dtype
+    for x in range(1 << k):
+        want = np.zeros(shape, dtype=dtype)
+        for j in range(k):
+            if x >> j & 1:
+                want ^= images[..., j]
+        assert np.array_equal(table[..., x], want), x
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_derivative_columns_match_their_definition(n):
+    # Entry (j, a - 1) is f(a+e_j) + f(a) + f(e_j) + f(0).
+    rng = random.Random(n)
+    for modulus in (None, *IRREDUCIBLES.get(n, [])[-1:]):
+        ctx = FieldCtx(n, modulus)
+        f = vbf.from_multinomial(random_quadratic(ctx, rng))
+        cols = vbf.derivative_columns(f)
+        assert cols.shape == (n, ctx.order - 1) and cols.dtype == np.uint32
+        v = f.values.tolist()
+        for j in range(n):
+            e = 1 << j
+            assert cols[j].tolist() == [v[a ^ e] ^ v[a] ^ v[e] ^ v[0] for a in range(1, ctx.order)], j
 
 
 @pytest.mark.parametrize("n, modulus", [(n, None) for n in range(1, 9)]
