@@ -21,7 +21,8 @@ import sys
 import warnings
 from collections import Counter
 from functools import cache
-from typing import Callable, List, Optional, Tuple
+from itertools import repeat
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -71,12 +72,17 @@ def _emit(doc: dict, as_json: bool):
             print(f"{k}: {doc[k]}")
 
 
+# Directions per `%` call of `_witnesses`: each call takes a tuple of three
+# Python ints per direction, so this bounds those tuples (n <= 12 is one call).
+_WITNESS_CHUNK = 4096
+
+
 def _witnesses(res: vbf.CrookedReport, as_json: bool) -> _Rendered:
     """The hyperplane_witnesses object {hex a: [hex b, eps]}, rendered from
     the report's arrays as `_emit` would render that dict: for JSON in
     sort_keys order, which is lexicographic on hex, else as str(dict) in
-    numeric order. One template per direction, all filled by one % call;
-    no dict or string is built per direction."""
+    numeric order. One template per direction, filled by one % call per
+    `_WITNESS_CHUNK` directions; no dict or string is built per direction."""
     a = np.arange(1, len(res.b) + 1)
     template, sep = ('"%x":["%x",%d]', ",") if as_json else ("'%x': ['%x', %d]", ", ")
     if as_json:
@@ -85,7 +91,11 @@ def _witnesses(res: vbf.CrookedReport, as_json: bool) -> _Rendered:
         digits = (np.frexp(a)[1] + 3) // 4
         a = a[np.lexsort((digits, a << 4 * (digits[-1] - digits)))]
     fields = np.stack([a, res.b[a - 1], res.eps[a - 1]], axis=1)
-    return _Rendered("{" + sep.join([template] * len(a)) % tuple(fields.ravel().tolist()) + "}")
+    parts = []
+    for i in range(0, len(a), _WITNESS_CHUNK):
+        chunk = fields[i : i + _WITNESS_CHUNK]
+        parts.append(sep.join([template] * len(chunk)) % tuple(chunk.ravel().tolist()))
+    return _Rendered("{" + sep.join(parts) + "}")
 
 
 def _int(text: str, base: int = 16) -> int:
@@ -114,30 +124,45 @@ def _half(n: int) -> int:
     return n // 2
 
 
-def _load(
-    path: str, over: Optional[FieldCtx] = None
-) -> Tuple[funcfile.FunctionFile, FieldCtx, Callable[[], vbf.TruthTable]]:
-    """(file, field, table): the function file at path, its field (`over`
-    when given) and a call that builds its truth table. Everything but the
-    evaluation is checked here, so that a caller can refuse by size from the
-    header before any table is built. A file over another field than `over`
-    is DegreeMismatch; any failure to read, parse or check it is
-    MalformedFile."""
+def _load(path: str, over: Optional[FieldCtx] = None) -> Tuple[dict, FieldCtx]:
+    """(doc, field): the function file at path with its header checked
+    (`funcfile.parse`), and its field (`over` when given). Its body is left
+    to `_table`, so that a caller can refuse from the header before any
+    entry is decoded. A file over another field than `over` is
+    DegreeMismatch; any failure to read, parse or check it is MalformedFile."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            ff = funcfile.parse(fh.read())
-        if over is not None and (ff.n, ff.modulus) != (over.n, over.modulus):
+            doc = funcfile.parse(fh.read())
+        if over is not None and (doc["n"], doc["modulus"]) != (over.n, over.modulus):
             raise DegreeMismatch("functions live over different fields")
-        ctx = over or FieldCtx(ff.n, ff.modulus)
-        if ff.representation == "truthtable":
-            f = vbf.TruthTable(ctx, ff.values)  # the file holds the table itself
-            return ff, ctx, lambda: f
-        m = vbf.multinomial(ctx, ff.terms)  # checks the terms, which the table evaluates
-        return ff, ctx, lambda: vbf.from_multinomial(m)
+        return doc, over or FieldCtx(doc["n"], doc["modulus"])
     except DegreeMismatch:
         raise
     except (OSError, UnicodeDecodeError, CrookedError) as e:
         raise MalformedFile(str(e)) from None
+
+
+def _table(doc: dict, ctx: FieldCtx) -> vbf.TruthTable:
+    """The truth table of a file that `_load` read over ctx: its entries, or
+    its terms evaluated. Any failure to decode or check the body is
+    MalformedFile."""
+    try:
+        if doc["representation"] == "truthtable":
+            raw = doc["values"]
+            try:
+                values = np.fromiter(map(int, raw, repeat(16)), dtype=np.int64, count=len(raw))
+            except OverflowError:  # an entry at 2^63 or above, or below -2^63
+                raise MalformedFile("table entry outside the field") from None
+            if len(values) != ctx.order:
+                raise MalformedFile(f"truth table length {len(values)} != 2^{ctx.n}")
+            return vbf.TruthTable(ctx, values)  # the file holds the table itself
+        terms = [(int(t["coeff"], 16), funcfile._integer(t["exp"], "exp")) for t in doc["terms"]]
+        m = vbf.multinomial(ctx, terms)  # checks the terms, which the table evaluates
+    except (KeyError, TypeError, ValueError) as e:
+        raise MalformedFile(f"bad function file: {e}") from None
+    except CrookedError as e:
+        raise MalformedFile(str(e)) from None
+    return vbf.from_multinomial(m)
 
 
 # The tuple flags each family reads; a thm1/thm2 tuple under --auto reads none.
@@ -183,7 +208,13 @@ def cmd_construct(args) -> int:
         for w in caught:
             print(f"warning: {w.message}", file=sys.stderr)
         prov.update(_family_provenance(params))
-    text = funcfile.serialize(funcfile.from_multinomial_repr(m, prov))
+    text = funcfile.serialize({
+        "n": ctx.n,
+        "modulus": ctx.modulus,
+        "representation": "multinomial",
+        "provenance": prov,
+        "terms": [{"coeff": format(c, "x"), "exp": e} for c, e in m.terms],
+    })
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -224,11 +255,11 @@ def _family_provenance(p: families.FamilyParams) -> dict:
     }
 
 
-def _params_from_provenance(ff: funcfile.FunctionFile):
+def _params_from_provenance(doc: dict):
     """The family tuple a thm1/thm2 file records, None for any other file;
     MalformedFile when a key is missing, garbled or out of range, or
     disagrees with the field."""
-    prov = ff.provenance
+    prov, n = doc["provenance"], doc["n"]
     fam = prov.get("family")
     if fam not in families.FAMILIES:
         return None
@@ -249,12 +280,12 @@ def _params_from_provenance(ff: funcfile.FunctionFile):
         )
     except (KeyError, TypeError, ValueError) as e:
         raise MalformedFile(f"{fam} provenance lacks or garbles {e}") from None
-    if 2 * p.m != ff.n:
-        raise MalformedFile(f"{fam} provenance has m = {p.m}, but n = {ff.n} is not 2m")
-    if not (0 <= p.t < p.s < ff.n and all(type(k) is int and 0 <= k < ff.n for k in p.K)):
+    if 2 * p.m != n:
+        raise MalformedFile(f"{fam} provenance has m = {p.m}, but n = {n} is not 2m")
+    if not (0 <= p.t < p.s < n and all(type(k) is int and 0 <= k < n for k in p.K)):
         raise MalformedFile(f"{fam} provenance needs 0 <= t < s < n and K within [0, n-1]")
-    if any(v >> ff.n for v in (p.c, p.d, *p.r)):
-        raise MalformedFile(f"{fam} provenance has an element outside GF(2^{ff.n})")
+    if any(v >> n for v in (p.c, p.d, *p.r)):
+        raise MalformedFile(f"{fam} provenance has an element outside GF(2^{n})")
     return p
 
 
@@ -265,19 +296,19 @@ def cmd_verify(args) -> int:
             raise InvalidInput(f"unknown check {check!r}")
         if check in checks[:i]:
             raise InvalidInput(f"check {check!r} given twice")
-    ff, _, table = _load(args.infile)
+    doc, ctx = _load(args.infile)
     # What the header decides comes first, in check order, so that a file
-    # above a size cap is refused before its table is built.
+    # above a size cap is refused before its body is decoded.
     params = None
     for check in checks:
         if check == "identity":
-            params = _params_from_provenance(ff)
+            params = _params_from_provenance(doc)
             if params is None:
                 raise MalformedFile("identity check needs thm1/thm2 provenance")
         else:
-            vbf.check_size(ff.n, check)
-    f = table()
-    report: dict = {"n": ff.n, "checks": sorted(checks)}
+            vbf.check_size(ctx.n, check)
+    f = _table(doc, ctx)
+    report: dict = {"n": ctx.n, "checks": sorted(checks)}
     ok = True
     for check in checks:
         if check == "apn":
@@ -306,20 +337,20 @@ def cmd_verify(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    ff, ctx, table = _load(args.infile)
+    doc, ctx = _load(args.infile)
+    against = None if args.against == "gold-all" else _load(args.against, ctx)[0]
     with_ranks = args.depth == "ranks"
-    if args.against == "gold-all":
-        targets = [
-            (f"gold-s{s}", lambda s=s: vbf.from_multinomial(families.build_gold(ctx, s)))
-            for s in families.gold_representatives(ctx.n)
-        ]
+    # Both headers are checked, so the caps refuse before any body is decoded.
+    vbf.check_size(ctx.n, *(("gamma", "delta") if with_ranks else ()), "apn", "walsh")
+    f = _table(doc, ctx)
+    if against is None:
+        targets = ((f"gold-s{s}", vbf.from_multinomial(families.build_gold(ctx, s)))
+                   for s in families.gold_representatives(ctx.n))
     else:
-        targets = [(args.against, _load(args.against, ctx)[2])]
-    # Both files are checked, so the caps refuse before any table is built.
-    vbf.check_size(ff.n, *(("gamma", "delta") if with_ranks else ()), "apn", "walsh")
-    left = invariants.function_invariants(table(), with_ranks)
-    for label, right_table in targets:
-        right = invariants.function_invariants(right_table(), with_ranks)
+        targets = [(args.against, _table(against, ctx))]
+    left = invariants.function_invariants(f, with_ranks)
+    for label, g in targets:
+        right = invariants.function_invariants(g, with_ranks)
         _emit({
             "against": label,
             "depth": "spectra+ranks" if with_ranks else "spectra",

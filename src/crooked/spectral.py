@@ -44,7 +44,7 @@ def walsh_component(f: TruthTable, a: int) -> np.ndarray:
 
 def symplectic_rows(f: TruthTable) -> np.ndarray:
     """For f of degree <= 2, the symplectic matrix of every component
-    tr(a*f), a = 1, ..., 2^n - 1, as one C-order (n, 2^n - 1) uint32 array:
+    tr(a*f), a = 1, ..., 2^n - 1, as one (n, 2^n - 1) uint32 array:
     entry (i, a - 1) is row i, whose bit j is tr(a*beta_ij), beta the
     `polar_form` of f. Row i is F_2-linear in a, with bit j of its image of
     a = x^k equal to tr(x^k*beta_ij), so one `span_table` of those images
@@ -55,7 +55,7 @@ def symplectic_rows(f: TruthTable) -> np.ndarray:
     bits = parity_table(n)[polar_form(f)[:, None, :] & f.ctx.trace_masks[1 << bit][:, None]]
     # images[i, k]: bit j is tr(x^k*beta_ij); the bits are distinct, so sum is OR.
     images = (bits << bit).sum(axis=2, dtype=np.uint32)
-    return gf2mat.span_table(images)[:, 1:].copy()
+    return gf2mat.span_table(images)[:, 1:]
 
 
 def walsh_spectrum(f: TruthTable) -> dict:

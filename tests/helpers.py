@@ -16,21 +16,22 @@ from operator import xor
 from typing import Dict, List, Optional, Tuple
 from unittest import mock
 
-from crooked import funcfile, spectral, vbf
+from crooked import spectral, vbf
 from crooked.families import FamilyParams, validate
 from crooked.field import FieldCtx
 from crooked.vbf import TruthTable
 
 
-def from_truthtable_repr(t: TruthTable, provenance: Optional[dict] = None) -> funcfile.FunctionFile:
-    """The function file that carries t as a truth table."""
-    return funcfile.FunctionFile(
-        n=t.ctx.n,
-        modulus=t.ctx.modulus,
-        representation="truthtable",
-        values=[int(v) for v in t.values],
-        provenance=provenance or {},
-    )
+def from_truthtable_repr(t: TruthTable, provenance: Optional[dict] = None) -> dict:
+    """The function file document that carries t as a truth table, as
+    `funcfile.parse` reads it and `funcfile.serialize` writes it."""
+    return {
+        "n": t.ctx.n,
+        "modulus": t.ctx.modulus,
+        "representation": "truthtable",
+        "values": [format(v, "x") for v in t.values.tolist()],
+        "provenance": provenance or {},
+    }
 
 
 def frobenius_trace(ctx: FieldCtx, a: int) -> int:

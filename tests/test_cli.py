@@ -35,8 +35,7 @@ def test_construct_thm1_auto_and_verify(tmp_path):
         "construct", "--family", "thm1", "--n", "6", "--auto", "--seed", "1",
         "--out", str(out), expect=0,
     )
-    ff = funcfile.parse(out.read_text())
-    assert ff.provenance["family"] == "thm1"
+    assert funcfile.parse(out.read_text())["provenance"]["family"] == "thm1"
     run_cli(
         "verify", "--in", str(out), "--checks", "apn,crooked,identity",
         "--json", "--summary", expect=0,
@@ -51,7 +50,7 @@ def test_construct_explicit_params(tmp_path):
         "--c", "primitive", "--d", "primitive",
         "--out", str(out), expect=0,
     )
-    f = cli._load(str(out))[2]()
+    f = cli._table(*cli._load(str(out)))
     assert vbf.is_crooked(f).is_crooked
 
 
@@ -204,9 +203,13 @@ PROVENANCE_EDITS = {NO_M: ("m", None), C_FFF: ("c", "fff"), M_5: ("m", 5),
                     R_STR: ("r", "0000"), R_OBJECT: ("r", {"a": 1})}
 ENTRY_NEG, ENTRY_BIG, ENTRY_2_80 = "<entry=-1>", "<entry=100000000>", "<entry=16^20>"
 N_2_40, N_10_30, VERSION_7 = "<n=2^40>", "<n=10^30>", "<schema_version=7>"
+VALUES_OBJECT, VALUES_STR = "<values={0: y, ..., 3f: y}>", "<values=0123...ef>"
 TABLE_EDITS = {ENTRY_NEG: ("entry", "-1"), ENTRY_BIG: ("entry", "100000000"),
                ENTRY_2_80: ("entry", "1" + "0" * 20),
-               N_2_40: ("n", 1 << 40), N_10_30: ("n", 10 ** 30), VERSION_7: ("schema_version", 7)}
+               N_2_40: ("n", 1 << 40), N_10_30: ("n", 10 ** 30), VERSION_7: ("schema_version", 7),
+               # Iterated, their 64 keys or characters would read as a table at n = 6.
+               VALUES_OBJECT: ("values", {format(x, "x"): "y" for x in range(64)}),
+               VALUES_STR: ("values", "0123456789abcdef" * 4)}
 GOLD, MISSING, NOT_UTF8, NO_DIR = "<gold>", "<missing>", "<not-utf-8>", "<no-dir>"
 TOP_LIST, TOP_NUMBER = "<[]>", "<5>"
 RAW_FILES = {NOT_UTF8: b"\xff\xfe\x00", TOP_LIST: b"[]", TOP_NUMBER: b"5"}
@@ -296,6 +299,8 @@ EXIT_CASES = [
     (("verify", "--in", GOLD, "--checks", "apn,nope"), 2, "err", "unknown check 'nope'"),
     (("verify", "--in", MISSING, "--checks", "apn,walsh,apn"), 2, "err", "check 'apn' given twice"),
     (("verify", "--in", VERSION_7, "--checks", "apn"), 3, "err", "schema_version = 7 is not 1"),
+    (("verify", "--in", VALUES_OBJECT, "--checks", "apn"), 3, "err", "values is not a JSON list"),
+    (("verify", "--in", VALUES_STR, "--checks", "apn"), 3, "err", "values is not a JSON list"),
     (("verify", "--in", GOLD, "--checks", "identity"), 3, "err", "thm1/thm2 provenance"),
     (("invariants", "--in", MISSING, "--against", "gold-all"), 3, "err", "No such file"),
     (("search", "--family", "thm1", "--n", "7"), 2, "out", "n must be even"),
@@ -451,8 +456,8 @@ def test_verify_witnesses_pinned(flags, tmp_path):
     # and on its truth table with the same provenance.
     path, table = tmp_path / "f.json", tmp_path / "t.json"
     run_cli("construct", "--family", *flags, "--out", str(path), expect=0)
-    provenance = funcfile.parse(path.read_text()).provenance
-    table.write_text(funcfile.serialize(from_truthtable_repr(cli._load(str(path))[2](), provenance)))
+    provenance = funcfile.parse(path.read_text())["provenance"]
+    table.write_text(funcfile.serialize(from_truthtable_repr(cli._table(*cli._load(str(path))), provenance)))
     for (command, *rest), digest in PINNED_SHA256[flags].items():
         for infile in (path, table):
             proc = run_cli(command, "--in", str(infile), *rest, expect=0)
@@ -473,7 +478,7 @@ def test_thm1_n14_verify_pinned(tmp_path):
                    "--json", expect=0)
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == THM1_N14_SHA256
     # The arrays is_crooked returns hold each direction's hyperplane_of.
-    f = cli._load(str(path))[2]()
+    f = cli._table(*cli._load(str(path)))
     assert f.path == ("quadratic", None)
     rep = vbf.is_crooked(f)
     for a in random.Random(14).sample(range(1, f.ctx.order), 64):
@@ -623,7 +628,9 @@ def test_witnesses_render_as_their_dict(n, terms, tmp_path, capsys):
     ctx = FieldCtx(n)
     m = vbf.multinomial(ctx, terms)
     path = tmp_path / "f.json"
-    path.write_text(funcfile.serialize(funcfile.from_multinomial_repr(m)))
+    body = [{"coeff": format(c, "x"), "exp": e} for c, e in m.terms]
+    path.write_text(funcfile.serialize({"n": n, "modulus": ctx.modulus, "representation": "multinomial",
+                                        "provenance": {}, "terms": body}))
     witnesses = witness_dict(vbf.is_crooked(vbf.from_multinomial(m)))
     doc = {"checks": ["crooked"], "crooked": True, "hyperplane_witnesses": witnesses, "n": n, "pass": True}
     for as_json in (True, False):
@@ -744,25 +751,33 @@ def test_refusals_above_16_make_few_scalar_calls(tmp_path, monkeypatch, capsys):
 
 
 def test_size_caps_refuse_from_the_header(tmp_path, monkeypatch, capsys):
-    # Above a size cap no truth table is built: the refusal is decided from
-    # the header, in check order, with the exit code and the line the
-    # computation itself would give.
-    files = {}
+    # Above a size cap no body is decoded and no truth table is built: the
+    # refusal is decided from the header, in check order, with the exit
+    # code and the line the computation itself would give, and it comes
+    # before a malformed entry of a truth-table file.
+    files = []
     for n in (18, 20):
-        files[n] = tmp_path / f"g{n}.json"
+        files.append(tmp_path / f"g{n}.json")
         assert cli.main(["construct", "--family", "gold", "--n", str(n), "--s", "1",
-                         "--out", str(files[n])]) == 0
+                         "--out", str(files[-1])]) == 0
+    doc = funcfile.parse(files[0].read_text())
+    table = from_truthtable_repr(cli._table(doc, FieldCtx(18, doc["modulus"])), doc["provenance"])
+    for name, entry in (("t18.json", table["values"][1]), ("t18-bad.json", "zz")):
+        files.append(tmp_path / name)
+        table["values"][1] = entry
+        files[-1].write_text(funcfile.serialize(table))
     g6 = tmp_path / "g6.json"
     assert cli.main(["construct", "--family", "gold", "--n", "6", "--out", str(g6)]) == 0
     capsys.readouterr()
 
-    def no_table(m):
-        raise AssertionError("a truth table was built")
+    def no_table(*args):
+        raise AssertionError("a body was decoded or a truth table was built")
 
     monkeypatch.setattr(vbf, "from_multinomial", no_table)
+    monkeypatch.setattr(cli, "_table", no_table)
     sweep, walsh = "exhaustive differential scan capped at n=16\n", "walsh spectrum capped at n=16\n"
     identity = "identity check needs thm1/thm2 provenance\n"
-    for n, path in files.items():
+    for path in files:
         for command, code, err in (
             (["verify", "--checks", "apn"], 4, sweep),
             (["verify", "--checks", "crooked,apn"], 4, sweep),
@@ -774,8 +789,8 @@ def test_size_caps_refuse_from_the_header(tmp_path, monkeypatch, capsys):
             (["invariants", "--against", str(path)], 4, sweep),
             (["invariants", "--against", str(g6)], 5, "functions live over different fields\n"),
         ):
-            assert cli.main([command[0], "--in", str(path), *command[1:]]) == code, (n, command)
-            assert capsys.readouterr() == ("", err), (n, command)
+            assert cli.main([command[0], "--in", str(path), *command[1:]]) == code, (path.name, command)
+            assert capsys.readouterr() == ("", err), (path.name, command)
 
 
 def _count_evaluations(monkeypatch):

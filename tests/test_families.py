@@ -7,7 +7,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from crooked import cli, families, funcfile, vbf
+from crooked import cli, families, vbf
 from crooked.errors import DegreeMismatch, InvalidInput, InvalidParams, NotApnWarning
 from crooked.families import (
     FamilyParams,
@@ -422,7 +422,7 @@ def test_family_with_r_is_crooked_and_follows_its_formula(p, tmp_path, capsys):
     assert cli.main(["verify", "--in", str(out), "--checks", "apn,crooked,identity", "--summary", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert (doc["delta"], doc["crooked"], doc["identity"], doc["pass"]) == (2, True, True, True)
-    f = vbf.from_multinomial(vbf.multinomial(ctx, funcfile.parse(out.read_text()).terms))
+    f = cli._table(*cli._load(str(out)))
     assert f.values.tolist() == family_values(ctx, p)
 
 
