@@ -4,8 +4,8 @@ Submodules: field (GF(2^n) arithmetic, trace-form masks), gf2mat (batched
 and packed GF(2) elimination), vbf (truth tables, differential/crooked
 analysis), spectral (Walsh transforms), families (the two crooked
 constructions, their linearized-map test, Gold references, parameter
-search), invariants (CCZ invariants and comparisons), funcfile (canonical
-JSON files), cli.
+search), invariants (CCZ invariants and comparisons), cli (the command
+line and its canonical JSON function files).
 """
 
 from .field import FieldCtx

@@ -26,7 +26,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from . import families, funcfile, invariants, spectral, vbf
+from . import families, invariants, spectral, vbf
 from .errors import (
     CrookedError,
     DegreeMismatch,
@@ -36,7 +36,7 @@ from .errors import (
     MalformedFile,
     NotApnWarning,
 )
-from .field import FieldCtx
+from .field import MAX_DEGREE, FieldCtx
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -107,14 +107,16 @@ def _int(text: str, base: int = 16) -> int:
         raise InvalidInput(str(e)) from None
 
 
-def _resolve_elem(ctx: FieldCtx, text: str, seed: int) -> int:
-    if text == "primitive":
+def _resolve_elem(ctx: FieldCtx, text: Optional[str], seed: int) -> int:
+    """A --c or --d value: a hex element, or the seeded primitive element
+    when the flag is absent or 'primitive'."""
+    if text is None or text == "primitive":
         return ctx.primitive(seed)
     return _int(text)
 
 
 def _field(args) -> FieldCtx:
-    return FieldCtx(args.n, _int(args.modulus) if args.modulus else None)
+    return FieldCtx(args.n, None if args.modulus is None else _int(args.modulus))
 
 
 def _half(n: int) -> int:
@@ -124,15 +126,69 @@ def _half(n: int) -> int:
     return n // 2
 
 
+# Function files, the one persistence format the CLI writes and reads:
+# canonical JSON, diff-friendly and round-trip stable.
+SCHEMA_VERSION = 1
+
+
+def serialize(doc: dict) -> str:
+    """The canonical text of a function file: doc's keys, n and modulus as
+    ints and the body as it is written, under the current schema_version."""
+    doc = {**doc, "schema_version": SCHEMA_VERSION, "modulus": format(doc["modulus"], "x")}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _integer(value, what: str) -> int:
+    if isinstance(value, (bool, float)):  # int() would read true as 1, 3.5 as 3
+        raise MalformedFile(f"{what} = {json.dumps(value)} is not an integer")
+    return int(value)
+
+
+def parse(text: str) -> dict:
+    """The document of a function file, with its header checked and read (n
+    and modulus as ints, provenance {} when absent) and its body, a JSON
+    list, left as written; `_table` decodes the body over the field."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise MalformedFile(f"not valid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise MalformedFile("not a JSON object")
+    try:
+        version = _integer(doc.get("schema_version", SCHEMA_VERSION), "schema_version")
+        if version != SCHEMA_VERSION:
+            raise MalformedFile(f"schema_version = {version} is not {SCHEMA_VERSION}")
+        n = doc["n"] = _integer(doc["n"], "n")
+        # Checked before anything is sized by 2^n.
+        if not 1 <= n <= MAX_DEGREE:
+            raise MalformedFile(f"n = {n} outside [1, {MAX_DEGREE}]")
+        doc["modulus"] = int(doc["modulus"], 16)
+        rep = doc["representation"]
+        if rep not in ("multinomial", "truthtable"):  # compared, not hashed: any JSON value
+            raise MalformedFile(f"unknown representation {rep!r}")
+        # The body: {"coeff": hex, "exp": int} terms, or the 2^n hex entries.
+        # A string or an object would iterate as its characters or keys.
+        body = "terms" if rep == "multinomial" else "values"
+        if not isinstance(doc[body], list):
+            raise MalformedFile(f"{body} is not a JSON list")
+        if not isinstance(doc.setdefault("provenance", {}), dict):
+            raise MalformedFile("provenance is not a JSON object")
+        return doc
+    except MalformedFile:
+        raise
+    except (KeyError, TypeError, ValueError) as e:
+        raise MalformedFile(f"bad function file: {e}") from None
+
+
 def _load(path: str, over: Optional[FieldCtx] = None) -> Tuple[dict, FieldCtx]:
     """(doc, field): the function file at path with its header checked
-    (`funcfile.parse`), and its field (`over` when given). Its body is left
+    (`parse`), and its field (`over` when given). Its body is left
     to `_table`, so that a caller can refuse from the header before any
     entry is decoded. A file over another field than `over` is
     DegreeMismatch; any failure to read, parse or check it is MalformedFile."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = funcfile.parse(fh.read())
+            doc = parse(fh.read())
         if over is not None and (doc["n"], doc["modulus"]) != (over.n, over.modulus):
             raise DegreeMismatch("functions live over different fields")
         return doc, over or FieldCtx(doc["n"], doc["modulus"])
@@ -156,7 +212,7 @@ def _table(doc: dict, ctx: FieldCtx) -> vbf.TruthTable:
             if len(values) != ctx.order:
                 raise MalformedFile(f"truth table length {len(values)} != 2^{ctx.n}")
             return vbf.TruthTable(ctx, values)  # the file holds the table itself
-        terms = [(int(t["coeff"], 16), funcfile._integer(t["exp"], "exp")) for t in doc["terms"]]
+        terms = [(int(t["coeff"], 16), _integer(t["exp"], "exp")) for t in doc["terms"]]
         m = vbf.multinomial(ctx, terms)  # checks the terms, which the table evaluates
     except (KeyError, TypeError, ValueError) as e:
         raise MalformedFile(f"bad function file: {e}") from None
@@ -190,14 +246,14 @@ def cmd_construct(args) -> int:
     # is built, in the order search refuses it.
     half = None if args.family == "gold" else _half(args.n)
     ctx = _field(args)
-    seed = args.seed or 0
+    seed = args.seed
     prov = {"family": args.family, "seed": seed}
     if args.family == "gold":
         m = families.build_gold(ctx, args.s)
         prov["s"] = args.s
     elif args.family == "ref7":
-        c = _resolve_elem(ctx, args.c or "primitive", seed)
-        d = _resolve_elem(ctx, args.d or "primitive", seed)
+        c = _resolve_elem(ctx, args.c, seed)
+        d = _resolve_elem(ctx, args.d, seed)
         m = families.build_ref7(ctx, half, args.s, c, d)
         prov.update({"m": half, "s": args.s, "c": format(c, "x"), "d": format(d, "x")})
     else:
@@ -208,14 +264,14 @@ def cmd_construct(args) -> int:
         for w in caught:
             print(f"warning: {w.message}", file=sys.stderr)
         prov.update(_family_provenance(params))
-    text = funcfile.serialize({
+    text = serialize({
         "n": ctx.n,
         "modulus": ctx.modulus,
         "representation": "multinomial",
         "provenance": prov,
         "terms": [{"coeff": format(c, "x"), "exp": e} for c, e in m.terms],
     })
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -234,10 +290,10 @@ def _family_params(ctx, args, m, seed) -> families.FamilyParams:
         if not hits:
             raise InvalidParams(["no valid parameters found by search"])
         return hits[0]
-    K = tuple(_int(v, 10) for v in args.K.split(",")) if args.K else (0,)
-    c = _resolve_elem(ctx, args.c or "primitive", seed)
-    d = _resolve_elem(ctx, args.d or "primitive", seed)
-    r = tuple(map(_int, args.r.split(","))) if args.r else (0,) * (m - 1)
+    K = (0,) if args.K is None else tuple(_int(v, 10) for v in args.K.split(","))
+    c = _resolve_elem(ctx, args.c, seed)
+    d = _resolve_elem(ctx, args.d, seed)
+    r = (0,) * (m - 1) if args.r is None else tuple(map(_int, args.r.split(",")))
     return families.FamilyParams(args.family, m, args.s, args.t, K, c, d, r)
 
 
@@ -270,9 +326,9 @@ def _params_from_provenance(doc: dict):
             raise TypeError(f"r = {json.dumps(r)}, which is not a list")
         p = families.FamilyParams(
             fam,
-            m=funcfile._integer(prov["m"], f"{fam} provenance m"),
-            s=funcfile._integer(prov["s"], f"{fam} provenance s"),
-            t=funcfile._integer(prov["t"], f"{fam} provenance t"),
+            m=_integer(prov["m"], f"{fam} provenance m"),
+            s=_integer(prov["s"], f"{fam} provenance s"),
+            t=_integer(prov["t"], f"{fam} provenance t"),
             K=tuple(prov["K"]),
             c=int(prov["c"], 16),
             d=int(prov["d"], 16),
@@ -339,6 +395,8 @@ def cmd_verify(args) -> int:
 def cmd_invariants(args) -> int:
     doc, ctx = _load(args.infile)
     against = None if args.against == "gold-all" else _load(args.against, ctx)[0]
+    if against is None and not families.gold_representatives(ctx.n):
+        raise InvalidInput(f"gold-all: no Gold representative 1 <= s <= n/2 at n = {ctx.n}")
     with_ranks = args.depth == "ranks"
     # Both headers are checked, so the caps refuse before any body is decoded.
     vbf.check_size(ctx.n, *(("gamma", "delta") if with_ranks else ()), "apn", "walsh")
@@ -373,7 +431,7 @@ def cmd_search(args) -> int:
             else "the second family is empty (each d with d^(q+1) = 1 is a (2^s+2^t)-power)"
         )
         print(f"warning: m = {m} is even: {consequence}", file=sys.stderr)
-    hits = families.search_params(ctx, args.family, budget=args.budget, seed=args.seed or 0)
+    hits = families.search_params(ctx, args.family, budget=args.budget, seed=args.seed)
     for p in hits:
         _emit(_family_provenance(p), True)
     print(f"# {len(hits)} valid tuple(s)", file=sys.stderr)

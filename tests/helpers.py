@@ -24,7 +24,7 @@ from crooked.vbf import TruthTable
 
 def from_truthtable_repr(t: TruthTable, provenance: Optional[dict] = None) -> dict:
     """The function file document that carries t as a truth table, as
-    `funcfile.parse` reads it and `funcfile.serialize` writes it."""
+    `cli.parse` reads it and `cli.serialize` writes it."""
     return {
         "n": t.ctx.n,
         "modulus": t.ctx.modulus,

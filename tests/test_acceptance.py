@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 
-from crooked import families, funcfile, invariants, spectral, vbf
+from crooked import cli, families, invariants, spectral, vbf
 from crooked.errors import NotApnWarning
 from crooked.families import (
     FamilyParams,
@@ -368,7 +368,7 @@ def test_criterion_10_cli_round_trip_and_exit_codes(tmp_path):
     ctx = FieldCtx(4)
     fifth = vbf.from_multinomial(vbf.multinomial(ctx, [(1, 5)]))
     notapn = tmp_path / "x5.json"
-    notapn.write_text(funcfile.serialize(from_truthtable_repr(fifth)))
+    notapn.write_text(cli.serialize(from_truthtable_repr(fifth)))
     ok &= run_cli("verify", "--in", str(notapn), "--checks", "apn").returncode == 1
     _criterion(
         10,

@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crooked import cli, funcfile, gf2mat, invariants, vbf
+from crooked import cli, gf2mat, invariants, vbf
 from crooked.errors import DegreeMismatch, InfeasibleSize, InvalidInput, InvalidModulus, MalformedFile
-from crooked.families import search_params
+from crooked.families import FamilyParams, search_params
 from crooked.field import FieldCtx
 from helpers import emitted, from_truthtable_repr, witness_dict
 
@@ -35,7 +35,7 @@ def test_construct_thm1_auto_and_verify(tmp_path):
         "construct", "--family", "thm1", "--n", "6", "--auto", "--seed", "1",
         "--out", str(out), expect=0,
     )
-    assert funcfile.parse(out.read_text())["provenance"]["family"] == "thm1"
+    assert cli.parse(out.read_text())["provenance"]["family"] == "thm1"
     run_cli(
         "verify", "--in", str(out), "--checks", "apn,crooked,identity",
         "--json", "--summary", expect=0,
@@ -72,7 +72,7 @@ def test_verify_non_apn_exits_1(tmp_path):
     ctx = FieldCtx(4)
     fifth = vbf.from_multinomial(vbf.multinomial(ctx, [(1, 5)]))
     path = tmp_path / "x5.json"
-    path.write_text(funcfile.serialize(from_truthtable_repr(fifth)))
+    path.write_text(cli.serialize(from_truthtable_repr(fifth)))
     proc = run_cli("verify", "--in", str(path), "--checks", "apn", "--json", expect=1)
     report = json.loads(proc.stdout)
     assert report["delta"] == 4 and report["pass"] is False
@@ -130,6 +130,22 @@ def test_search_deterministic_and_exit_codes():
     empty = run_cli("search", "--family", "thm1", "--n", "6", "--budget", "0",
                     expect=2)
     assert empty.stdout == "" and empty.stderr == "--budget 0 is below 1\n"
+
+
+def test_absent_flags_take_their_documented_defaults(capsys):
+    # Each pair differs only in whether the defaults are spelled out.
+    pairs = [
+        (("construct", "--family", "thm1", "--n", "6", "--K", "0"),
+         ("--s", "1", "--t", "0", "--c", "primitive", "--d", "primitive", "--r", "0,0",
+          "--seed", "0", "--modulus", "43")),
+        (("search", "--family", "thm1", "--n", "6", "--budget", "2"), ("--seed", "0", "--modulus", "43")),
+    ]
+    for argv, defaults in pairs:
+        outputs = []
+        for args in (argv, argv + defaults):
+            assert cli.main(list(args)) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and outputs[0]
 
 
 def test_construct_byte_identical_across_runs():
@@ -192,12 +208,12 @@ def test_construct_odd_half_degree_no_warning():
 # does not exist, for a file that is not UTF-8, and for a path in a directory
 # that does not exist.
 NO_M, C_FFF, M_5 = "<no-m>", "<c=fff>", "<m=5>"
-K_NEG, K_A, S_99 = "<K=[-1]>", "<K=[a]>", "<s=99>"
+K_NEG, K_A, S_99, S_6 = "<K=[-1]>", "<K=[a]>", "<s=99>", "<s=6>"
 PROV_5, PROV_LIST, PROV_STR = "<provenance=5>", "<provenance=[]>", "<provenance='x'>"
 M_3_0, S_5_9, T_TRUE = "<m=3.0>", "<s=5.9>", "<t=true>"
 R_STR, R_OBJECT = "<r='0000'>", "<r={a:1}>"
 PROVENANCE_EDITS = {NO_M: ("m", None), C_FFF: ("c", "fff"), M_5: ("m", 5),
-                    K_NEG: ("K", [-1]), K_A: ("K", ["a"]), S_99: ("s", 99),
+                    K_NEG: ("K", [-1]), K_A: ("K", ["a"]), S_99: ("s", 99), S_6: ("s", 6),
                     PROV_5: (None, 5), PROV_LIST: (None, []), PROV_STR: (None, "x"),
                     M_3_0: ("m", 3.0), S_5_9: ("s", 5.9), T_TRUE: ("t", True),
                     R_STR: ("r", "0000"), R_OBJECT: ("r", {"a": 1})}
@@ -212,7 +228,12 @@ TABLE_EDITS = {ENTRY_NEG: ("entry", "-1"), ENTRY_BIG: ("entry", "100000000"),
                VALUES_STR: ("values", "0123456789abcdef" * 4)}
 GOLD, MISSING, NOT_UTF8, NO_DIR = "<gold>", "<missing>", "<not-utf-8>", "<no-dir>"
 TOP_LIST, TOP_NUMBER = "<[]>", "<5>"
-RAW_FILES = {NOT_UTF8: b"\xff\xfe\x00", TOP_LIST: b"[]", TOP_NUMBER: b"5"}
+# The identity on GF(2), and a file whose header says n = 1 over a body
+# that is not a table at all.
+N_1, N_1_BAD_BODY = "<n=1>", "<n=1, values=[z]>"
+_N_1 = b'{"n": 1, "modulus": "3", "representation": "truthtable", "values": %s}'
+RAW_FILES = {NOT_UTF8: b"\xff\xfe\x00", TOP_LIST: b"[]", TOP_NUMBER: b"5",
+             N_1: _N_1 % b'["0", "1"]', N_1_BAD_BODY: _N_1 % b'["z"]'}
 
 
 def _thm1_file_with(path, key, value):
@@ -230,7 +251,7 @@ def _thm1_file_with(path, key, value):
 
 def _gold_table_file_with(path, key, value):
     gold = vbf.from_multinomial(vbf.multinomial(FieldCtx(6), [(1, 3)]))
-    doc = json.loads(funcfile.serialize(from_truthtable_repr(gold)))
+    doc = json.loads(cli.serialize(from_truthtable_repr(gold)))
     if key == "entry":
         doc["values"][1] = value
     else:
@@ -241,6 +262,20 @@ def _gold_table_file_with(path, key, value):
 # argv (with a stand-in above for an edited file), exit code, the stream
 # that carries the one-line message, and a part of that line.
 EXIT_CASES = [
+    # An empty flag value is refused, not read as the flag's default.
+    (("construct", "--family", "gold", "--n", "6", "--modulus", ""), 2, "err", "with base 16: ''"),
+    (("construct", "--family", "thm1", "--n", "6", "--K", ""), 2, "err", "with base 10: ''"),
+    (("construct", "--family", "thm1", "--n", "6", "--r", ""), 2, "err", "with base 16: ''"),
+    (("construct", "--family", "thm1", "--n", "6", "--c", ""), 2, "err", "with base 16: ''"),
+    (("construct", "--family", "ref7", "--n", "6", "--d", ""), 2, "err", "with base 16: ''"),
+    (("construct", "--family", "gold", "--n", "6", "--out", ""), 2, "err", "cannot write --out"),
+    (("search", "--family", "thm1", "--n", "6", "--modulus", ""), 2, "err", "with base 16: ''"),
+    # GF(2) has no Gold representative 1 <= s <= n/2 to compare against,
+    # which the header tells before the body is decoded.
+    (("invariants", "--in", N_1, "--against", "gold-all"), 2, "err", "at n = 1"),
+    (("invariants", "--in", N_1_BAD_BODY, "--against", "gold-all", "--json"), 2, "err", "at n = 1"),
+    (("invariants", "--in", N_1, "--against", N_1, "--json"), 0, "out",
+     '"verdict":"indistinguishable-by-computed-invariants"'),
     (("construct", "--family", "thm1", "--n", "6", "--c", "zz"), 2, "err", "'zz'"),
     (("construct", "--family", "thm1", "--n", "6", "--d", "zz"), 2, "err", "'zz'"),
     (("construct", "--family", "thm1", "--n", "6", "--K", "0,a"), 2, "err", "'a'"),
@@ -263,6 +298,7 @@ EXIT_CASES = [
     (("verify", "--in", K_NEG, "--checks", "identity"), 3, "err", "K within [0, n-1]"),
     (("verify", "--in", K_A, "--checks", "identity"), 3, "err", "K within [0, n-1]"),
     (("verify", "--in", S_99, "--checks", "identity"), 3, "err", "0 <= t < s < n"),
+    (("verify", "--in", S_6, "--checks", "identity"), 3, "err", "0 <= t < s < n"),
     # int() would read 3.0 as 3, 5.9 as 5 and true as 1.
     (("verify", "--in", M_3_0, "--checks", "identity"), 3, "err", "thm1 provenance m = 3.0 is not an integer"),
     (("verify", "--in", S_5_9, "--checks", "identity"), 3, "err", "thm1 provenance s = 5.9 is not an integer"),
@@ -456,8 +492,8 @@ def test_verify_witnesses_pinned(flags, tmp_path):
     # and on its truth table with the same provenance.
     path, table = tmp_path / "f.json", tmp_path / "t.json"
     run_cli("construct", "--family", *flags, "--out", str(path), expect=0)
-    provenance = funcfile.parse(path.read_text())["provenance"]
-    table.write_text(funcfile.serialize(from_truthtable_repr(cli._table(*cli._load(str(path))), provenance)))
+    provenance = cli.parse(path.read_text())["provenance"]
+    table.write_text(cli.serialize(from_truthtable_repr(cli._table(*cli._load(str(path))), provenance)))
     for (command, *rest), digest in PINNED_SHA256[flags].items():
         for infile in (path, table):
             proc = run_cli(command, "--in", str(infile), *rest, expect=0)
@@ -513,8 +549,11 @@ def test_provenance_round_trip(family, tmp_path):
             argv = ["construct", "--family", family, "--n", str(n), "--auto",
                     "--seed", str(seed), "--out", str(path)]
             assert cli.main(argv) == 0
-            p = cli._params_from_provenance(funcfile.parse(path.read_text()))
+            p = cli._params_from_provenance(cli.parse(path.read_text()))
             assert p == search_params(ctx, family, 1, seed)[0]
+    # Elements of several hex digits, each with a digit a wrong base would misread.
+    p = FamilyParams(family, 5, 3, 1, (0, 2), 0x3a1, 0x2ff, (0x1b, 0, 0, 0x10))
+    assert cli._params_from_provenance({"n": 10, "provenance": cli._family_provenance(p)}) == p
 
 
 def test_invariants_refuses_before_any_spectrum(tmp_path, monkeypatch, capsys):
@@ -609,7 +648,7 @@ def test_verify_sweeps_the_differential_spectrum_once(tmp_path, monkeypatch, cap
     ctx = FieldCtx(7)
     f = vbf.TruthTable(ctx, [ctx.pow(x, ctx.mult_order - 1) if x else 0 for x in range(ctx.order)])
     path = tmp_path / "inverse.json"
-    path.write_text(funcfile.serialize(from_truthtable_repr(f)))
+    path.write_text(cli.serialize(from_truthtable_repr(f)))
     argv = ["verify", "--in", str(path), "--checks", "apn,crooked", "--json"]
     assert cli.main(argv) == 1
     assert len(sweeps) == 1
@@ -629,7 +668,7 @@ def test_witnesses_render_as_their_dict(n, terms, tmp_path, capsys):
     m = vbf.multinomial(ctx, terms)
     path = tmp_path / "f.json"
     body = [{"coeff": format(c, "x"), "exp": e} for c, e in m.terms]
-    path.write_text(funcfile.serialize({"n": n, "modulus": ctx.modulus, "representation": "multinomial",
+    path.write_text(cli.serialize({"n": n, "modulus": ctx.modulus, "representation": "multinomial",
                                         "provenance": {}, "terms": body}))
     witnesses = witness_dict(vbf.is_crooked(vbf.from_multinomial(m)))
     doc = {"checks": ["crooked"], "crooked": True, "hyperplane_witnesses": witnesses, "n": n, "pass": True}
@@ -760,12 +799,12 @@ def test_size_caps_refuse_from_the_header(tmp_path, monkeypatch, capsys):
         files.append(tmp_path / f"g{n}.json")
         assert cli.main(["construct", "--family", "gold", "--n", str(n), "--s", "1",
                          "--out", str(files[-1])]) == 0
-    doc = funcfile.parse(files[0].read_text())
+    doc = cli.parse(files[0].read_text())
     table = from_truthtable_repr(cli._table(doc, FieldCtx(18, doc["modulus"])), doc["provenance"])
     for name, entry in (("t18.json", table["values"][1]), ("t18-bad.json", "zz")):
         files.append(tmp_path / name)
         table["values"][1] = entry
-        files[-1].write_text(funcfile.serialize(table))
+        files[-1].write_text(cli.serialize(table))
     g6 = tmp_path / "g6.json"
     assert cli.main(["construct", "--family", "gold", "--n", "6", "--out", str(g6)]) == 0
     capsys.readouterr()

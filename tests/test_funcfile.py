@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crooked import cli, funcfile, vbf
+from crooked import cli, vbf
 from crooked.errors import MalformedFile
 from crooked.families import build_gold, build, search_params
 from crooked.field import FieldCtx
@@ -17,8 +17,8 @@ def test_multinomial_round_trip(tmp_path):
     assert cli.main(["construct", "--family", "thm1", "--n", "6", "--auto", "--seed", "3",
                      "--out", str(path)]) == 0
     text = path.read_text()
-    back = funcfile.parse(text)
-    assert funcfile.serialize(back) == text
+    back = cli.parse(text)
+    assert cli.serialize(back) == text
     assert (back["n"], back["modulus"], back["provenance"]["family"]) == (6, ctx.modulus, "thm1")
     assert [(int(t["coeff"], 16), t["exp"]) for t in back["terms"]] == list(build(ctx, p).terms)
 
@@ -26,9 +26,9 @@ def test_multinomial_round_trip(tmp_path):
 def test_truthtable_round_trip():
     ctx = FieldCtx(4)
     t = vbf.from_multinomial(build_gold(ctx, 1))
-    text = funcfile.serialize(from_truthtable_repr(t))
-    parsed = funcfile.parse(text)
-    assert funcfile.serialize(parsed) == text
+    text = cli.serialize(from_truthtable_repr(t))
+    parsed = cli.parse(text)
+    assert cli.serialize(parsed) == text
     assert (parsed["n"], parsed["modulus"]) == (t.ctx.n, t.ctx.modulus)
     assert np.array_equal(cli._table(parsed, ctx).values, t.values)
 
@@ -37,26 +37,26 @@ def test_serialize_is_canonical():
     ctx = FieldCtx(4)
     t = vbf.from_multinomial(build_gold(ctx, 1))
     ff = from_truthtable_repr(t)
-    assert funcfile.serialize(ff) == funcfile.serialize(ff)
+    assert cli.serialize(ff) == cli.serialize(ff)
 
 
 def read(text: str) -> vbf.TruthTable:
     """The table of a function file: its header by `parse`, its body by the
     CLI's body step."""
-    doc = funcfile.parse(text)
+    doc = cli.parse(text)
     return cli._table(doc, FieldCtx(doc["n"], doc["modulus"]))
 
 
 def test_parse_rejects_garbage():
     with pytest.raises(MalformedFile):
-        funcfile.parse("not json at all {")
+        cli.parse("not json at all {")
     with pytest.raises(MalformedFile):
-        funcfile.parse('{"n": 4}')
+        cli.parse('{"n": 4}')
     for top_level in ("[]", "5", '"x"', "null"):
         with pytest.raises(MalformedFile, match="not a JSON object"):
-            funcfile.parse(top_level)
+            cli.parse(top_level)
     with pytest.raises(MalformedFile):
-        funcfile.parse(
+        cli.parse(
             '{"n": 4, "modulus": "13", "representation": "weird"}'
         )
     # x^exp over GF(2^6), with n and exp as written: int() would read the
@@ -74,7 +74,7 @@ def test_parse_rejects_garbage():
     assert read(versioned % ("1", "6", "3")).values.tolist() == cube
     for version in ("7", "0", "2", "true", "1.5"):
         with pytest.raises(MalformedFile, match="schema_version"):
-            funcfile.parse(versioned % (version, "6", "3"))
+            cli.parse(versioned % (version, "6", "3"))
 
 
 def test_parse_rejects_short_table():
@@ -90,12 +90,12 @@ def test_parse_refuses_a_body_that_is_not_a_list():
     for text in (table % (2, "7", '"0132"'), table % (1, "3", '{"0": "x", "1": "y"}'),
                  terms % '"13"', terms % '{"coeff": "1", "exp": 3}'):
         with pytest.raises(MalformedFile, match="is not a JSON list"):
-            funcfile.parse(text)
+            cli.parse(text)
 
 
 def test_hex_encoding_is_lowercase_no_prefix():
     ctx = FieldCtx(4)
     t = vbf.from_multinomial(build_gold(ctx, 1))
-    text = funcfile.serialize(from_truthtable_repr(t))
+    text = cli.serialize(from_truthtable_repr(t))
     assert '"modulus":"13"' in text
     assert "0x" not in text
