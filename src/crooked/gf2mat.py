@@ -1,17 +1,18 @@
 """F_2-linear tables and GF(2) elimination. `span_table` tabulates a linear
-map from its basis images. `rank_and_normal_batched` reduces many
-systems of uint32 bitset vectors at once, held as one array with one system
-per column: the derivatives and components of the quadratic path.
-`rank_packed` gives the F_2 dimension of the module that the rows of one
-bit-packed matrix generate over F_2[y_0..y_(k-1)]/(y_i^2), on Python-int
-rows: the window probes and the Schur complement of the development ranks
-(`invariants.development_rank`).
+map from its basis images, and `subset_sums` is the XOR Moebius butterfly.
+`rank_and_normal_batched` reduces many systems of uint32 bitset vectors at
+once, held as one array with one system per column: the derivatives and
+components of the quadratic path. `rank_packed` gives the F_2 dimension of
+the module that the rows of one bit-packed matrix generate over
+F_2[y_0..y_(k-1)]/(y_i^2), whose monomial shifts `shift_masks` tabulates,
+on Python-int rows: the window probes and the Schur complement of the
+development ranks (`invariants.development_rank`).
 """
 
 from __future__ import annotations
 
 import functools
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -26,6 +27,18 @@ def span_table(images: np.ndarray) -> np.ndarray:
     for j in range(k):
         np.bitwise_xor(table[..., : 1 << j], images[..., j, None], out=table[..., 1 << j : 2 << j])
     return table
+
+
+def subset_sums(t: np.ndarray) -> np.ndarray:
+    """t[u] replaced in place by the XOR of t[v] over the v contained in u,
+    for a C-contiguous t of 2^k entries, which is returned: its own inverse.
+    subset_sums(t[::-1].copy())[::-1] gives the superset sums instead."""
+    h = 1
+    while h < t.size:
+        v = t.reshape(-1, 2 * h)
+        v[:, h:] ^= v[:, :h]
+        h *= 2
+    return t
 
 
 def rank_and_normal_batched(vectors: np.ndarray, cols: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -60,19 +73,22 @@ def rank_and_normal_batched(vectors: np.ndarray, cols: int) -> Tuple[np.ndarray,
 
 
 @functools.cache
-def _graded_shifts(width: int) -> List[Tuple[int, int, int]]:
-    """(b, M_b, above_b) for the shifts b of a `width`-bit ring element, in
-    graded order (popcount, then value): y^b * x = (x & M_b) << b, where
-    M_b holds the v with v & b = 0, and above_b = M_b << b the b' that
-    contain b."""
+def shift_masks(width: int) -> Tuple[int, ...]:
+    """M_b for b = 0, ..., width - 1, width = 2^k: the bits v with v & b = 0,
+    so that y^b * x = (x & M_b) << b for a `width`-bit ring element x."""
     ones = (1 << width) - 1
     masks = [ones]
     for b in range(1, width):
         low = b & -b
         # The v with bit `low` clear: a run of `low` ones every 2 low bits.
         masks.append(masks[b ^ low] & ((1 << low) - 1) * (ones // ((1 << 2 * low) - 1)))
-    order = sorted(range(width), key=lambda b: (bin(b).count("1"), b))
-    return [(b, masks[b], masks[b] << b) for b in order]
+    return tuple(masks)
+
+
+@functools.cache
+def _graded(width: int) -> Tuple[int, ...]:
+    """The shifts b below width in graded order: by popcount, then value."""
+    return tuple(sorted(range(width), key=lambda b: (bin(b).count("1"), b)))
 
 
 def rank_packed(a: np.ndarray, width: int) -> int:
@@ -95,7 +111,8 @@ def rank_packed(a: np.ndarray, width: int) -> int:
     """
     bits = 8 * a.itemsize * a.shape[1]
     each = ((1 << bits) - 1) // ((1 << width) - 1)  # bit 0 of every element
-    shifts = [(b, mask * each, above) for b, mask, above in _graded_shifts(width)]
+    masks = shift_masks(width)
+    shifts = [(b, masks[b] * each, masks[b] << b) for b in _graded(width)]
     leading = [0] * (bits + 1)  # the row kept per bit_length
     rank = 0
     for row in a[::-1]:
@@ -113,6 +130,6 @@ def rank_packed(a: np.ndarray, width: int) -> int:
                     rank += 1
                     break
                 r ^= p
-            else:  # y^b * R reduced to zero
+            else:  # y^b * R reduced to zero: skip the b' in above = M_b << b
                 spanned |= above
     return rank

@@ -4,9 +4,6 @@ difference-set development matrices."""
 
 from __future__ import annotations
 
-import functools
-from typing import Tuple
-
 import numpy as np
 
 from . import gf2mat
@@ -42,14 +39,6 @@ _RING_BITS = 64
 _NIBBLE = 4
 
 
-@functools.cache
-def _ring_shifts() -> Tuple[np.ndarray, np.ndarray]:
-    """(masks, u) with y^u * a = (a & masks[u]) << u for a ring element a:
-    masks[u] holds the bits v with v & u = 0, the M_u of `gf2mat._graded_shifts`."""
-    masks = [m for _, m, _ in sorted(gf2mat._graded_shifts(_RING_BITS))]
-    return np.array(masks, dtype=np.uint64), np.arange(_RING_BITS, dtype=np.uint64)
-
-
 def _rotl(x, k, bits: int):
     """x rotated left by k within `bits` bits."""
     return ((x << k) | (x >> (bits - k))) & ((1 << bits) - 1)
@@ -65,7 +54,8 @@ def _unit_pivots(N: np.ndarray) -> int:
     the 64 shifts y^b * N[p] are summed into one table per 4 bits of the
     coefficient, and N[i, q] * u is the q entry of N[i, q] * N[p]."""
     size = N.shape[0]
-    masks, shifts = _ring_shifts()
+    masks = np.array(gf2mat.shift_masks(_RING_BITS), dtype=np.uint64)[:, None]
+    shifts = np.arange(_RING_BITS, dtype=np.uint64)[:, None]
     group = np.arange(0, _RING_BITS, _NIBBLE, dtype=np.uint64)[:, None]  # low bit of each
     g = np.arange(group.size)[:, None]
     nibble = np.uint64((1 << _NIBBLE) - 1)
@@ -81,7 +71,7 @@ def _unit_pivots(N: np.ndarray) -> int:
         cols = np.flatnonzero(N[p])
         rows = np.flatnonzero(N[:, q])
         rows = rows[rows != p]
-        by = ((N[p, cols] & masks[:, None]) << shifts[:, None]).reshape(g.size, _NIBBLE, -1)
+        by = ((N[p, cols] & masks) << shifts).reshape(g.size, _NIBBLE, -1)
         tables = np.zeros((g.size, 1 << _NIBBLE, cols.size), dtype=np.uint64)
         # Not `gf2mat.span_table`: spanned last, the gathers below would be strided.
         for j in range(_NIBBLE):
@@ -125,11 +115,7 @@ def development_rank(two_n: int, points: np.ndarray) -> int:
         return size
     t = np.zeros(size, dtype=bool)
     t[points] = True
-    h = 1
-    while h < size:  # superset sums: t[u] ^= t[u | h] where u lacks h
-        v = t.reshape(-1, 2 * h)
-        v[:, :h] ^= v[:, h:]
-        h *= 2
+    t = gf2mat.subset_sums(t[::-1].copy())[::-1]  # superset sums
     low = min(size, _RING_BITS)
     v = np.arange(size // low)
     k = 0
@@ -142,7 +128,7 @@ def development_rank(two_n: int, points: np.ndarray) -> int:
         offered = [gf2mat.rank_packed(c[j : j + 1], v.size) for j in range(two_n)]
         k = offered.index(max(offered))
     t = t[_rotl(np.arange(size), k, two_n)]
-    weights = np.uint64(1) << _ring_shifts()[1][:low]
+    weights = np.uint64(1) << np.arange(low, dtype=np.uint64)
     sigma = (t.reshape(-1, low) * weights).sum(axis=1, dtype=np.uint64)
     N = np.where((v[:, None] & v) == v[:, None], sigma[v[:, None] ^ v], np.uint64(0))
     units = _unit_pivots(N)

@@ -86,7 +86,7 @@ class TruthTable:
 
     def __init__(self, ctx: FieldCtx, values: Sequence[int]):
         if len(values) != ctx.order:
-            raise InvalidInput(f"table length {len(values)} != 2^{ctx.n}")
+            raise InvalidInput(f"truth table length {len(values)} != 2^{ctx.n}")
         # Range-checked before the uint32 conversion, which would wrap or
         # overflow on an entry below 0 or at 2^32 and above.
         values = np.asarray(values)
@@ -139,13 +139,6 @@ def from_multinomial(m: Multinomial) -> TruthTable:
     return TruthTable(m.ctx, evaluate(m.ctx, m.terms, np.arange(m.ctx.order)))
 
 
-def derivative_values(f: TruthTable, a: int) -> np.ndarray:
-    if a == 0 or a >= f.ctx.order:
-        raise InvalidInput(f"direction a={a} invalid")
-    xs = np.arange(f.ctx.order, dtype=np.uint32)
-    return f.values ^ f.values[xs ^ np.uint32(a)]
-
-
 def power_exponent(f: TruthTable) -> Optional[int]:
     """The d in [1, 2^n - 1] with f(x) = x^d at every x, or None when f is
     not a power function. d = log f(gamma) is the only candidate, and the
@@ -162,12 +155,7 @@ def has_degree_at_most_2(f: TruthTable) -> bool:
     Moebius butterfly over the whole table gives the algebraic normal form
     of all n coordinates at once, and no monomial in more than two variables
     may be non-zero, so how f was made is never trusted."""
-    anf = f.values.copy()
-    h = 1
-    while h < anf.size:
-        v = anf.reshape(-1, 2 * h)
-        v[:, h:] ^= v[:, :h]
-        h *= 2
+    anf = gf2mat.subset_sums(f.values.copy())
     heavy = np.arange(anf.size, dtype=np.uint32)
     heavy &= heavy - np.uint32(1)  # clearing the lowest set bit twice leaves
     heavy &= heavy - np.uint32(1)  # a non-zero index exactly at weight > 2
@@ -192,17 +180,15 @@ def derivative_columns(f: TruthTable) -> np.ndarray:
     return gf2mat.span_table(polar_form(f).T)[:, 1:]
 
 
-def hyperplane_of(ctx: FieldCtx, s: Iterable[int]) -> Optional[Tuple[int, int]]:
-    """(b, eps) when the set of elements of s (repeats allowed) is the affine
-    hyperplane {y : tr(b*y) = eps}, else None.
+def hyperplane_of(ctx: FieldCtx, counts: np.ndarray) -> Optional[Tuple[int, int]]:
+    """(b, eps) when the set of the y with counts[y] != 0, for counts of
+    length 2^n, is the affine hyperplane {y : tr(b*y) = eps}, else None.
 
     With y0 in the set, the set is one exactly when its shift by y0 is a
     linear hyperplane. A linear hyperplane with normal w holds the basis
     vector e_j exactly when bit j of w is 0, so the only candidate normal is
     the w with bit j set for each e_j + y0 outside the set. The set has the
     size of w's hyperplane, so lying inside it means being it."""
-    vals = np.asarray(s if isinstance(s, np.ndarray) else list(s), dtype=np.int64)
-    counts = np.bincount(vals, minlength=ctx.order)
     elems = np.flatnonzero(counts)  # distinct
     n = ctx.n
     if elems.size != 1 << (n - 1):
@@ -276,11 +262,12 @@ def _derivative_sweep(f: TruthTable) -> Tuple[int, Counter, CrookedReport]:
     else:
         b = np.empty(order - 1, dtype=np.uint32)
         eps = np.empty(order - 1, dtype=np.uint8)
+        xs = np.arange(order, dtype=np.uint32)
         for a in (1,) if path == "power" else range(1, order):
-            image = derivative_values(f, a)
-            hist += np.bincount(np.bincount(image, minlength=order), minlength=order + 1)
+            counts = np.bincount(f.values ^ f.values[xs ^ np.uint32(a)], minlength=order)
+            hist += np.bincount(counts, minlength=order + 1)
             if failed_at is None:
-                wit = hyperplane_of(ctx, image)
+                wit = hyperplane_of(ctx, counts)
                 if wit is None:
                     failed_at = a
                 else:

@@ -16,6 +16,8 @@ from operator import xor
 from typing import Dict, List, Optional, Tuple
 from unittest import mock
 
+import numpy as np
+
 from crooked import spectral, vbf
 from crooked.families import FamilyParams, validate
 from crooked.field import FieldCtx
@@ -96,6 +98,17 @@ def naive_crooked(f: TruthTable) -> Tuple[Optional[tuple], Optional[int]]:
             return None, a
         witnesses.append(wit)
     return tuple(witnesses), None
+
+
+def derivative(f: TruthTable, a: int) -> np.ndarray:
+    """D_a f(x) = f(x) + f(x + a) at x = 0, 1, ..., 2^n - 1."""
+    return f.values ^ f.values[np.arange(f.ctx.order) ^ a]
+
+
+def counts_of(ctx: FieldCtx, elements) -> np.ndarray:
+    """counts[y] = how often y occurs in elements, for every y in the field:
+    the form in which `vbf.hyperplane_of` reads a multiset of elements."""
+    return np.bincount(np.array(list(elements), dtype=np.int64), minlength=ctx.order)
 
 
 def crooked_form(rep: vbf.CrookedReport):

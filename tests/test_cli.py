@@ -15,7 +15,7 @@ from crooked import cli, gf2mat, invariants, vbf
 from crooked.errors import DegreeMismatch, InfeasibleSize, InvalidInput, InvalidModulus, MalformedFile
 from crooked.families import FamilyParams, search_params
 from crooked.field import FieldCtx
-from helpers import emitted, from_truthtable_repr, witness_dict
+from helpers import counts_of, derivative, emitted, from_truthtable_repr, witness_dict
 
 
 def run_cli(*args, expect=None):
@@ -210,30 +210,34 @@ def test_construct_odd_half_degree_no_warning():
 NO_M, C_FFF, M_5 = "<no-m>", "<c=fff>", "<m=5>"
 K_NEG, K_A, S_99, S_6 = "<K=[-1]>", "<K=[a]>", "<s=99>", "<s=6>"
 PROV_5, PROV_LIST, PROV_STR = "<provenance=5>", "<provenance=[]>", "<provenance='x'>"
-M_3_0, S_5_9, T_TRUE = "<m=3.0>", "<s=5.9>", "<t=true>"
+M_3_0, S_5_9, T_TRUE, S_STR = "<m=3.0>", "<s=5.9>", "<t=true>", "<s='4'>"
 R_STR, R_OBJECT = "<r='0000'>", "<r={a:1}>"
 PROVENANCE_EDITS = {NO_M: ("m", None), C_FFF: ("c", "fff"), M_5: ("m", 5),
                     K_NEG: ("K", [-1]), K_A: ("K", ["a"]), S_99: ("s", 99), S_6: ("s", 6),
                     PROV_5: (None, 5), PROV_LIST: (None, []), PROV_STR: (None, "x"),
-                    M_3_0: ("m", 3.0), S_5_9: ("s", 5.9), T_TRUE: ("t", True),
+                    M_3_0: ("m", 3.0), S_5_9: ("s", 5.9), T_TRUE: ("t", True), S_STR: ("s", "4"),
                     R_STR: ("r", "0000"), R_OBJECT: ("r", {"a": 1})}
 ENTRY_NEG, ENTRY_BIG, ENTRY_2_80 = "<entry=-1>", "<entry=100000000>", "<entry=16^20>"
 N_2_40, N_10_30, VERSION_7 = "<n=2^40>", "<n=10^30>", "<schema_version=7>"
+N_STR, VERSION_STR = "<n=Arabic-Indic '6'>", "<schema_version='1'>"
 VALUES_OBJECT, VALUES_STR = "<values={0: y, ..., 3f: y}>", "<values=0123...ef>"
 TABLE_EDITS = {ENTRY_NEG: ("entry", "-1"), ENTRY_BIG: ("entry", "100000000"),
                ENTRY_2_80: ("entry", "1" + "0" * 20),
                N_2_40: ("n", 1 << 40), N_10_30: ("n", 10 ** 30), VERSION_7: ("schema_version", 7),
+               N_STR: ("n", "\u0666"), VERSION_STR: ("schema_version", "1"),
                # Iterated, their 64 keys or characters would read as a table at n = 6.
                VALUES_OBJECT: ("values", {format(x, "x"): "y" for x in range(64)}),
                VALUES_STR: ("values", "0123456789abcdef" * 4)}
 GOLD, MISSING, NOT_UTF8, NO_DIR = "<gold>", "<missing>", "<not-utf-8>", "<no-dir>"
 TOP_LIST, TOP_NUMBER = "<[]>", "<5>"
 # The identity on GF(2), and a file whose header says n = 1 over a body
-# that is not a table at all.
-N_1, N_1_BAD_BODY = "<n=1>", "<n=1, values=[z]>"
+# that is not a table at all; x^3 on GF(2^6) with its exponent a string.
+N_1, N_1_BAD_BODY, EXP_STR = "<n=1>", "<n=1, values=[z]>", "<exp='3'>"
 _N_1 = b'{"n": 1, "modulus": "3", "representation": "truthtable", "values": %s}'
 RAW_FILES = {NOT_UTF8: b"\xff\xfe\x00", TOP_LIST: b"[]", TOP_NUMBER: b"5",
-             N_1: _N_1 % b'["0", "1"]', N_1_BAD_BODY: _N_1 % b'["z"]'}
+             N_1: _N_1 % b'["0", "1"]', N_1_BAD_BODY: _N_1 % b'["z"]',
+             EXP_STR: b'{"n": 6, "modulus": "43", "representation": "multinomial",'
+                      b' "terms": [{"coeff": "1", "exp": "3"}]}'}
 
 
 def _thm1_file_with(path, key, value):
@@ -303,6 +307,11 @@ EXIT_CASES = [
     (("verify", "--in", M_3_0, "--checks", "identity"), 3, "err", "thm1 provenance m = 3.0 is not an integer"),
     (("verify", "--in", S_5_9, "--checks", "identity"), 3, "err", "thm1 provenance s = 5.9 is not an integer"),
     (("verify", "--in", T_TRUE, "--checks", "identity"), 3, "err", "thm1 provenance t = true is not an integer"),
+    # int() would read these strings as integers, "\u0666" (an Arabic-Indic 6) too.
+    (("verify", "--in", S_STR, "--checks", "identity"), 3, "err", 'thm1 provenance s = "4" is not an integer'),
+    (("verify", "--in", N_STR, "--checks", "apn"), 3, "err", 'n = "\\u0666" is not an integer'),
+    (("verify", "--in", VERSION_STR, "--checks", "apn"), 3, "err", 'schema_version = "1" is not an integer'),
+    (("verify", "--in", EXP_STR, "--checks", "apn"), 3, "err", 'exp = "3" is not an integer'),
     # tuple() would read a string as its characters and an object as its keys.
     (("verify", "--in", R_STR, "--checks", "identity"), 3, "err",
      'thm1 provenance lacks or garbles r = "0000", which is not a list'),
@@ -519,7 +528,7 @@ def test_thm1_n14_verify_pinned(tmp_path):
     rep = vbf.is_crooked(f)
     for a in random.Random(14).sample(range(1, f.ctx.order), 64):
         got = (int(rep.b[a - 1]), int(rep.eps[a - 1]))
-        assert got == vbf.hyperplane_of(f.ctx, vbf.derivative_values(f, a)), a
+        assert got == vbf.hyperplane_of(f.ctx, counts_of(f.ctx, derivative(f, a))), a
 
 
 # sha256 of the stdout of `search --n 10 --budget 5 --seed 1` as computed

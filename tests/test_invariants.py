@@ -88,6 +88,15 @@ def test_rank_packed_vs_naive_rank():
                     assert rank == module, (width, cols, len(rows), packed.dtype)
 
 
+@pytest.mark.parametrize("width", [1 << k for k in range(7)])
+def test_shift_masks_match_their_definition(width):
+    # Bit v of M_b is set exactly when v & b = 0.
+    masks = gf2mat.shift_masks(width)
+    assert len(masks) == width
+    for b, mask in enumerate(masks):
+        assert mask == sum(1 << v for v in range(width) if v & b == 0), b
+
+
 def _point_sets(rng):
     """(two_n, points): random sets of several sizes, then structured ones."""
     # 2n = 2 and 4 give matrices narrower than one word; 2n = 8 has four
@@ -258,6 +267,19 @@ def test_unit_stage_matches_the_full_expansion(monkeypatch):
             assert len(units) == 1 - points.size % 2, label
             if points is graph:
                 assert units[0] >= gamma_units, label
+
+
+def test_unit_pivots_take_the_cheapest_unit_first():
+    # Markowitz order. Row 0 holds two units, and the one at (0, 1), whose
+    # column is otherwise empty, is eliminated without touching another row.
+    # Taking (0, 0) first, as row order would, fills rows 1 and 2 in with
+    # y_0 * y_1 = 8 and y_2 * y_1 = 64. The order changes speed, never the
+    # rank, so only the Schur complement left in N shows it.
+    N = np.array([[1, 1, 4, 0], [2, 0, 16, 0], [16, 0, 0, 2], [0, 0, 0, 0]], dtype=np.uint64)
+    schur = N.copy()
+    schur[0] = 0
+    assert invariants._unit_pivots(N) == 1
+    assert np.array_equal(N, schur)
 
 
 def test_ranks_n7_pinned():

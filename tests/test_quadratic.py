@@ -95,6 +95,37 @@ def test_span_table_matches_naive_xor(data):
         assert np.array_equal(table[..., x], want), x
 
 
+def _naive_xor_over(t, sets):
+    """[XOR of t[v] over the v in sets(u)] for every index u of t."""
+    return [reduce(xor, (t[v] for v in sets(u)), 0) for u in range(len(t))]
+
+
+def _subsets(u):
+    v = u
+    while True:  # every v contained in u, u itself first
+        yield v
+        if v == 0:
+            return
+        v = (v - 1) & u
+
+
+@pytest.mark.parametrize("k", range(11))
+def test_subset_sums_match_naive_xor(k):
+    rng = np.random.default_rng(k)
+    full = (1 << k) - 1
+    for dtype in (np.uint32, bool):
+        t = rng.integers(0, 2 if dtype is bool else 1 << 32, size=1 << k).astype(dtype)
+        values = t.tolist()
+        got = gf2mat.subset_sums(t.copy())
+        assert got.dtype == t.dtype
+        assert got.tolist() == _naive_xor_over(values, _subsets)
+        # Its own inverse, in place.
+        assert gf2mat.subset_sums(got) is got and np.array_equal(got, t)
+        # Reversed, the XOR of t[w] over the w that contain u.
+        supersets = gf2mat.subset_sums(t[::-1].copy())[::-1]
+        assert supersets.tolist() == _naive_xor_over(values, lambda u: (u | v for v in _subsets(full ^ u)))
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_derivative_columns_match_their_definition(n):
     # Entry (j, a - 1) is f(a+e_j) + f(a) + f(e_j) + f(0).
