@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import warnings
 from collections import Counter
@@ -144,6 +145,13 @@ def _integer(value, what: str) -> int:
     return value
 
 
+def _hex(value, what: str) -> int:
+    # int(text, 16) would also read " a", "0xa", "+a", "0a", "a_0", "A" and "\u0661".
+    if type(value) is not str or not re.fullmatch("0|[1-9a-f][0-9a-f]*", value):
+        raise MalformedFile(f"{what} = {json.dumps(value)} is not lowercase hex")
+    return int(value, 16)
+
+
 def parse(text: str) -> dict:
     """The document of a function file, with its header checked and read (n
     and modulus as ints, provenance {} when absent) and its body, a JSON
@@ -162,7 +170,7 @@ def parse(text: str) -> dict:
         # Checked before anything is sized by 2^n.
         if not 1 <= n <= MAX_DEGREE:
             raise MalformedFile(f"n = {n} outside [1, {MAX_DEGREE}]")
-        doc["modulus"] = int(doc["modulus"], 16)
+        doc["modulus"] = _hex(doc["modulus"], "modulus")
         rep = doc["representation"]
         if rep not in ("multinomial", "truthtable"):  # compared, not hashed: any JSON value
             raise MalformedFile(f"unknown representation {rep!r}")
@@ -210,7 +218,7 @@ def _table(doc: dict, ctx: FieldCtx) -> vbf.TruthTable:
             except OverflowError:  # an entry at 2^63 or above, or below -2^63
                 raise MalformedFile("table entry outside the field") from None
             return vbf.TruthTable(ctx, values)  # the file holds the table itself
-        terms = [(int(t["coeff"], 16), _integer(t["exp"], "exp")) for t in doc["terms"]]
+        terms = [(_hex(t["coeff"], "coeff"), _integer(t["exp"], "exp")) for t in doc["terms"]]
         m = vbf.multinomial(ctx, terms)  # checks the terms, which the table evaluates
     except (KeyError, TypeError, ValueError) as e:
         raise MalformedFile(f"bad function file: {e}") from None
@@ -328,9 +336,9 @@ def _params_from_provenance(doc: dict):
             s=_integer(prov["s"], f"{fam} provenance s"),
             t=_integer(prov["t"], f"{fam} provenance t"),
             K=tuple(prov["K"]),
-            c=int(prov["c"], 16),
-            d=int(prov["d"], 16),
-            r=tuple(int(v, 16) for v in r),
+            c=_hex(prov["c"], f"{fam} provenance c"),
+            d=_hex(prov["d"], f"{fam} provenance d"),
+            r=tuple(_hex(v, f"{fam} provenance r") for v in r),
         )
     except (KeyError, TypeError, ValueError) as e:
         raise MalformedFile(f"{fam} provenance lacks or garbles {e}") from None

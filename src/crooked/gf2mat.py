@@ -1,12 +1,13 @@
 """F_2-linear tables and GF(2) elimination. `span_table` tabulates a linear
-map from its basis images, and `subset_sums` is the XOR Moebius butterfly.
-`rank_and_normal_batched` reduces many systems of uint32 bitset vectors at
-once, held as one array with one system per column: the derivatives and
-components of the quadratic path. `rank_packed` gives the F_2 dimension of
-the module that the rows of one bit-packed matrix generate over
-F_2[y_0..y_(k-1)]/(y_i^2), whose monomial shifts `shift_masks` tabulates,
-on Python-int rows: the window probes and the Schur complement of the
-development ranks (`invariants.development_rank`).
+map from its basis images, `parity_table` among them, and `subset_sums` is
+the XOR Moebius butterfly. `rank_and_normal_batched` reduces many systems
+of uint32 bitset vectors at once to echelon form, held as one array with
+one system per column, and reads each normal in one pass from the last row
+back: the derivatives and components of the quadratic path. `rank_packed`
+gives the F_2 dimension of the module that the rows of one bit-packed
+matrix generate over F_2[y_0..y_(k-1)]/(y_i^2), whose monomial shifts
+`shift_masks` tabulates, on Python-int rows: the window probes and the
+Schur complement of the development ranks (`invariants.development_rank`).
 """
 
 from __future__ import annotations
@@ -29,6 +30,15 @@ def span_table(images: np.ndarray) -> np.ndarray:
     return table
 
 
+@functools.cache
+def parity_table(n: int) -> np.ndarray:
+    """uint8 table of popcount parity for all values below 2^n, built once
+    per n and shared by every caller, so read-only."""
+    t = span_table(np.ones(n, dtype=np.uint8))
+    t.setflags(write=False)
+    return t
+
+
 def subset_sums(t: np.ndarray) -> np.ndarray:
     """t[u] replaced in place by the XOR of t[v] over the v contained in u,
     for a C-contiguous t of 2^k entries, which is returned: its own inverse.
@@ -48,27 +58,26 @@ def rank_and_normal_batched(vectors: np.ndarray, cols: int) -> Tuple[np.ndarray,
     in a (vectors, systems) uint32 array. Returns (rank, normal): rank[s] is
     the rank of system s, and normal[s] a w != 0 with parity(w & v) = 0 for
     every vector v of the system, which is the only one when rank[s] =
-    cols - 1, or 0 when rank[s] = cols. The vectors are reduced in place.
+    cols - 1, or 0 when rank[s] = cols. The vectors are reduced in place,
+    to echelon form.
     """
     pivots = np.zeros_like(vectors)  # lowest set bit of each reduced row, or 0
     # Counted as the rows come: np.count_nonzero(pivots, axis=0) copies the
     # whole array to bool, which raised verify's peak memory at n = 16.
     rank = np.zeros(vectors.shape[1], dtype=np.int64)
     for i, v in enumerate(vectors):
-        # Each pivot bit is set in its own row only, so the order of these
-        # reductions does not matter.
+        # In order: row k holds no earlier row's pivot, so none comes back.
         for r, p in zip(vectors[:i], pivots[:i]):
             v ^= r * ((v & p) != 0)
         p = pivots[i]
         np.bitwise_and(v, ~v + np.uint32(1), out=p)
         rank += p != 0
-        for r in vectors[:i]:
-            r ^= v * ((r & p) != 0)
     free = ~np.bitwise_or.reduce(pivots, axis=0) & np.uint32((1 << cols) - 1)
-    j = free & (~free + np.uint32(1))
-    normal = j.copy()
-    for r, p in zip(vectors, pivots):
-        normal |= p * ((r & j) != 0)
+    normal = free & (~free + np.uint32(1))
+    # Of the free bits (no row's pivot) the normal holds the lowest only. A
+    # row's other bits are free or pivots of later rows, so last row first.
+    for r, p in zip(vectors[::-1], pivots[::-1]):
+        normal |= p * parity_table(cols)[normal & r]
     return rank, normal
 
 

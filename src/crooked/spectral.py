@@ -16,7 +16,7 @@ import numpy as np
 
 from . import gf2mat
 from .errors import InvalidInput
-from .vbf import TruthTable, check_size, is_crooked, parity_table, polar_form
+from .vbf import TruthTable, check_size, is_crooked, polar_form
 
 
 def fwht(v: np.ndarray) -> np.ndarray:
@@ -36,7 +36,7 @@ def walsh_component(f: TruthTable, a: int) -> np.ndarray:
     """The Walsh values of x -> tr(a*f(x)) at every mask omega, as int64."""
     if a == 0 or a >= f.ctx.order:
         raise InvalidInput(f"component a={a} invalid")
-    signs = 1 - 2 * parity_table(f.ctx.n)[f.values & f.ctx.trace_masks[a]].astype(np.int64)
+    signs = 1 - 2 * gf2mat.parity_table(f.ctx.n)[f.values & f.ctx.trace_masks[a]].astype(np.int64)
     # The butterfly pairs x with masks under the plain bit inner product;
     # reindex so that entry omega matches the tr(omega*x) character.
     return fwht(signs)[f.ctx.trace_masks]
@@ -52,7 +52,7 @@ def symplectic_rows(f: TruthTable) -> np.ndarray:
     n = f.ctx.n
     bit = np.arange(n, dtype=np.uint32)
     # bits[i, k, j] = tr(x^k*beta_ij): the parity of beta_ij under x^k's trace mask.
-    bits = parity_table(n)[polar_form(f)[:, None, :] & f.ctx.trace_masks[1 << bit][:, None]]
+    bits = gf2mat.parity_table(n)[polar_form(f)[:, None, :] & f.ctx.trace_masks[1 << bit][:, None]]
     # images[i, k]: bit j is tr(x^k*beta_ij); the bits are distinct, so sum is OR.
     images = (bits << bit).sum(axis=2, dtype=np.uint32)
     return gf2mat.span_table(images)[:, 1:]
@@ -83,7 +83,7 @@ def walsh_spectrum(f: TruthTable) -> dict:
             radical = np.frexp(np.bincount(res.b, minlength=order)[1:] + 1)[1] - 1
         else:
             radical = n - gf2mat.rank_and_normal_batched(symplectic_rows(f), n)[0]
-        sign = parity_table(n)[f.ctx.trace_masks[1:] & f.values[0]]
+        sign = gf2mat.parity_table(n)[f.ctx.trace_masks[1:] & f.values[0]]
         for key, count in enumerate(np.bincount(2 * radical + sign, minlength=2 * n + 2).tolist()):
             k, s = divmod(key, 2)
             support, value = 1 << (n - k), 1 << ((n + k) // 2)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,15 +43,6 @@ def check_size(n: int, *computations: str) -> None:
         cap, subject = SIZE_CAPS[c]
         if n > cap:
             raise InfeasibleSize(f"{subject} capped at n={cap}")
-
-
-@cache
-def parity_table(n: int) -> np.ndarray:
-    """uint8 table of popcount parity for all values below 2^n, built once
-    per n and shared by every caller, so read-only."""
-    t = gf2mat.span_table(np.ones(n, dtype=np.uint8))
-    t.setflags(write=False)
-    return t
 
 
 @dataclass(frozen=True)
@@ -196,7 +187,7 @@ def hyperplane_of(ctx: FieldCtx, counts: np.ndarray) -> Optional[Tuple[int, int]
     y0 = int(elems[0])
     basis = 1 << np.arange(n)
     w = int(basis[counts[basis ^ y0] == 0].sum())
-    par = parity_table(n)
+    par = gf2mat.parity_table(n)
     if w == 0 or par[(elems ^ y0) & w].any():
         return None
     return int(ctx.trace_masks_inverse[w]), int(par[y0 & w])
@@ -258,7 +249,7 @@ def _derivative_sweep(f: TruthTable) -> Tuple[int, Counter, CrookedReport]:
             hist[1 << k] += count << (n - k)
             hist[0] += count * (order - (1 << (n - k)))
         b = ctx.trace_masks_inverse[normal]
-        eps = parity_table(n)[normal & (f.values[1:] ^ f.values[0])]
+        eps = gf2mat.parity_table(n)[normal & (f.values[1:] ^ f.values[0])]
     else:
         b = np.empty(order - 1, dtype=np.uint32)
         eps = np.empty(order - 1, dtype=np.uint8)

@@ -263,6 +263,46 @@ def _gold_table_file_with(path, key, value):
     path.write_text(json.dumps(doc))
 
 
+# A hex field respelled in each way int(text, 16) reads but `serialize`
+# never writes: space, 0x, +, _, leading zero, uppercase and an Arabic-Indic
+# digit. The modulus and a coeff are respelled in a*x^3 over 5b, provenance
+# c, d and r[0] in a thm1 file over 67, so that each canonical value holds a
+# letter and a digit; that value is the control, which verifies.
+HEX_THM1 = ("--modulus", "67", "--s", "2", "--t", "1", "--K", "0", "--c", "1a", "--d", "2e",
+            "--r", "3a,3b")
+HEX_FIELDS = {"modulus": "5b", "coeff": "2b", "c": "1a", "d": "2e", "r": "3a"}
+HEX_SPELLINGS = [lambda v: " " + v, lambda v: "0x" + v, lambda v: "+" + v,
+                 lambda v: v[0] + "_" + v[1:], lambda v: "0" + v, str.upper,
+                 lambda v: "".join(chr(0x660 + int(c)) if c.isdigit() else c for c in v)]
+HEX_EDITS = {f"<{key}={value!r}>": (key, value)
+             for key, canonical in HEX_FIELDS.items()
+             for value in [canonical] + [respell(canonical) for respell in HEX_SPELLINGS]}
+
+
+def _hex_file_with(path, key, value):
+    if key in ("modulus", "coeff"):
+        doc = {"n": 6, "modulus": "5b", "representation": "multinomial",
+               "terms": [{"coeff": "2b", "exp": 3}]}
+    else:
+        assert cli.main(["construct", "--family", "thm1", "--n", "6", *HEX_THM1,
+                         "--out", str(path)]) == 0
+        doc = json.loads(path.read_text())
+    prov = doc.get("provenance", {})
+    holder, slot = {"modulus": (doc, key), "coeff": (doc["terms"][0], key),
+                    "r": (prov.get("r"), 0)}.get(key, (prov, key))
+    holder[slot] = value
+    path.write_text(json.dumps(doc))
+
+
+def _hex_case(key, value):
+    checks = "apn" if key in ("modulus", "coeff") else "identity"
+    argv = ("verify", "--in", f"<{key}={value!r}>", "--checks", checks, "--json")
+    if value == HEX_FIELDS[key]:
+        return argv, 0, "out", '"pass":true'
+    what = key if checks == "apn" else f"thm1 provenance {key}"
+    return argv, 3, "err", f"{what} = {json.dumps(value)} is not lowercase hex"
+
+
 # argv (with a stand-in above for an edited file), exit code, the stream
 # that carries the one-line message, and a part of that line.
 EXIT_CASES = [
@@ -368,6 +408,7 @@ EXIT_CASES = [
     (("construct", "--family", "gold", "--n", "6", "--d", "2"), 2, "err",
      "construct --family gold does not read --d"),
 ]
+EXIT_CASES += [_hex_case(key, value) for key, value in HEX_EDITS.values()]
 
 
 @pytest.mark.parametrize("argv, code, stream, part", EXIT_CASES,
@@ -385,9 +426,13 @@ def test_documented_exit_codes(argv, code, stream, part, tmp_path, capsys):
     for stand_in, (key, value) in TABLE_EDITS.items():
         if stand_in in argv:
             _gold_table_file_with(path, key, value)
+    for stand_in, (key, value) in HEX_EDITS.items():
+        if stand_in in argv:
+            _hex_file_with(path, key, value)
     capsys.readouterr()
     argv = tuple(str(tmp_path / "no-dir" / "f.json") if a == NO_DIR
-                 else str(path) if a in (GOLD, MISSING, *RAW_FILES, *PROVENANCE_EDITS, *TABLE_EDITS)
+                 else str(path) if a in (GOLD, MISSING, *RAW_FILES, *PROVENANCE_EDITS, *TABLE_EDITS,
+                                          *HEX_EDITS)
                  else a for a in argv)
     assert cli.main(list(argv)) == code
     got = capsys.readouterr()
@@ -403,8 +448,10 @@ HANG_CASES = [
     # Refused as negative before its degree, which has the wrong bit length.
     (("construct", "--family", "gold", "--n", "4", "--modulus", "-5"), 2, "modulus -0x5 is negative"),
     (("search", "--family", "thm1", "--n", "6", "--modulus", "-43"), 2, "modulus -0x43 is negative"),
-    (("verify", "--in", NEG_MODULUS, "--checks", "apn"), 3, "modulus -0x13 is negative"),
-    (("invariants", "--in", NEG_MODULUS, "--against", "gold-all"), 3, "modulus -0x13 is negative"),
+    # A file's modulus is refused by the hex grammar, before any F_2[x] arithmetic.
+    (("verify", "--in", NEG_MODULUS, "--checks", "apn"), 3, 'modulus = "-13" is not lowercase hex'),
+    (("invariants", "--in", NEG_MODULUS, "--against", "gold-all"), 3,
+     'modulus = "-13" is not lowercase hex'),
     (("construct", "--family", "ref7", "--n", "6", "--d", "-5"), 2, "-0x5 outside GF(2^6)"),
 ]
 
@@ -529,6 +576,22 @@ def test_thm1_n14_verify_pinned(tmp_path):
     for a in random.Random(14).sample(range(1, f.ctx.order), 64):
         got = (int(rep.b[a - 1]), int(rep.eps[a - 1]))
         assert got == vbf.hyperplane_of(f.ctx, counts_of(f.ctx, derivative(f, a))), a
+
+
+# sha256 of `verify --checks apn,crooked,walsh --json` on
+# `construct --family thm1 --n 16 --auto --seed 1`, as computed while the
+# batched elimination kept its rows fully reduced. m = 8 is even, so f is not
+# APN (exit 1): its derivative and symplectic systems are rank-deficient, at
+# the largest n the checks allow.
+THM1_N16_SHA256 = "5f337725e6fdea2b341bb57596398f55fe7d04260941e3023b45a2b3cf80ebef"
+
+
+def test_thm1_n16_verify_pinned(tmp_path):
+    path = tmp_path / "f.json"
+    run_cli("construct", "--family", "thm1", "--n", "16", "--auto", "--seed", "1",
+            "--out", str(path), expect=0)
+    proc = run_cli("verify", "--in", str(path), "--checks", "apn,crooked,walsh", "--json", expect=1)
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == THM1_N16_SHA256
 
 
 # sha256 of the stdout of `search --n 10 --budget 5 --seed 1` as computed

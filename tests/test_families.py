@@ -104,7 +104,7 @@ def test_builders_raise_sorted_violations(ctx6):
 
 
 def test_build_thm1_degree_mismatch(ctx6):
-    with pytest.raises(DegreeMismatch):
+    with pytest.raises(DegreeMismatch, match="ctx degree 6 != 2m = 8"):
         validate(ctx6, FamilyParams("thm1", m=4, s=2, t=1, K=(0,), c=2, d=2, r=()))
 
 

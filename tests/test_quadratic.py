@@ -7,7 +7,7 @@ import random
 from collections import Counter
 from functools import reduce
 from math import gcd
-from operator import xor
+from operator import or_, xor
 
 import numpy as np
 import pytest
@@ -74,6 +74,14 @@ def test_batched_rank_and_normal_match_naive():
             assert (w == 0) == (r == cols)
             assert w < 1 << cols
             assert all(bin(w & v).count("1") % 2 == 0 for v in s)
+            # The exact normal, which the crooked witnesses' bytes rest on:
+            # the only one at rank cols - 1, and at every rank the one whose
+            # only bit outside the reduced rows' lowest bits is the lowest.
+            if r == cols - 1 and cols <= 10:
+                assert [u for u in range(1, 1 << cols)
+                        if all(bin(u & v).count("1") % 2 == 0 for v in s)] == [w]
+            free = ((1 << cols) - 1) & ~reduce(or_, (v & -v for v in reduced), 0)
+            assert w & free == free & -free
 
 
 @seed(3)
